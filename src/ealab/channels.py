@@ -27,6 +27,10 @@ from .states import DensityOperator, PureState, max_entangled
 
 TP_ATOL = 1e-10
 CHOI_RANK_TOL = 1e-12
+# Largest Kraus stack tensor_power materializes, in bytes.  The k-fold power
+# of a depolarized qubit holds 5^k operators of 2^k x 2^k complex entries:
+# 51 MB at k = 5, 1 GB at k = 6.
+TENSOR_POWER_MAX_BYTES = 2**28
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -159,6 +163,57 @@ def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     return DensityOperator(out, out_dims)
 
 
+def _apply_sites(e: Channel, stack: np.ndarray, sites: int) -> np.ndarray:
+    """Apply ``e`` to each of ``sites`` factors of every operator in a stack.
+
+    ``stack`` has shape ``(B, D, D)`` with ``D = e.in_dim ** sites``; the
+    result has shape ``(B, D', D')`` with ``D' = e.out_dim ** sites``.  Each
+    site costs one contraction of the reshaped stack with the superoperator
+    ``S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j])``, unless ``S`` would
+    be more than twice the size of the Kraus stack; then each Kraus operator
+    acts on the ket and bra index of the site in turn.
+    """
+    d_in, d_out = e.in_dim, e.out_dim
+    batch = stack.shape[0]
+    t = stack.reshape((batch,) + (d_in,) * (2 * sites))
+    kraus = np.stack(e.kraus)
+    if d_in * d_out <= 2 * len(kraus):
+        sup = np.einsum("nai,nbj->abij", kraus, kraus.conj())
+        for s in range(sites):
+            ket, bra = 1 + s, 1 + sites + s
+            t = np.tensordot(sup, t, axes=([2, 3], [ket, bra]))
+            t = np.moveaxis(t, (0, 1), (ket, bra))
+    else:
+        for s in range(sites):
+            ket, bra = 1 + s, 1 + sites + s
+            acc = 0
+            for k in kraus:
+                x = np.moveaxis(np.tensordot(k, t, axes=([1], [ket])), 0, ket)
+                acc = acc + np.moveaxis(np.tensordot(k.conj(), x, axes=([1], [bra])), 0, bra)
+            t = acc
+    d = d_out**sites
+    return t.reshape(batch, d, d)
+
+
+def apply_local(single: Channel, state) -> DensityOperator:
+    """Apply ``single`` to every tensor factor of ``state``.
+
+    Equals ``apply(tensor_power(single, k), state)`` for a state of ``k``
+    factors of dimension ``single.in_dim``, but never forms the
+    ``len(single.kraus) ** k`` Kraus operators of the tensor power: the
+    channel acts on one factor at a time.
+    """
+    rho = state.density() if isinstance(state, PureState) else state
+    k = len(rho.dims)
+    if rho.dims != (single.in_dim,) * k:
+        raise ValueError(
+            f"channel acts on dimension {single.in_dim}, state has factor "
+            f"dimensions {rho.dims}"
+        )
+    out = _apply_sites(single, rho.matrix[None], k)[0]
+    return DensityOperator(out, (single.out_dim,) * k)
+
+
 def compose(e: Channel, f: Channel) -> Channel:
     """Composition e after f (first ``f``, then ``e``)."""
     if f.out_dim != e.in_dim:
@@ -175,9 +230,22 @@ def tensor(a: Channel, b: Channel) -> Channel:
 
 
 def tensor_power(e: Channel, k: int) -> Channel:
+    """The k-fold tensor power as one channel with (Kraus rank)^k operators.
+
+    Raises before allocating when that Kraus stack would exceed
+    ``TENSOR_POWER_MAX_BYTES``; ``apply_local`` applies the power site by site
+    without materializing it.
+    """
     k = int(k)
     if k < 1:
         raise ValueError(f"tensor power must be at least 1, got {k}")
+    nbytes = 16 * (len(e.kraus) * e.out_dim * e.in_dim) ** k
+    if nbytes > TENSOR_POWER_MAX_BYTES:
+        raise ValueError(
+            f"tensor power {k} would materialize {len(e.kraus) ** k} Kraus "
+            f"operators ({nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}-byte "
+            f"bound); use apply_local to act site by site"
+        )
     out = e
     for _ in range(k - 1):
         out = tensor(out, e)

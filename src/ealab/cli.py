@@ -17,8 +17,16 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .channels import apply, choi_of, depolarizing, load_channel_spec, tensor_power
+from .channels import (
+    apply,  # unused here; bench/tracing.py wraps cli.apply
+    apply_local,
+    choi_of,
+    depolarizing,
+    load_channel_spec,
+    tensor_power,
+)
 from .criteria import (
+    MAX_WORKERS,
     Partition,
     bisect_threshold,
     ghz_three_lea_min_eig,
@@ -80,7 +88,7 @@ class SweepRow:
 
 def sweep_row(lam: float, tol: float = DEFAULT_TOL) -> SweepRow:
     """Evaluate every sweep column at one lambda."""
-    ghz_out = apply(tensor_power(depolarizing(lam, 2), 3), ghz(3))
+    ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
     return SweepRow(
         lam=lam,
@@ -176,17 +184,18 @@ def cmd_falsify(args) -> int:
             tol=args.tol,
             workers=args.workers,
         )
+        line = json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(_report_to_json(report), sort_keys=True))
+    print(line)
     return 1 if report.found else 0
 
 
 def cmd_report_ea_not_eb(args) -> int:
     lam = 1.0 / math.sqrt(3.0)
     pair_worst = two_lea_verdict_depolarizing(lam)
-    ghz_out = apply(tensor_power(depolarizing(lam, 2), 3), ghz(3))
+    ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     eig_1_23 = ppt_min_eigenvalue(ghz_out, Partition((0,), (1, 2)))
     eig_12_3 = ppt_min_eigenvalue(ghz_out, Partition((0, 1), (2,)))
     single_eb = is_eb(depolarizing(lam, 2))
@@ -293,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="Haar trials")
     p.add_argument("--seed", type=int, default=None, help="search seed")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verdict tolerance")
-    p.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help=f"threads evaluating batches of trials concurrently, 1 to {MAX_WORKERS}; "
+        f"the report does not depend on it",
+    )
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser(

@@ -1,6 +1,9 @@
 """Dense complex linear algebra on tensor-product spaces.
 
-Operators are plain square complex numpy arrays.  Composite systems carry an
+Operators are plain square complex numpy arrays.  ``partial_transpose``,
+``hermiticity_defect``, ``hermitian_eigenvalues`` and ``min_eigenvalue`` also
+accept a stack of operators with leading batch axes, ``(..., D, D)``, and act
+on each operator of the stack.  Composite systems carry an
 explicit tuple of factor dimensions; factor 0 is the most significant index
 (big-endian), so a composite basis index decomposes as
 ``i = i0*(d1*...*d_{n-1}) + ... + i_{n-1}``, matching ``numpy.kron`` order.
@@ -27,6 +30,20 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def _as_stack(m) -> np.ndarray:
+    """Coerce input to a complex square matrix or a stack of them."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def dims_product(dims: Sequence[int]) -> int:
     p = 1
     for d in dims:
@@ -34,17 +51,19 @@ def dims_product(dims: Sequence[int]) -> int:
     return p
 
 
+def _factor_dims(dims: Sequence[int], d: int) -> tuple[int, ...]:
+    ds = tuple(int(x) for x in dims)
+    if not ds or any(x < 1 for x in ds):
+        raise ValueError(f"factor dimensions must be positive, got {ds}")
+    if dims_product(ds) != d:
+        raise ValueError(f"factor dimensions {ds} do not match matrix dimension {d}")
+    return ds
+
+
 def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Validate that ``dims`` factorizes the dimension of ``m``."""
     a = as_operator(m)
-    ds = tuple(int(d) for d in dims)
-    if not ds or any(d < 1 for d in ds):
-        raise ValueError(f"factor dimensions must be positive, got {ds}")
-    if dims_product(ds) != a.shape[0]:
-        raise ValueError(
-            f"factor dimensions {ds} do not match matrix dimension {a.shape[0]}"
-        )
-    return a, ds
+    return a, _factor_dims(dims, a.shape[0])
 
 
 def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
@@ -86,16 +105,18 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
 
 
 def partial_transpose(m, dims: Sequence[int], transposed: Iterable[int]) -> np.ndarray:
-    """Transpose only the listed tensor factors."""
-    a, ds = check_dims(m, dims)
+    """Transpose only the listed tensor factors (of every operator of a stack)."""
+    a = _as_stack(m)
+    ds = _factor_dims(dims, a.shape[-1])
     n = len(ds)
     flipped = _factor_subset(transposed, n, "transposed")
-    t = a.reshape(ds + ds)
-    axes = list(range(2 * n))
+    lead = a.shape[:-2]
+    b = len(lead)
+    t = a.reshape(lead + ds + ds)
+    axes = list(range(b + 2 * n))
     for i in flipped:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    d = a.shape[0]
-    return t.transpose(axes).reshape(d, d)
+        axes[b + i], axes[b + n + i] = axes[b + n + i], axes[b + i]
+    return t.transpose(axes).reshape(a.shape)
 
 
 def permute_factors(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -111,10 +132,11 @@ def permute_factors(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(d, d)
 
 
-def hermiticity_defect(m) -> float:
-    """Largest absolute entry of ``m - m^dagger``."""
-    a = as_operator(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+def hermiticity_defect(m):
+    """Largest absolute entry of ``m - m^dagger``; an array of them for a stack."""
+    a = _as_stack(m)
+    dev = np.abs(a - _adjoint(a))
+    return float(dev.max()) if a.ndim == 2 else dev.max(axis=(-2, -1))
 
 
 def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
@@ -122,20 +144,23 @@ def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
 
 
 def hermitian_eigenvalues(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian matrix.
+    """Ascending real spectrum of a Hermitian matrix (of each matrix of a stack).
 
     Rejects inputs whose deviation from their adjoint exceeds ``atol``;
     accepted inputs are symmetrized before the eigensolve.
     """
-    a = as_operator(m)
+    a = _as_stack(m)
     defect = hermiticity_defect(a)
+    if a.ndim > 2:
+        defect = float(defect.max(initial=0.0))
     if defect > atol:
         raise ValueError(
             f"matrix is not Hermitian within {atol:g} (max deviation {defect:.3e})"
         )
-    return np.linalg.eigvalsh((a + a.conj().T) / 2)
+    return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
 
 
-def min_eigenvalue(m, atol: float = HERMITIAN_ATOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eigenvalues(m, atol=atol)[0])
+def min_eigenvalue(m, atol: float = HERMITIAN_ATOL):
+    """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
+    low = hermitian_eigenvalues(m, atol=atol)[..., 0]
+    return float(low) if low.ndim == 0 else low

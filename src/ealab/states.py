@@ -105,6 +105,21 @@ class DensityOperator:
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
 
 
+def invalid_densities(stack: np.ndarray) -> np.ndarray:
+    """Mask of the operators in a stack ``(B, D, D)`` that ``DensityOperator``
+    rejects.
+
+    The checks are its own, each within ``STATE_ATOL``: Hermiticity, unit
+    trace and positivity.
+    """
+    trace = np.trace(stack, axis1=-2, axis2=-1)
+    bad = (hermiticity_defect(stack) > STATE_ATOL) | (np.abs(trace - 1.0) > STATE_ATOL)
+    ok = ~bad
+    low = min_eigenvalue(stack if ok.all() else stack[ok], atol=STATE_ATOL)
+    bad[ok] = low < -STATE_ATOL
+    return bad
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Biorthogonal expansion of a bipartite pure state.

@@ -1,0 +1,258 @@
+"""Tests for the site-by-site channel engine and the batched falsifier.
+
+The references here are the materialized tensor power applied through the
+Kraus-stack ``apply``, a trial-by-trial search written from the public
+per-state API, and the Choi route of ``helpers.apply_via_choi``.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ealab.channels
+import ealab.criteria
+from ealab import (
+    Channel,
+    Partition,
+    apply,
+    apply_local,
+    bipartitions,
+    choi_of,
+    depolarizing,
+    ea_falsify,
+    embedded_max_entangled,
+    ghz,
+    haar_pure,
+    hermitian_eigenvalues,
+    identity_channel,
+    k_lea_falsify,
+    partial_transpose,
+    ppt_min_eigenvalue,
+    random_channel,
+    random_density,
+    tensor_power,
+    w_state,
+)
+from ealab.cli import main
+from ealab.criteria import CUT_TIE_ATOL, MAX_WORKERS, VERDICT_TOL
+from helpers import apply_via_choi, random_hermitian
+
+channel_args = st.tuples(
+    st.integers(1, 4),  # Kraus rank
+    st.integers(0, 2**31 - 1),  # channel seed
+)
+
+
+def reference_falsify(single, k, budget, seed, tol=VERDICT_TOL):
+    """Trial-by-trial search: (label, state, partition, trials_used, min_eig_seen)."""
+    dims = (single.in_dim,) * k
+    parts = bipartitions(k)
+    power = tensor_power(single, k)
+    probes = [("probe:GHZ", ghz(k)), ("probe:W", w_state(k))] if single.in_dim == 2 else []
+    probes += [(f"probe:psi+:{p.label()}", embedded_max_entangled(dims, p)) for p in parts]
+    seen = math.inf
+    for t in range(len(probes) + budget):
+        if t < len(probes):
+            label, state = probes[t]
+        else:
+            label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
+        out = apply(power, state, out_dims=dims)
+        lows = [ppt_min_eigenvalue(out, p) for p in parts]
+        worst = min(lows)
+        seen = min(seen, worst)
+        if worst < -tol:
+            cut = next(
+                p for p, low in zip(parts, lows)
+                if low < -tol and low <= worst + CUT_TIE_ATOL
+            )
+            return label, state, cut, t + 1, seen
+    return None, None, None, len(probes) + budget, seen
+
+
+class TestApplyLocal:
+    @settings(max_examples=30, deadline=None)
+    @given(channel_args, st.integers(2, 4), st.integers(0, 2**31 - 1))
+    def test_equals_materialized_power(self, args, k, state_seed):
+        rank, channel_seed = args
+        single = random_channel(2, kraus_rank=rank, seed=channel_seed)
+        rho = random_density((2,) * k, rank=2, seed=state_seed)
+        local = apply_local(single, rho)
+        materialized = apply(tensor_power(single, k), rho)
+        assert local.dims == materialized.dims == (2,) * k
+        assert np.max(np.abs(local.matrix - materialized.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 9])
+    def test_qutrit_pair_both_contractions(self, rank):
+        # rank 1 acts with the Kraus operators, rank 9 with the superoperator
+        single = random_channel(3, kraus_rank=rank, seed=rank)
+        psi = haar_pure((3, 3), 4)
+        local = apply_local(single, psi).matrix
+        assert np.max(np.abs(local - apply(tensor_power(single, 2), psi).matrix)) <= 1e-12
+
+    def test_rejects_mismatched_factors(self):
+        with pytest.raises(ValueError, match="factor dimensions"):
+            apply_local(depolarizing(0.5, 2), haar_pure((2, 3), 0))
+
+
+class TestTensorPowerBound:
+    def test_six_fold_depolarizing_refused_before_allocating(self):
+        # 5^6 operators of 64 x 64 complex entries: about 1 GB
+        with pytest.raises(ValueError, match="bytes"):
+            tensor_power(depolarizing(0.5, 2), 6)
+
+    def test_bound_is_exact(self, monkeypatch):
+        # 25 operators of 4 x 4 complex entries: 6400 bytes
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 6400)
+        assert len(tensor_power(depolarizing(0.5, 2), 2).kraus) == 25
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 6399)
+        with pytest.raises(ValueError, match="6400 bytes"):
+            tensor_power(depolarizing(0.5, 2), 2)
+
+
+class TestBatchedLinalg:
+    def test_stacked_partial_transpose_and_spectrum(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_hermitian(8, rng) for _ in range(5)])
+        flipped = partial_transpose(stack, (2, 2, 2), (0, 2))
+        evals = hermitian_eigenvalues(flipped)
+        for m, f, e in zip(stack, flipped, evals):
+            single = partial_transpose(m, (2, 2, 2), (0, 2))
+            assert np.array_equal(f, single)
+            assert np.allclose(e, hermitian_eigenvalues(single), atol=1e-13)
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(stack)
+
+
+class TestBatchedFalsifier:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        channel_args,
+        st.sampled_from([(2, 12), (3, 6), (4, 2)]),
+        st.integers(0, 2**31 - 1),
+        st.booleans(),
+    )
+    def test_matches_trial_by_trial_reference(self, args, k_budget, seed, one_site):
+        rank, channel_seed = args
+        k, budget = k_budget
+        single = random_channel(2, kraus_rank=rank, seed=channel_seed)
+        if one_site:
+            report = ea_falsify(tensor_power(single, k), (2,) * k, budget=budget, seed=seed)
+        else:
+            report = k_lea_falsify(single, k, budget=budget, seed=seed)
+        label, state, cut, used, seen = reference_falsify(single, k, budget, seed)
+        assert report.found == (label is not None)
+        assert report.counterexample_label == label
+        assert report.counterexample_partition == cut
+        assert report.trials_used == used
+        assert abs(report.min_eig_seen - seen) <= 1e-12
+        if report.found:
+            assert np.array_equal(report.counterexample.amplitudes, state.amplitudes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(channel_args, st.integers(2, 3), st.integers(0, 2**31 - 1))
+    def test_counterexamples_reverify_through_choi(self, args, k, seed):
+        rank, channel_seed = args
+        single = random_channel(2, kraus_rank=rank, seed=channel_seed)
+        report = k_lea_falsify(single, k, budget=8, seed=seed)
+        if not report.found:
+            assert report.min_eig_seen >= -VERDICT_TOL
+            return
+        dims = (2,) * k
+        out = apply_via_choi(choi_of(tensor_power(single, k)), report.counterexample.density().matrix)
+        flipped = partial_transpose(out, dims, report.counterexample_partition.second)
+        low = hermitian_eigenvalues(flipped)[0]
+        assert low < -VERDICT_TOL
+        assert abs(low - report.min_eig_seen) <= CUT_TIE_ATOL + 1e-12
+
+    def test_tied_cuts_report_the_first_partition(self):
+        # The W probe's three cuts agree to within a few ulps, so which is
+        # lowest depends on summation order; the report names 02|1, the
+        # first in bipartitions order.
+        single = random_channel(2, kraus_rank=3, seed=2)
+        report = k_lea_falsify(single, 3, budget=5, seed=0)
+        assert report.counterexample_label == "probe:W"
+        assert report.counterexample_partition == Partition((0, 2), (1,))
+        out = apply(tensor_power(single, 3), w_state(3))
+        lows = [ppt_min_eigenvalue(out, p) for p in bipartitions(3)]
+        assert max(lows) - min(lows) < CUT_TIE_ATOL
+        assert report.min_eig_seen == pytest.approx(min(lows), abs=1e-15)
+
+    @pytest.mark.parametrize("k, budget", [(5, 6), (6, 2)])
+    @pytest.mark.parametrize("lam", [0.2, 1 / 3])
+    def test_entanglement_breaking_sites_never_entangle(self, k, budget, lam):
+        # at lambda <= 1/3 every site breaks entanglement, so every output is
+        # separable across every cut; VERDICT_TOL absorbs rounding at D = 2^k
+        report = k_lea_falsify(depolarizing(lam, 2), k, budget=budget, seed=k)
+        assert not report.found
+        assert report.trials_used == 2 + (2 ** (k - 1) - 1) + budget
+        assert report.min_eig_seen >= -VERDICT_TOL
+
+    def test_batch_failures_after_the_first_hit_do_not_raise(self):
+        # sum K^dag K = diag(1 + eps, 1) passes the channel check; two sites
+        # scale an output trace by 1 + eps * (1 + |a00|^2 - |a11|^2), which
+        # leaves unit trace within 1e-10 for some Haar inputs and not others.
+        # Every accepted output of this near-identity pair is entangled.
+        eps = 0.99e-10
+        single = Channel((np.diag([np.sqrt(1 + eps), 1.0]),))
+
+        def trace_error(seed, t):
+            a = haar_pure((2, 2), (seed, t)).amplitudes
+            return eps * (1 + abs(a[0]) ** 2 - abs(a[3]) ** 2)
+
+        passes_first = next(
+            s for s in range(200) if trace_error(s, 0) < 0.9e-10 < 1.1e-10 < trace_error(s, 1)
+        )
+        fails_first = next(s for s in range(200) if trace_error(s, 0) > 1.1e-10)
+        report = k_lea_falsify(single, 2, budget=8, seed=passes_first, include_probes=False)
+        assert report.counterexample_label == "haar:0"
+        assert report.trials_used == 1
+        with pytest.raises(ValueError, match="unit trace"):
+            k_lea_falsify(single, 2, budget=8, seed=fails_first, include_probes=False)
+
+
+class TestFalsifierBoundary:
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            k_lea_falsify(depolarizing(0.5, 2), 2, budget=-10, seed=0)
+
+    def test_zero_trial_search_rejected(self):
+        with pytest.raises(ValueError, match="no trials"):
+            ea_falsify(identity_channel(4), (2, 2), budget=0, include_probes=False)
+
+    def test_composite_too_large_rejected_before_any_state(self):
+        # one 2^11-dimensional density matrix takes 64 MiB
+        with pytest.raises(ValueError, match="bytes"):
+            k_lea_falsify(depolarizing(0.5, 2), 11, budget=1, seed=0)
+
+    def test_probes_alone_are_a_search(self):
+        report = k_lea_falsify(depolarizing(0.2, 2), 2, budget=0, seed=0)
+        assert report.trials_used == 3
+        assert math.isfinite(report.min_eig_seen)
+
+    @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1])
+    def test_workers_outside_cap_rejected_before_any_pool(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(ealab.criteria, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers"):
+            k_lea_falsify(depolarizing(0.5, 2), 2, budget=5, seed=0, workers=workers)
+
+    @pytest.mark.parametrize(
+        "flags", [("--budget", "-10"), ("--workers", "0"), ("--workers", str(MAX_WORKERS + 1))]
+    )
+    def test_cli_exits_2_without_a_report(self, flags, tmp_path, capsys):
+        spec = tmp_path / "channel.json"
+        spec.write_text(json.dumps({"kind": "depolarizing", "lambda": 0.2, "d": 2}))
+        code = main(["falsify", "--spec", str(spec), "--k", "2", "--seed", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
