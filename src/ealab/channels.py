@@ -23,7 +23,7 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .states import DensityOperator, PureState, max_entangled
+from .states import DensityOperator, PureState, _freeze, max_entangled_projector
 
 TP_ATOL = 1e-10
 CHOI_RANK_TOL = 1e-12
@@ -31,12 +31,6 @@ CHOI_RANK_TOL = 1e-12
 # of a depolarized qubit holds 5^k operators of 2^k x 2^k complex entries:
 # 51 MB at k = 5, 1 GB at k = 6.
 TENSOR_POWER_MAX_BYTES = 2**28
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +53,7 @@ class Channel:
         for k in ops:
             acc += k.conj().T @ k
         defect = np.max(np.abs(acc - np.eye(in_dim)))
-        if defect > TP_ATOL:
+        if not defect <= TP_ATOL:
             raise ValueError(
                 f"trace preservation violated: sum K^dag K deviates from the "
                 f"identity by {defect:.3e}"
@@ -86,16 +80,16 @@ class MeasurePrepare:
         for f in effects:
             if f.shape != (d, d):
                 raise ValueError("POVM effects must share one dimension")
-            if hermiticity_defect(f) > TP_ATOL:
+            if not hermiticity_defect(f) <= TP_ATOL:
                 raise ValueError("POVM effects must be Hermitian")
             low = float(hermitian_eigenvalues(f)[0])
-            if low < -TP_ATOL:
+            if not low >= -TP_ATOL:
                 raise ValueError(
                     f"POVM effect is not positive semidefinite (min eig {low:.3e})"
                 )
             acc += f
         defect = np.max(np.abs(acc - np.eye(d)))
-        if defect > TP_ATOL:
+        if not defect <= TP_ATOL:
             raise ValueError(
                 f"POVM does not sum to the identity (deviation {defect:.3e})"
             )
@@ -125,7 +119,7 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
         )
     if lam < 0:
         # no Kraus mixture exists below lam = 0; rebuild from the Choi form
-        omega = lam * _max_ent_projector(d) + (1 - lam) * np.eye(d * d) / d**2
+        omega = lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
         return channel_from_choi(DensityOperator(omega, (d, d)))
     ops: list[np.ndarray] = []
     if lam > 0:
@@ -138,11 +132,6 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
                 k[i, j] = w
                 ops.append(k)
     return Channel(tuple(ops))
-
-
-def _max_ent_projector(d: int) -> np.ndarray:
-    amp = max_entangled(d).amplitudes
-    return np.outer(amp, amp.conj())
 
 
 def apply(e: Channel, state, out_dims=None) -> DensityOperator:
@@ -163,21 +152,23 @@ def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     return DensityOperator(out, out_dims)
 
 
-def _apply_sites(e: Channel, stack: np.ndarray, sites: int) -> np.ndarray:
-    """Apply ``e`` to each of ``sites`` factors of every operator in a stack.
+def _apply_sites(kraus: np.ndarray, stack: np.ndarray, sites: int) -> np.ndarray:
+    """Apply the map with Kraus stack ``kraus`` to each of ``sites`` factors
+    of every operator in a stack.
 
-    ``stack`` has shape ``(B, D, D)`` with ``D = e.in_dim ** sites``; the
-    result has shape ``(B, D', D')`` with ``D' = e.out_dim ** sites``.  Each
-    site costs one contraction of the reshaped stack with the superoperator
+    ``kraus`` has shape ``(n, d_out, d_in)``; pass its conjugate transpose
+    ``K^dag`` to apply the adjoint map.  ``stack`` has shape ``(B, D, D)``
+    with ``D = d_in ** sites``; the result has shape ``(B, D', D')`` with
+    ``D' = d_out ** sites``.  Each site costs one contraction of the
+    reshaped stack with the superoperator
     ``S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j])``, unless ``S`` would
     be more than twice the size of the Kraus stack; then each Kraus operator
     acts on the ket and bra index of the site in turn.
     """
-    d_in, d_out = e.in_dim, e.out_dim
+    n, d_out, d_in = kraus.shape
     batch = stack.shape[0]
     t = stack.reshape((batch,) + (d_in,) * (2 * sites))
-    kraus = np.stack(e.kraus)
-    if d_in * d_out <= 2 * len(kraus):
+    if d_in * d_out <= 2 * n:
         sup = np.einsum("nai,nbj->abij", kraus, kraus.conj())
         for s in range(sites):
             ket, bra = 1 + s, 1 + sites + s
@@ -210,7 +201,7 @@ def apply_local(single: Channel, state) -> DensityOperator:
             f"channel acts on dimension {single.in_dim}, state has factor "
             f"dimensions {rho.dims}"
         )
-    out = _apply_sites(single, rho.matrix[None], k)[0]
+    out = _apply_sites(np.stack(single.kraus), rho.matrix[None], k)[0]
     return DensityOperator(out, (single.out_dim,) * k)
 
 
@@ -298,7 +289,7 @@ def channel_from_choi(omega: DensityOperator, rank_tol: float = CHOI_RANK_TOL) -
     out_dim, in_dim = omega.dims
     marginal = partial_trace(omega.matrix, omega.dims, keep=(1,))
     defect = np.max(np.abs(marginal - np.eye(in_dim) / in_dim))
-    if defect > TP_ATOL:
+    if not defect <= TP_ATOL:
         raise ValueError(
             f"not a channel: partial trace over the output factor deviates "
             f"from I/{in_dim} by {defect:.3e}"

@@ -26,7 +26,8 @@ from .channels import (
     tensor_power,
 )
 from .criteria import (
-    MAX_WORKERS,
+    BISECTION_TOL,
+    VERDICT_TOL,
     Partition,
     bisect_threshold,
     ghz_three_lea_min_eig,
@@ -41,7 +42,6 @@ from .states import ghz, werner
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
-DEFAULT_TOL = 1e-9
 SEED_ENV_VAR = "EA_LAB_SEED"
 
 CSV_HEADER = (
@@ -86,7 +86,7 @@ class SweepRow:
         )
 
 
-def sweep_row(lam: float, tol: float = DEFAULT_TOL) -> SweepRow:
+def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
     """Evaluate every sweep column at one lambda."""
     ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
@@ -101,7 +101,7 @@ def sweep_row(lam: float, tol: float = DEFAULT_TOL) -> SweepRow:
     )
 
 
-def compute_thresholds(tol: float = DEFAULT_TOL):
+def compute_thresholds(tol: float = BISECTION_TOL):
     """The three critical depolarizing parameters, located by bisection."""
     eb = bisect_threshold(_werner_pt_min_eig, (0.1, 0.6), tol, "eb-choi-ppt")
     two = bisect_threshold(
@@ -177,12 +177,7 @@ def cmd_falsify(args) -> int:
         return 2
     try:
         report = k_lea_falsify(
-            channel,
-            args.k,
-            budget=args.budget,
-            seed=args.seed,
-            tol=args.tol,
-            workers=args.workers,
+            channel, args.k, budget=args.budget, seed=args.seed, tol=args.tol
         )
         line = json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -206,7 +201,7 @@ def cmd_report_ea_not_eb(args) -> int:
     print("(1) pair channel annihilates two-qubit entanglement:")
     print(
         f"    worst-case PT eigenvalue over all pure inputs = "
-        f"{fmt(pair_worst.witness_min_eig)} >= -{fmt(DEFAULT_TOL)}"
+        f"{fmt(pair_worst.witness_min_eig)} >= -{fmt(VERDICT_TOL)}"
     )
     print(
         f"    verdict {pair_worst.status.value}: every output of the pair "
@@ -282,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "thresholds", help="print the three critical depolarizing parameters"
     )
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=BISECTION_TOL, help="bisection tolerance")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("sweep", help="tabulate the lambda sweep as CSV")
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True, help="last lambda")
     p.add_argument("--step", type=float, required=True, help="grid step")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verdict tolerance")
+    p.add_argument("--tol", type=float, default=VERDICT_TOL, help="verdict tolerance")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -301,14 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="tensor power (number of parties)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="Haar trials")
     p.add_argument("--seed", type=int, default=None, help="search seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verdict tolerance")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=f"threads evaluating batches of trials concurrently, 1 to {MAX_WORKERS}; "
-        f"the report does not depend on it",
-    )
+    p.add_argument("--tol", type=float, default=VERDICT_TOL, help="verdict tolerance")
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser(

@@ -15,23 +15,20 @@ to be sufficient; everywhere else the verdict is Inconclusive.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .channels import (
     Channel,
     MeasurePrepare,
     _apply_sites,
-    apply,
+    apply,  # unused here; bench/tracing.py wraps criteria.apply
+    apply_local,
     choi_of,
     measure_prepare_channel,
-    tensor,
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
 from .linalg import dims_product, hermitian_eigenvalues, partial_transpose
@@ -43,7 +40,6 @@ from .states import (
     ghz,
     haar_pure,
     invalid_densities,
-    random_unitary,
     w_state,
 )
 
@@ -55,8 +51,9 @@ VERDICT_TOL = 1e-9
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 200
 
-# The falsifier accepts at most this many concurrent workers.
-MAX_WORKERS = 8
+# Rounds of the two-qubit see-saw per start in two_lea_verdict_heuristic.
+SEESAW_MAX_ITER = 200
+
 # Cuts whose partial-transpose minima lie within this distance count as tied:
 # a counterexample names the first of them in bipartitions order, so that
 # rounding in the last digits cannot change the reported partition.
@@ -290,44 +287,57 @@ def two_lea_verdict_heuristic(
 ) -> SeparabilityVerdict:
     """Heuristic 2-local verdict for an arbitrary qubit channel.
 
-    Runs multi-start local descent over a 6-parameter chart of two-qubit
-    pure states, minimizing the output PT eigenvalue of ``single ox single``.
-    A negative optimum proves the channel is not 2-locally
-    entanglement-annihilating; a nonnegative optimum is only Inconclusive,
-    since the search carries no global optimality certificate.
+    Minimizes the output PT eigenvalue of ``single ox single`` over pure
+    two-qubit inputs by a see-saw: given the input psi, phi is the lowest
+    eigenvector of [(E ox E)(psi psi^dag)]^Gamma; given phi, psi is the
+    lowest eigenvector of (E ox E)^dag(|phi><phi|^Gamma).  Neither step can
+    raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
+    stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
+    starts are the two-qubit falsifier probes, then ``restarts`` Haar states
+    drawn from ``default_rng((seed, r))``; Haar starts alone can stall at the
+    product-state fixed point near the threshold.
+
+    The witness is the PT eigenvalue of the best input, recomputed through
+    ``apply_local`` and ``ppt_min_eigenvalue``.  A negative witness proves
+    the channel is not 2-locally entanglement-annihilating; a nonnegative
+    one is only Inconclusive, since the search carries no global optimality
+    certificate.
     """
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
-    pair = tensor(single, single)
+    restarts = int(restarts)
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    dims = (2, 2)
     part = Partition((0,), (1,))
+    kraus = np.stack(single.kraus)
+    adjoint = kraus.conj().transpose(0, 2, 1)
+    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,), True)]
+    starts += [
+        _haar_amplitudes(np.random.default_rng((int(seed), r)), 4)
+        for r in range(restarts)
+    ]
 
-    def state_from_chart(x: np.ndarray, frame: np.ndarray) -> PureState:
-        amp = np.array(
-            [1.0, x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5]],
-            dtype=complex,
-        )
-        amp = frame @ amp
-        return PureState(amp / np.linalg.norm(amp), (2, 2))
+    def lowest(m: np.ndarray) -> tuple[float, np.ndarray]:
+        evals, vecs = np.linalg.eigh(m)
+        return float(evals[0]), vecs[:, 0]
 
-    best = math.inf
-    for r in range(int(restarts)):
-        rng = np.random.default_rng((int(seed), r))
-        frame = random_unitary(4, rng)
-        x0 = rng.standard_normal(6)
-
-        def objective(x, frame=frame):
-            out = apply(pair, state_from_chart(x, frame))
-            return ppt_min_eigenvalue(out, part)
-
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        best = min(best, float(res.fun))
-    status = Verdict.ENTANGLED if best < -tol else Verdict.INCONCLUSIVE
-    return SeparabilityVerdict(status, best, part, heuristic=True)
+    best, best_psi = math.inf, starts[0]
+    for psi in starts:
+        value = math.inf
+        for _ in range(SEESAW_MAX_ITER):
+            out = _apply_sites(kraus, np.outer(psi, psi.conj())[None], 2)
+            low, phi = lowest(partial_transpose(out[0], dims, (1,)))
+            if not low < value:
+                break
+            value = low
+            if value < best:
+                best, best_psi = value, psi
+            flip = partial_transpose(np.outer(phi, phi.conj()), dims, (1,))
+            psi = lowest(_apply_sites(adjoint, flip[None], 2)[0])[1]
+    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
+    status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
+    return SeparabilityVerdict(status, witness, part, heuristic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +404,21 @@ def _falsify(
     seed: int,
     tol: float,
     include_probes: bool,
-    workers: int,
 ) -> FalsifierReport:
-    """Batched search shared by ``ea_falsify`` and ``k_lea_falsify``.
+    """Batched serial search shared by ``ea_falsify`` and ``k_lea_falsify``.
 
     ``channel`` acts on each of ``sites`` equal tensor factors of the
     composite with factor dimensions ``dims`` (one site: the whole system).
     Trials run in batches in index order.  Per batch there is one stacked
     channel application and, per cut, one stacked partial transpose and one
-    batched eigensolve.  Every input and output passes the checks of
-    ``PureState`` and ``DensityOperator``; a failure raises only when no
-    earlier trial is a counterexample, as in a trial-by-trial loop.
+    batched eigensolve.  Every input passes the norm check of ``PureState``
+    (its projector is then a valid density operator by construction) and
+    every output the checks of ``DensityOperator``; a failure raises only
+    when no earlier trial is a counterexample, as in a trial-by-trial loop.
     """
-    budget, seed, workers = int(budget), int(seed), int(workers)
+    budget, seed = int(budget), int(seed)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     dim = dims_product(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
     if cap < 1:
@@ -423,66 +431,52 @@ def _falsify(
     n_trials = len(probes) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")
-    batches = _batches(n_trials, cap)
+    kraus = np.stack(channel.kraus)
 
     def amplitudes(t: int) -> np.ndarray:
         if t < len(probes):
             return probes[t][1].amplitudes
         return _haar_amplitudes(np.random.default_rng((seed, t)), dim)
 
-    def evaluate(trials: range) -> tuple[np.ndarray, int | None]:
-        # Per-cut PT minima of the trials before the first failed state
-        # check, and the offset of that trial (None when all pass).
+    seen = math.inf
+    for trials in _batches(n_trials, cap):
         amps = np.stack([amplitudes(t) for t in trials])
-        rho = amps[:, :, None] * amps.conj()[:, None, :]
-        out = _apply_sites(channel, rho, sites)
-        bad = np.abs(np.linalg.norm(amps, axis=1) - 1.0) > NORM_ATOL
-        bad |= invalid_densities(rho) | invalid_densities(out)
+        out = _apply_sites(kraus, amps[:, :, None] * amps.conj()[:, None, :], sites)
+        bad = ~(np.abs(np.linalg.norm(amps, axis=1) - 1.0) <= NORM_ATOL)
+        bad |= invalid_densities(out)
         n = int(bad.argmax()) if bad.any() else len(trials)
+        # Per-cut PT minima of the trials before the first failed check.
         # hermitian_eigenvalues checks each partial transpose again; it
         # permutes the entries of out - out^dagger, so it passes wherever the
         # output passed.
-        lows = [
-            hermitian_eigenvalues(partial_transpose(out[:n], dims, p.second))[:, 0]
-            for p in parts
-        ]
-        return np.stack(lows, axis=1), (n if n < len(trials) else None)
-
-    def results():
-        if workers == 1:
-            yield from map(evaluate, batches)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i in range(0, len(batches), workers):
-                yield from pool.map(evaluate, batches[i : i + workers])
-
-    def reject(t: int):
-        # The state constructors give the diagnostic of a failed trial.
-        rho = PureState(amplitudes(t), dims).density()
-        DensityOperator(_apply_sites(channel, rho.matrix[None], sites)[0], dims)
-        raise ValueError(f"trial {t} failed a state check")
-
-    seen = math.inf
-    with closing(results()) as scored:
-        for trials, (lows, failed) in zip(batches, scored):
-            worst = lows.min(axis=1)
-            hits = np.flatnonzero(worst < -tol)
-            if hits.size:
-                h = int(hits[0])
-                seen = min(seen, float(worst[: h + 1].min()))
-                cut = next(
-                    i for i, low in enumerate(lows[h])
-                    if low < -tol and low <= worst[h] + CUT_TIE_ATOL
-                )
-                t = trials.start + h
-                if t < len(probes):
-                    label, state = probes[t]
-                else:
-                    label, state = f"haar:{t - len(probes)}", _haar_trial_state(dims, seed, t)
-                return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
-            if failed is not None:
-                reject(trials.start + failed)
-            seen = min(seen, float(worst.min()))
+        lows = np.stack(
+            [
+                hermitian_eigenvalues(partial_transpose(out[:n], dims, p.second))[:, 0]
+                for p in parts
+            ],
+            axis=1,
+        )
+        worst = lows.min(axis=1)
+        hits = np.flatnonzero(worst < -tol)
+        if hits.size:
+            h = int(hits[0])
+            seen = min(seen, float(worst[: h + 1].min()))
+            cut = next(
+                i for i, low in enumerate(lows[h])
+                if low < -tol and low <= worst[h] + CUT_TIE_ATOL
+            )
+            t = trials.start + h
+            if t < len(probes):
+                label, state = probes[t]
+            else:
+                label, state = f"haar:{t - len(probes)}", _haar_trial_state(dims, seed, t)
+            return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
+        if n < len(trials):
+            # The state constructors give the diagnostic of a failed trial.
+            PureState(amps[n], dims)
+            DensityOperator(out[n], dims)
+            raise ValueError(f"trial {trials.start + n} failed a state check")
+        seen = min(seen, float(worst.min()))
     return FalsifierReport(None, None, None, n_trials, seen, seed, parts)
 
 
@@ -493,7 +487,6 @@ def ea_falsify(
     seed: int = 0,
     tol: float = VERDICT_TOL,
     include_probes: bool = True,
-    workers: int = 1,
 ) -> FalsifierReport:
     """Search for an input whose output stays entangled across some split.
 
@@ -505,9 +498,8 @@ def ea_falsify(
     ``budget`` counts the Haar trials; a negative budget, or a search with
     no trials at all, is rejected.  Each trial derives its own random stream
     from ``(seed, trial_index)`` and the reported counterexample is the one
-    with the smallest trial index, so the report is identical for any
-    ``workers`` setting (1 to ``MAX_WORKERS`` threads, each evaluating one
-    batch of trials).  Of the partitions across which the counterexample is
+    with the smallest trial index, so the report depends only on the
+    arguments.  Of the partitions across which the counterexample is
     entangled, the report names the first in ``bipartitions`` order whose
     minimum lies within ``CUT_TIE_ATOL`` of the lowest; ``min_eig_seen`` is
     the lowest partial-transpose eigenvalue over all trials used.
@@ -525,7 +517,7 @@ def ea_falsify(
         )
     if len(ds) < 2:
         raise ValueError("falsification needs a composite system (>= 2 factors)")
-    return _falsify(e, 1, ds, budget, seed, tol, include_probes, workers)
+    return _falsify(e, 1, ds, budget, seed, tol, include_probes)
 
 
 def k_lea_falsify(
@@ -535,7 +527,6 @@ def k_lea_falsify(
     seed: int = 0,
     tol: float = VERDICT_TOL,
     include_probes: bool = True,
-    workers: int = 1,
 ) -> FalsifierReport:
     """Falsify the k-local entanglement-annihilating property.
 
@@ -553,9 +544,7 @@ def k_lea_falsify(
         raise ValueError(f"k must be at least 2, got {k}")
     if single.in_dim != single.out_dim:
         raise ValueError("k-local analysis expects an endomorphic channel")
-    return _falsify(
-        single, k, (single.in_dim,) * k, budget, seed, tol, include_probes, workers
-    )
+    return _falsify(single, k, (single.in_dim,) * k, budget, seed, tol, include_probes)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +561,21 @@ def bisect_threshold(
     """Locate a sign change of ``criterion`` by bisection.
 
     The endpoints must evaluate to opposite signs; continuity and a single
-    crossing inside the bracket are the caller's responsibility.
+    crossing inside the bracket are the caller's responsibility.  A value
+    that is not finite, at an endpoint or a midpoint, raises ``ValueError``.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    f_lo = float(criterion(lo))
-    f_hi = float(criterion(hi))
+
+    def value(x: float) -> float:
+        f = float(criterion(x))
+        if not math.isfinite(f):
+            raise ValueError(f"criterion is not finite at {x!r} (value {f!r})")
+        return f
+
+    f_lo = value(lo)
+    f_hi = value(hi)
     if f_lo == 0.0:
         return ThresholdResult(lo, (lo, lo), tol, criterion_id, degenerate_bracket=True)
     if f_hi == 0.0:
@@ -592,7 +589,7 @@ def bisect_threshold(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = float(criterion(mid))
+        f_mid = value(mid)
         if f_mid == 0.0:
             lo = hi = mid
             break

@@ -153,7 +153,7 @@ def hermitian_eigenvalues(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     defect = hermiticity_defect(a)
     if a.ndim > 2:
         defect = float(defect.max(initial=0.0))
-    if defect > atol:
+    if not defect <= atol:
         raise ValueError(
             f"matrix is not Hermitian within {atol:g} (max deviation {defect:.3e})"
         )

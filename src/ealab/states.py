@@ -48,7 +48,7 @@ class PureState:
                 f"dims {ds} do not match amplitude vector of length {amp.size}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
         object.__setattr__(self, "amplitudes", _freeze(amp))
         object.__setattr__(self, "dims", ds)
@@ -81,13 +81,13 @@ class DensityOperator:
         if dims_product(ds) != m.shape[0]:
             raise ValueError(f"dims {ds} do not match matrix dimension {m.shape[0]}")
         defect = hermiticity_defect(m)
-        if defect > STATE_ATOL:
+        if not defect <= STATE_ATOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > STATE_ATOL:
+        if not abs(tr - 1.0) <= STATE_ATOL:
             raise ValueError(f"matrix does not have unit trace (trace {tr!r})")
         low = min_eigenvalue(m, atol=STATE_ATOL)
-        if low < -STATE_ATOL:
+        if not low >= -STATE_ATOL:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
             )
@@ -113,11 +113,10 @@ def invalid_densities(stack: np.ndarray) -> np.ndarray:
     trace and positivity.
     """
     trace = np.trace(stack, axis1=-2, axis2=-1)
-    bad = (hermiticity_defect(stack) > STATE_ATOL) | (np.abs(trace - 1.0) > STATE_ATOL)
-    ok = ~bad
+    ok = (hermiticity_defect(stack) <= STATE_ATOL) & (np.abs(trace - 1.0) <= STATE_ATOL)
     low = min_eigenvalue(stack if ok.all() else stack[ok], atol=STATE_ATOL)
-    bad[ok] = low < -STATE_ATOL
-    return bad
+    ok[ok] = low >= -STATE_ATOL
+    return ~ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +270,3 @@ def tensor_pure(a: PureState, b: PureState) -> PureState:
     """Product state a ox b with concatenated factor dimensions."""
     return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
 
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

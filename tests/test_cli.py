@@ -146,17 +146,23 @@ class TestFalsify:
         assert code == 0
         assert json.loads(out)["seed"] == 5
 
-    def test_workers_do_not_change_output(self, tmp_path, capsys):
+    def test_nan_kraus_entry_is_an_invalid_description(self, tmp_path, capsys):
+        op = matrix_to_json(np.eye(2))
+        op[0][1][0] = float("nan")
+        spec = self.write_spec(tmp_path, {"kind": "kraus", "ops": [op]})
+        code, out, err = run_cli(
+            capsys, "falsify", "--spec", spec, "--k", "2", "--budget", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid channel description")
+
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.6, "d": 2})
-        outputs = []
-        for workers in ("1", "4"):
-            code, out, _ = run_cli(
-                capsys, "falsify", "--spec", spec, "--k", "3", "--budget", "30",
-                "--seed", "9", "--workers", workers,
-            )
-            assert code == 1
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["falsify", "--spec", spec, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestReport:

@@ -1,8 +1,11 @@
 """Tests for separability verdicts, closed-form spectra, and thresholds."""
 
+import math
+
 import numpy as np
 import pytest
 
+import ealab.criteria
 from ealab import (
     DensityOperator,
     Partition,
@@ -38,7 +41,8 @@ from ealab import (
     two_lea_verdict_heuristic,
     werner,
 )
-from helpers import random_measure_prepare, random_separable_two_qubit
+from ealab.criteria import VERDICT_TOL
+from helpers import apply_via_choi, random_measure_prepare, random_separable_two_qubit
 
 SPLIT_12 = Partition((0,), (1,))
 SPLIT_1_23 = Partition((0,), (1, 2))
@@ -239,6 +243,67 @@ class TestTwoLeaVerdict:
         assert v.status is Verdict.INCONCLUSIVE
 
 
+class TestSeesaw:
+    @pytest.mark.parametrize("lam", np.linspace(0.0, 1.0, 41))
+    def test_matches_closed_form(self, lam):
+        # product inputs are worst below lambda = 1/2, the Bell state above
+        v = two_lea_verdict_heuristic(depolarizing(lam, 2))
+        assert abs(v.witness_min_eig - min((1 - lam) ** 2, 1 - 3 * lam**2) / 4) < 1e-12
+
+    @pytest.mark.parametrize("lam", np.linspace(0.58, 0.99, 6))
+    def test_one_restart_finds_entanglement_past_the_threshold(self, lam):
+        for seed in range(30):
+            v = two_lea_verdict_heuristic(depolarizing(lam, 2), restarts=1, seed=seed)
+            assert v.status is Verdict.ENTANGLED
+
+    def test_probes_alone_are_a_search(self):
+        v = two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=0)
+        assert v.status is Verdict.ENTANGLED
+        assert v.witness_min_eig == pytest.approx(two_lea_min_eig_depolarizing(0.8), abs=1e-12)
+
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts"):
+            two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=-1)
+
+    @staticmethod
+    def checked_input(single, monkeypatch, **kwargs):
+        """Run the search; return its verdict and the state it checked."""
+        inputs = []
+        original = ealab.criteria.apply_local
+
+        def recording(e, state):
+            inputs.append(state)
+            return original(e, state)
+
+        monkeypatch.setattr(ealab.criteria, "apply_local", recording)
+        v = two_lea_verdict_heuristic(single, **kwargs)
+        (psi,) = inputs
+        return v, psi
+
+    def test_witness_is_checked_on_an_explicit_state(self, monkeypatch):
+        single = random_channel(2, kraus_rank=4, seed=3)
+        v, psi = self.checked_input(single, monkeypatch, restarts=4, seed=0)
+        assert v.status is Verdict.ENTANGLED
+        assert v.witness_min_eig < -VERDICT_TOL
+        pair_choi = choi_of(tensor(single, single))
+        out = apply_via_choi(pair_choi, psi.density().matrix)
+        flipped = partial_transpose(out, (2, 2), (1,))
+        assert abs(np.linalg.eigvalsh(flipped)[0] - v.witness_min_eig) < 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    def test_best_input_is_a_fixed_point(self, seed, monkeypatch):
+        # At a fixed point the adjoint half step, computed here from the
+        # materialized Kraus operators of the pair, cannot go lower.
+        single = random_channel(2, kraus_rank=1 + seed % 4, seed=seed)
+        v, psi = self.checked_input(single, monkeypatch, restarts=4, seed=0)
+        pair = tensor(single, single)
+        out = apply(pair, psi).matrix
+        phi = np.linalg.eigh(partial_transpose(out, (2, 2), (1,)))[1][:, 0]
+        flip = partial_transpose(np.outer(phi, phi.conj()), (2, 2), (1,))
+        back = sum(k.conj().T @ flip @ k for k in pair.kraus)
+        assert np.linalg.eigvalsh(back)[0] > v.witness_min_eig - 1e-10
+
+
 class TestBisection:
     def test_werner_boundary(self):
         def crit(lam):
@@ -262,6 +327,17 @@ class TestBisection:
     def test_same_sign_rejected(self):
         with pytest.raises(ValueError, match="same sign"):
             bisect_threshold(lambda x: x + 1.0, (0.0, 1.0))
+
+    def test_nan_criterion_rejected(self):
+        def crit(x):
+            return x - 0.7 if x <= 0.5 else math.nan
+
+        with pytest.raises(ValueError, match="not finite"):
+            bisect_threshold(crit, (0.0, 1.0))
+
+    def test_nan_at_an_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            bisect_threshold(lambda x: math.nan if x == 0.0 else 1.0, (0.0, 1.0))
 
     def test_sign_change_across_final_bracket(self):
         res = bisect_threshold(ghz_three_lea_min_eig, (0.3, 0.9), tol=1e-9)

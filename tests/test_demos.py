@@ -1,0 +1,35 @@
+"""Checks in a fresh interpreter: the demo scripts and the weight of the CLI import."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ealab
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def run_python(*args):
+    # the subprocess imports the same ealab sources as this test session
+    env = dict(os.environ)
+    src = str(Path(ealab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_cleanly(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, ealab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -99,14 +99,6 @@ class TestFalsifier:
         b = k_lea_falsify(depolarizing(0.65, 2), 2, budget=50, seed=11)
         assert reports_identical(a, b)
 
-    def test_determinism_across_worker_counts(self):
-        for lam, k in ((0.6, 3), (0.4, 2)):
-            serial = k_lea_falsify(depolarizing(lam, 2), k, budget=60, seed=7)
-            threaded = k_lea_falsify(
-                depolarizing(lam, 2), k, budget=60, seed=7, workers=4
-            )
-            assert reports_identical(serial, threaded)
-
     def test_seed_changes_haar_stream(self):
         a = ea_falsify(identity_channel(4), (2, 2), budget=1, seed=1, include_probes=False)
         b = ea_falsify(identity_channel(4), (2, 2), budget=1, seed=2, include_probes=False)

@@ -149,6 +149,11 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan_in_a_stack(self):
+        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(stack)
+
     @pytest.mark.parametrize("dim", [2, 5, 9, 16])
     def test_eigenvalue_sum_equals_trace(self, dim):
         rng = np.random.default_rng(dim)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ealab import (
     DensityOperator,
@@ -19,6 +21,7 @@ from ealab import (
     w_state,
     werner,
 )
+from ealab.states import NORM_ATOL, invalid_densities
 
 
 class TestInvariants:
@@ -41,6 +44,36 @@ class TestInvariants:
     def test_density_rejects_negative(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityOperator(np.diag([1.5, -0.5]), (2,))
+
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array([np.nan, 1.0]), (2,))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_density_rejects_nan(self, entry):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[entry] = np.nan
+        with pytest.raises(ValueError):
+            DensityOperator(m, (2,))
+
+    def test_invalid_densities_flags_nan(self):
+        stack = np.stack([np.eye(2) / 2, np.diag([np.nan, 0.5])]).astype(complex)
+        assert invalid_densities(stack).tolist() == [False, True]
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=4, max_size=32),
+        st.floats(-2 * NORM_ATOL, 2 * NORM_ATOL),
+    )
+    def test_normalized_amplitudes_give_valid_projectors(self, parts, stretch):
+        # the falsifier checks only the amplitude norm of its inputs
+        n = len(parts) // 2
+        amp = np.array(parts[:n]) + 1j * np.array(parts[n : 2 * n])
+        norm = np.linalg.norm(amp)
+        assume(norm > 0)
+        amp = amp / norm * (1.0 + stretch)
+        assume(abs(np.linalg.norm(amp) - 1.0) <= NORM_ATOL)
+        rho = np.outer(amp, amp.conj())
+        assert not invalid_densities(rho[None])[0]
 
     def test_arrays_are_frozen(self):
         psi = max_entangled(2)
