@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    MATRIX_ATOL,
     as_operator,
     hermitian_eigenvalues,
     hermiticity_defect,
@@ -25,7 +26,6 @@ from .linalg import (
 )
 from .states import DensityOperator, PureState, _freeze, max_entangled_projector
 
-TP_ATOL = 1e-10
 CHOI_RANK_TOL = 1e-12
 # Largest Kraus stack tensor_power materializes, in bytes.  The k-fold power
 # of a depolarized qubit holds 5^k operators of 2^k x 2^k complex entries:
@@ -53,7 +53,7 @@ class Channel:
         for k in ops:
             acc += k.conj().T @ k
         defect = np.max(np.abs(acc - np.eye(in_dim)))
-        if not defect <= TP_ATOL:
+        if not defect <= MATRIX_ATOL:
             raise ValueError(
                 f"trace preservation violated: sum K^dag K deviates from the "
                 f"identity by {defect:.3e}"
@@ -80,16 +80,16 @@ class MeasurePrepare:
         for f in effects:
             if f.shape != (d, d):
                 raise ValueError("POVM effects must share one dimension")
-            if not hermiticity_defect(f) <= TP_ATOL:
+            if not hermiticity_defect(f) <= MATRIX_ATOL:
                 raise ValueError("POVM effects must be Hermitian")
             low = float(hermitian_eigenvalues(f)[0])
-            if not low >= -TP_ATOL:
+            if not low >= -MATRIX_ATOL:
                 raise ValueError(
                     f"POVM effect is not positive semidefinite (min eig {low:.3e})"
                 )
             acc += f
         defect = np.max(np.abs(acc - np.eye(d)))
-        if not defect <= TP_ATOL:
+        if not defect <= MATRIX_ATOL:
             raise ValueError(
                 f"POVM does not sum to the identity (deviation {defect:.3e})"
             )
@@ -260,71 +260,56 @@ def choi_of(e: Channel) -> DensityOperator:
     return DensityOperator(choi_from_kraus(e.kraus), (e.out_dim, e.in_dim))
 
 
-def kraus_from_choi(
-    omega: np.ndarray, in_dim: int, out_dim: int, rank_tol: float = CHOI_RANK_TOL
-) -> list[np.ndarray]:
+def kraus_from_choi(omega: np.ndarray, in_dim: int, out_dim: int) -> list[np.ndarray]:
     """Kraus operators from the eigendecomposition of a Choi matrix.
 
-    Eigenvalues at or below ``rank_tol`` are discarded; this truncation keeps
-    Choi round-trips numerically stable.
+    One operator per eigenvalue above ``CHOI_RANK_TOL``, so the set is
+    minimal: as many operators as the Choi rank, at most ``in_dim * out_dim``.
+    Discarding the eigenvalues at or below it keeps Choi round-trips
+    numerically stable.
     """
     m = as_operator(omega)
     evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     ops = []
     for mu, v in zip(evals, vecs.T):
-        if mu > rank_tol:
+        if mu > CHOI_RANK_TOL:
             ops.append(np.sqrt(in_dim * mu) * v.reshape(out_dim, in_dim))
     return ops
 
 
-def channel_from_choi(omega: DensityOperator, rank_tol: float = CHOI_RANK_TOL) -> Channel:
+def channel_from_choi(omega: DensityOperator) -> Channel:
     """Reconstruct the channel represented by a Choi operator.
 
     ``omega`` must carry dims (out, in) and satisfy the channel invariants:
     positivity (guaranteed by ``DensityOperator``) and a maximally mixed
-    partial trace over the output factor.
+    partial trace over the output factor, within ``MATRIX_ATOL``.  The
+    result has the minimal Kraus set of ``kraus_from_choi``.
     """
     if len(omega.dims) != 2:
         raise ValueError(f"Choi operator needs dims (out, in), got {omega.dims}")
     out_dim, in_dim = omega.dims
     marginal = partial_trace(omega.matrix, omega.dims, keep=(1,))
     defect = np.max(np.abs(marginal - np.eye(in_dim) / in_dim))
-    if not defect <= TP_ATOL:
+    if not defect <= MATRIX_ATOL:
         raise ValueError(
             f"not a channel: partial trace over the output factor deviates "
             f"from I/{in_dim} by {defect:.3e}"
         )
-    return Channel(tuple(kraus_from_choi(omega.matrix, in_dim, out_dim, rank_tol)))
-
-
-def _psd_sqrt(f: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh((f + f.conj().T) / 2)
-    if evals[0] < -TP_ATOL:
-        raise ValueError(f"matrix is not positive semidefinite (min eig {evals[0]:.3e})")
-    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    return Channel(tuple(kraus_from_choi(omega.matrix, in_dim, out_dim)))
 
 
 def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
     """Channel ``X -> sum_j tr(X F_j) rho_j`` from measure-and-prepare data.
 
-    The Choi operator of such a channel is separable by construction, so the
-    result is always entanglement-breaking.
+    Built through ``channel_from_choi`` from its Choi operator
+    ``sum_j rho_j ox F_j^T / d_in`` on dims (out, in), so the Kraus set is
+    minimal: at most ``d_in * d_out`` operators.  That Choi operator is
+    separable by construction, so the result is always
+    entanglement-breaking.
     """
     d_in = mp.povm[0].shape[0]
-    ops: list[np.ndarray] = []
-    for f, prep in zip(mp.povm, mp.prepares):
-        root = _psd_sqrt(f)
-        evals, vecs = np.linalg.eigh(prep.matrix)
-        for p, phi in zip(evals, vecs.T):
-            if p <= 1e-14:
-                continue
-            scale = np.sqrt(p)
-            for b in range(d_in):
-                row = root[b, :]
-                if np.linalg.norm(row) <= 1e-14:
-                    continue
-                ops.append(scale * np.outer(phi, row))
-    return Channel(tuple(ops))
+    omega = sum(np.kron(prep.matrix, f.T) for f, prep in zip(mp.povm, mp.prepares))
+    return channel_from_choi(DensityOperator(omega / d_in, (mp.prepares[0].dim, d_in)))
 
 
 def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Channel:

@@ -44,7 +44,7 @@ from .states import (
 )
 
 # Verdicts tolerate this much numerical negativity before declaring
-# entanglement; looser than the 1e-10 matrix tolerances on purpose, so
+# entanglement; looser than linalg.MATRIX_ATOL = 1e-10 on purpose, so
 # modeling noise at a boundary does not masquerade as genuine negativity.
 VERDICT_TOL = 1e-9
 
@@ -446,9 +446,9 @@ def _falsify(
         bad |= invalid_densities(out)
         n = int(bad.argmax()) if bad.any() else len(trials)
         # Per-cut PT minima of the trials before the first failed check.
-        # hermitian_eigenvalues checks each partial transpose again; it
-        # permutes the entries of out - out^dagger, so it passes wherever the
-        # output passed.
+        # hermitian_eigenvalues checks each partial transpose again and never
+        # fires: a partial transpose permutes the entries of out - out^dagger,
+        # and both checks use linalg.MATRIX_ATOL.
         lows = np.stack(
             [
                 hermitian_eigenvalues(partial_transpose(out[:n], dims, p.second))[:, 0]
@@ -629,30 +629,23 @@ def separable_mixing_threshold(
 
 
 def ea_mixing_channel(
-    effect: np.ndarray,
-    omega: DensityOperator,
-    kappa: float | None = None,
-    tol: float = BISECTION_TOL,
+    effect: np.ndarray, omega: DensityOperator, tol: float = BISECTION_TOL
 ) -> Channel:
     """Measure-and-prepare channel that annihilates two-qubit entanglement.
 
     Measures ``{effect, I - effect}`` and prepares ``omega`` or the complete
     mixture, so every output is ``x*omega + (1-x)*I/4`` with
     ``x = tr(rho effect)`` bounded by the largest effect eigenvalue.  When
-    that bound stays below the separable mixing threshold of ``omega``, all
-    outputs are separable even though ``omega`` itself may be entangled.
+    that bound stays below the separable mixing threshold of ``omega``,
+    located by bisection to ``tol``, all outputs are separable even though
+    ``omega`` itself may be entangled.  ``MeasurePrepare`` rejects an effect
+    that is not positive semidefinite.
     """
     f = np.asarray(effect, dtype=complex)
     if omega.dims != (2, 2):
         raise ValueError("the prepared state must be a two-qubit state")
-    evals = hermitian_eigenvalues(f)
-    if evals[0] < -VERDICT_TOL:
-        raise ValueError(
-            f"effect must be positive semidefinite (min eigenvalue {evals[0]:.3e})"
-        )
-    if kappa is None:
-        kappa = separable_mixing_threshold(omega, tol).critical_value
-    top = float(evals[-1])
+    kappa = separable_mixing_threshold(omega, tol).critical_value
+    top = float(hermitian_eigenvalues(f)[-1])
     if top >= kappa:
         raise ValueError(
             f"largest effect eigenvalue {top:.6g} must stay below the "

@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Matrices within this distance of their adjoint count as Hermitian and are
-# symmetrized before eigensolving; absorbs rounding from repeated kron/apply.
-HERMITIAN_ATOL = 1e-10
+# The one tolerance of the matrix invariants: Hermiticity (accepted matrices
+# are symmetrized before eigensolving), unit trace, positivity, trace
+# preservation and POVM closure.  Absorbs rounding from repeated kron/apply.
+MATRIX_ATOL = 1e-10
 
 
 def as_operator(m) -> np.ndarray:
@@ -51,12 +52,18 @@ def dims_product(dims: Sequence[int]) -> int:
     return p
 
 
-def _factor_dims(dims: Sequence[int], d: int) -> tuple[int, ...]:
+def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
+    """Factor dimensions as a tuple of positive ints (an int is one factor).
+
+    With ``d`` given, their product must equal it.
+    """
+    if isinstance(dims, (int, np.integer)):
+        dims = (int(dims),)
     ds = tuple(int(x) for x in dims)
     if not ds or any(x < 1 for x in ds):
         raise ValueError(f"factor dimensions must be positive, got {ds}")
-    if dims_product(ds) != d:
-        raise ValueError(f"factor dimensions {ds} do not match matrix dimension {d}")
+    if d is not None and dims_product(ds) != d:
+        raise ValueError(f"factor dimensions {ds} do not match dimension {d}")
     return ds
 
 
@@ -139,28 +146,24 @@ def hermiticity_defect(m):
     return float(dev.max()) if a.ndim == 2 else dev.max(axis=(-2, -1))
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
-    return hermiticity_defect(m) <= atol
-
-
-def hermitian_eigenvalues(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix (of each matrix of a stack).
 
-    Rejects inputs whose deviation from their adjoint exceeds ``atol``;
-    accepted inputs are symmetrized before the eigensolve.
+    Rejects inputs whose deviation from their adjoint exceeds ``MATRIX_ATOL``
+    (or is NaN); accepted inputs are symmetrized before the eigensolve.
     """
     a = _as_stack(m)
     defect = hermiticity_defect(a)
     if a.ndim > 2:
         defect = float(defect.max(initial=0.0))
-    if not defect <= atol:
+    if not defect <= MATRIX_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian within {atol:g} (max deviation {defect:.3e})"
+            f"matrix is not Hermitian within {MATRIX_ATOL:g} (max deviation {defect:.3e})"
         )
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
 
 
-def min_eigenvalue(m, atol: float = HERMITIAN_ATOL):
+def min_eigenvalue(m):
     """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
-    low = hermitian_eigenvalues(m, atol=atol)[..., 0]
+    low = hermitian_eigenvalues(m)[..., 0]
     return float(low) if low.ndim == 0 else low

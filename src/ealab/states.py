@@ -12,25 +12,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dims_product, hermiticity_defect, min_eigenvalue, partial_trace
+from .linalg import (
+    MATRIX_ATOL,
+    _factor_dims,
+    dims_product,
+    hermiticity_defect,
+    min_eigenvalue,
+    partial_trace,
+)
 
 NORM_ATOL = 1e-12
-STATE_ATOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
-
-
-def _canonical_dims(dims) -> tuple[int, ...]:
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    ds = tuple(int(d) for d in dims)
-    if not ds or any(d < 1 for d in ds):
-        raise ValueError(f"factor dimensions must be positive, got {ds}")
-    return ds
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +39,7 @@ class PureState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        ds = _canonical_dims(self.dims)
-        if dims_product(ds) != amp.size:
-            raise ValueError(
-                f"dims {ds} do not match amplitude vector of length {amp.size}"
-            )
+        ds = _factor_dims(self.dims, amp.size)
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
@@ -75,19 +68,17 @@ class DensityOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        ds = _canonical_dims(self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if dims_product(ds) != m.shape[0]:
-            raise ValueError(f"dims {ds} do not match matrix dimension {m.shape[0]}")
+        ds = _factor_dims(self.dims, m.shape[0])
         defect = hermiticity_defect(m)
-        if not defect <= STATE_ATOL:
+        if not defect <= MATRIX_ATOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
         tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= STATE_ATOL:
+        if not abs(tr - 1.0) <= MATRIX_ATOL:
             raise ValueError(f"matrix does not have unit trace (trace {tr!r})")
-        low = min_eigenvalue(m, atol=STATE_ATOL)
-        if not low >= -STATE_ATOL:
+        low = min_eigenvalue(m)
+        if not low >= -MATRIX_ATOL:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
             )
@@ -109,13 +100,13 @@ def invalid_densities(stack: np.ndarray) -> np.ndarray:
     """Mask of the operators in a stack ``(B, D, D)`` that ``DensityOperator``
     rejects.
 
-    The checks are its own, each within ``STATE_ATOL``: Hermiticity, unit
+    The checks are its own, each within ``MATRIX_ATOL``: Hermiticity, unit
     trace and positivity.
     """
     trace = np.trace(stack, axis1=-2, axis2=-1)
-    ok = (hermiticity_defect(stack) <= STATE_ATOL) & (np.abs(trace - 1.0) <= STATE_ATOL)
-    low = min_eigenvalue(stack if ok.all() else stack[ok], atol=STATE_ATOL)
-    ok[ok] = low >= -STATE_ATOL
+    ok = (hermiticity_defect(stack) <= MATRIX_ATOL) & (np.abs(trace - 1.0) <= MATRIX_ATOL)
+    low = min_eigenvalue(stack if ok.all() else stack[ok])
+    ok[ok] = low >= -MATRIX_ATOL
     return ~ok
 
 
@@ -135,9 +126,9 @@ class SchmidtDecomposition:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        if np.any(c < -NORM_ATOL) or np.any(np.diff(c) > NORM_ATOL):
+        if not (np.all(-c <= NORM_ATOL) and np.all(np.diff(c) <= NORM_ATOL)):
             raise ValueError("coefficients must be nonnegative and descending")
-        if abs(np.sum(c**2) - 1.0) > 1e-10:
+        if not abs(np.sum(c**2) - 1.0) <= MATRIX_ATOL:
             raise ValueError("squared coefficients must sum to one")
         object.__setattr__(self, "coefficients", _freeze(c).real)
         object.__setattr__(self, "left_basis", _freeze(self.left_basis))
@@ -245,14 +236,14 @@ def haar_pure(dims, seed) -> PureState:
     ``seed`` is anything ``numpy.random.default_rng`` accepts (a 64-bit
     integer in typical use).
     """
-    ds = _canonical_dims(dims)
+    ds = _factor_dims(dims)
     rng = np.random.default_rng(seed)
     return PureState(_haar_amplitudes(rng, dims_product(ds)), ds)
 
 
 def random_density(dims, rank: int, seed) -> DensityOperator:
     """Random mixture of ``rank`` Haar pure states with Dirichlet weights."""
-    ds = _canonical_dims(dims)
+    ds = _factor_dims(dims)
     d = dims_product(ds)
     rank = int(rank)
     if rank < 1 or rank > d:

@@ -30,7 +30,12 @@ from ealab import (
     werner,
 )
 from ealab.channels import matrix_from_json, matrix_to_json
-from helpers import apply_via_choi, random_state_matrix, random_unitary
+from helpers import (
+    apply_via_choi,
+    random_measure_prepare,
+    random_state_matrix,
+    random_unitary,
+)
 
 
 def basis_unit(i, j, d=2):
@@ -297,7 +302,39 @@ class TestChoi:
             channel_from_choi(skew)
 
 
+def projective_measure_prepare(seed):
+    """Qutrit measurement {|v><v|, I - |v><v|}: both effects rank-deficient."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    proj = np.outer(v, v.conj()) / np.vdot(v, v).real
+    prepares = tuple(random_density((2,), rank=2, seed=(seed, j)) for j in range(2))
+    return MeasurePrepare((proj, np.eye(3) - proj), prepares)
+
+
 class TestMeasurePrepare:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_measure_prepare(2, (2,), 3, seed=1),
+            lambda: random_measure_prepare(3, (3,), 3, seed=2),
+            lambda: random_measure_prepare(2, (2, 2), 3, seed=3),
+            lambda: projective_measure_prepare(4),
+        ],
+        ids=["qubit", "qutrit", "qubit-to-pair", "rank-deficient-effects"],
+    )
+    def test_action_and_minimal_kraus_set(self, build):
+        mp = build()
+        e = measure_prepare_channel(mp)
+        d_in, d_out = mp.povm[0].shape[0], mp.prepares[0].dim
+        assert len(e.kraus) <= d_in * d_out
+        for seed in range(3):
+            rho = random_density((d_in,), rank=d_in, seed=(30, seed))
+            expected = sum(
+                np.trace(rho.matrix @ f) * prep.matrix
+                for f, prep in zip(mp.povm, mp.prepares)
+            )
+            assert np.max(np.abs(apply(e, rho).matrix - expected)) <= 1e-12
+
     def test_trivial_povm_gives_contraction(self):
         mp = MeasurePrepare(
             (np.eye(2),), (DensityOperator(np.eye(2) / 2, (2,)),)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ealab import (
     DensityOperator,
     PureState,
+    SchmidtDecomposition,
     classically_correlated_pair,
     ghz,
     haar_pure,
@@ -59,6 +60,11 @@ class TestInvariants:
     def test_invalid_densities_flags_nan(self):
         stack = np.stack([np.eye(2) / 2, np.diag([np.nan, 0.5])]).astype(complex)
         assert invalid_densities(stack).tolist() == [False, True]
+
+    @pytest.mark.parametrize("coefficients", [[np.nan, 0.0], [1.0, np.nan]])
+    def test_schmidt_decomposition_rejects_nan(self, coefficients):
+        with pytest.raises(ValueError):
+            SchmidtDecomposition(coefficients, np.eye(2), np.eye(2))
 
     @given(
         st.lists(st.floats(-10, 10), min_size=4, max_size=32),
