@@ -18,8 +18,9 @@ import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
+    _symmetrized_eigenvalues,
     as_operator,
-    hermitian_eigenvalues,
+    hermitian_eigenvalues,  # unused here; bench/tracing.py wraps it
     hermiticity_defect,
     kron,
     partial_trace,
@@ -82,7 +83,7 @@ class MeasurePrepare:
                 raise ValueError("POVM effects must share one dimension")
             if not hermiticity_defect(f) <= MATRIX_ATOL:
                 raise ValueError("POVM effects must be Hermitian")
-            low = float(hermitian_eigenvalues(f)[0])
+            low = float(_symmetrized_eigenvalues(f)[0])
             if not low >= -MATRIX_ATOL:
                 raise ValueError(
                     f"POVM effect is not positive semidefinite (min eig {low:.3e})"
@@ -134,21 +135,28 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     return Channel(tuple(ops))
 
 
+def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Matrix and factor dims of a state; a unit vector's projector needs no check."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj()), state.dims
+    return state.matrix, state.dims
+
+
 def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     """Apply a channel to a state (``PureState`` or ``DensityOperator``).
 
     The output keeps the input's factor structure when the dimensions still
     match; pass ``out_dims`` to override.
     """
-    rho = state.density() if isinstance(state, PureState) else state
-    if rho.dim != e.in_dim:
+    rho, dims = _state_matrix(state)
+    if rho.shape[0] != e.in_dim:
         raise ValueError(
-            f"channel expects input dimension {e.in_dim}, state has {rho.dim}"
+            f"channel expects input dimension {e.in_dim}, state has {rho.shape[0]}"
         )
     stack = np.stack(e.kraus)
-    out = np.einsum("nij,jk,nlk->il", stack, rho.matrix, stack.conj())
+    out = np.einsum("nij,jk,nlk->il", stack, rho, stack.conj())
     if out_dims is None:
-        out_dims = rho.dims if e.out_dim == rho.dim else (e.out_dim,)
+        out_dims = dims if e.out_dim == e.in_dim else (e.out_dim,)
     return DensityOperator(out, out_dims)
 
 
@@ -194,14 +202,14 @@ def apply_local(single: Channel, state) -> DensityOperator:
     ``len(single.kraus) ** k`` Kraus operators of the tensor power: the
     channel acts on one factor at a time.
     """
-    rho = state.density() if isinstance(state, PureState) else state
-    k = len(rho.dims)
-    if rho.dims != (single.in_dim,) * k:
+    rho, dims = _state_matrix(state)
+    k = len(dims)
+    if dims != (single.in_dim,) * k:
         raise ValueError(
             f"channel acts on dimension {single.in_dim}, state has factor "
-            f"dimensions {rho.dims}"
+            f"dimensions {dims}"
         )
-    out = _apply_sites(np.stack(single.kraus), rho.matrix[None], k)[0]
+    out = _apply_sites(np.stack(single.kraus), rho[None], k)[0]
     return DensityOperator(out, (single.out_dim,) * k)
 
 

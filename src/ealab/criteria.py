@@ -33,13 +33,12 @@ from .channels import (
 )
 from .linalg import dims_product, hermitian_eigenvalues, partial_transpose
 from .states import (
-    NORM_ATOL,
     DensityOperator,
     PureState,
+    _first_invalid_density,
     _haar_amplitudes,
     ghz,
     haar_pure,
-    invalid_densities,
     w_state,
 )
 
@@ -312,7 +311,7 @@ def two_lea_verdict_heuristic(
     part = Partition((0,), (1,))
     kraus = np.stack(single.kraus)
     adjoint = kraus.conj().transpose(0, 2, 1)
-    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,), True)]
+    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,))]
     starts += [
         _haar_amplitudes(np.random.default_rng((int(seed), r)), 4)
         for r in range(restarts)
@@ -368,10 +367,8 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
 
 
 def _falsifier_probes(
-    dims: tuple[int, ...], parts: tuple[Partition, ...], include_probes: bool
+    dims: tuple[int, ...], parts: tuple[Partition, ...]
 ) -> list[tuple[str, PureState]]:
-    if not include_probes:
-        return []
     probes: list[tuple[str, PureState]] = []
     n = len(dims)
     if n >= 2 and all(d == 2 for d in dims):
@@ -380,11 +377,6 @@ def _falsifier_probes(
     for part in parts:
         probes.append((f"probe:psi+:{part.label()}", embedded_max_entangled(dims, part)))
     return probes
-
-
-def _haar_trial_state(dims: tuple[int, ...], seed: int, trial: int) -> PureState:
-    # independent stream per (seed, trial) pair keeps reports schedule-free
-    return haar_pure(dims, (int(seed), int(trial)))
 
 
 def _batches(n_trials: int, cap: int) -> list[range]:
@@ -411,10 +403,11 @@ def _falsify(
     composite with factor dimensions ``dims`` (one site: the whole system).
     Trials run in batches in index order.  Per batch there is one stacked
     channel application and, per cut, one stacked partial transpose and one
-    batched eigensolve.  Every input passes the norm check of ``PureState``
-    (its projector is then a valid density operator by construction) and
-    every output the checks of ``DensityOperator``; a failure raises only
-    when no earlier trial is a counterexample, as in a trial-by-trial loop.
+    batched eigensolve.  Inputs are unit vectors (probes are ``PureState``s,
+    Haar draws are normalized), so their projectors go unchecked; each output
+    batch passes the density check of ``DensityOperator``, and a failure
+    raises only when no earlier trial is a counterexample, as in a
+    trial-by-trial loop.
     """
     budget, seed = int(budget), int(seed)
     if budget < 0:
@@ -427,7 +420,7 @@ def _falsify(
             f"above the falsifier's {_STACK_BYTES}-byte bound"
         )
     parts = bipartitions(len(dims))
-    probes = _falsifier_probes(dims, parts, include_probes)
+    probes = _falsifier_probes(dims, parts) if include_probes else []
     n_trials = len(probes) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")
@@ -442,9 +435,8 @@ def _falsify(
     for trials in _batches(n_trials, cap):
         amps = np.stack([amplitudes(t) for t in trials])
         out = _apply_sites(kraus, amps[:, :, None] * amps.conj()[:, None, :], sites)
-        bad = ~(np.abs(np.linalg.norm(amps, axis=1) - 1.0) <= NORM_ATOL)
-        bad |= invalid_densities(out)
-        n = int(bad.argmax()) if bad.any() else len(trials)
+        failure = _first_invalid_density(out)
+        n = len(trials) if failure is None else failure[0]
         # Per-cut PT minima of the trials before the first failed check.
         # hermitian_eigenvalues checks each partial transpose again and never
         # fires: a partial transpose permutes the entries of out - out^dagger,
@@ -469,13 +461,10 @@ def _falsify(
             if t < len(probes):
                 label, state = probes[t]
             else:
-                label, state = f"haar:{t - len(probes)}", _haar_trial_state(dims, seed, t)
+                label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
             return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
-        if n < len(trials):
-            # The state constructors give the diagnostic of a failed trial.
-            PureState(amps[n], dims)
-            DensityOperator(out[n], dims)
-            raise ValueError(f"trial {trials.start + n} failed a state check")
+        if failure is not None:
+            raise ValueError(f"trial {trials.start + n}: {failure[1]}")
         seen = min(seen, float(worst.min()))
     return FalsifierReport(None, None, None, n_trials, seen, seed, parts)
 
@@ -532,12 +521,13 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized, so a trial costs about as much as its 2^(k-1) - 1
-    partial-transpose eigensolves.  For qubits k up to 6 is practical: with
-    single-threaded BLAS on an x86 server core a trial takes about 1 ms at
-    k = 5 and 15 ms at k = 6.  Composites whose density matrix would exceed
-    the falsifier's memory bound (qubits past k = 10) are rejected before
-    any state is built.
+    never materialized, so a trial costs about as much as its eigensolves:
+    one per cut (2^(k-1) - 1 partial transposes) and one for the positivity
+    check of its output, which is half of them at k = 2.  For qubits k up
+    to 6 is practical: with single-threaded BLAS on an x86 server core a
+    trial takes about 1 ms at k = 5 and 15 ms at k = 6.  Composites whose
+    density matrix would exceed the falsifier's memory bound (qubits past
+    k = 10) are rejected before any state is built.
     """
     k = int(k)
     if k < 2:
@@ -600,51 +590,43 @@ def bisect_threshold(
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), tol, criterion_id)
 
 
-def separable_mixing_threshold(
-    omega: DensityOperator, tol: float = BISECTION_TOL
-) -> ThresholdResult:
+def separable_mixing_threshold(omega: DensityOperator) -> ThresholdResult:
     """Largest weight x for which ``x*omega + (1-x)*I/4`` stays separable.
 
     Defined for two-qubit states, where PPT decides separability exactly.
-    A separable input admits no sign change; it is reported as the
-    degenerate full-bracket result x = 1 rather than an error.
+    Partial transposition fixes the identity, so the lowest PT eigenvalue of
+    the mixture is ``x*mu + (1-x)/4`` (``mu``: that of ``omega``), zero at
+    the exact threshold ``x = 1/(1 - 4*mu)``.  A separable input is reported
+    as the degenerate full-bracket result x = 1 rather than an error.
     """
     if omega.dims != (2, 2):
         raise ValueError(
             f"mixing threshold is only supported for two-qubit states, "
             f"got dims {omega.dims}"
         )
-    part = Partition((0,), (1,))
-    eye4 = np.eye(4) / 4.0
-
-    def criterion(x: float) -> float:
-        mix = DensityOperator(x * omega.matrix + (1.0 - x) * eye4, (2, 2))
-        return ppt_min_eigenvalue(mix, part)
-
-    if criterion(1.0) >= -VERDICT_TOL:
+    mu = ppt_min_eigenvalue(omega, Partition((0,), (1,)))
+    if mu >= -VERDICT_TOL:
         return ThresholdResult(
-            1.0, (0.0, 1.0), tol, "separable-mixing", degenerate_bracket=True
+            1.0, (0.0, 1.0), 0.0, "separable-mixing", degenerate_bracket=True
         )
-    return bisect_threshold(criterion, (0.0, 1.0), tol, "separable-mixing")
+    x = 1.0 / (1.0 - 4.0 * mu)
+    return ThresholdResult(x, (x, x), 0.0, "separable-mixing")
 
 
-def ea_mixing_channel(
-    effect: np.ndarray, omega: DensityOperator, tol: float = BISECTION_TOL
-) -> Channel:
+def ea_mixing_channel(effect: np.ndarray, omega: DensityOperator) -> Channel:
     """Measure-and-prepare channel that annihilates two-qubit entanglement.
 
     Measures ``{effect, I - effect}`` and prepares ``omega`` or the complete
     mixture, so every output is ``x*omega + (1-x)*I/4`` with
     ``x = tr(rho effect)`` bounded by the largest effect eigenvalue.  When
-    that bound stays below the separable mixing threshold of ``omega``,
-    located by bisection to ``tol``, all outputs are separable even though
-    ``omega`` itself may be entangled.  ``MeasurePrepare`` rejects an effect
-    that is not positive semidefinite.
+    that bound stays below the separable mixing threshold of ``omega``, all
+    outputs are separable even though ``omega`` itself may be entangled.
+    ``MeasurePrepare`` rejects an effect that is not positive semidefinite.
     """
     f = np.asarray(effect, dtype=complex)
     if omega.dims != (2, 2):
         raise ValueError("the prepared state must be a two-qubit state")
-    kappa = separable_mixing_threshold(omega, tol).critical_value
+    kappa = separable_mixing_threshold(omega).critical_value
     top = float(hermitian_eigenvalues(f)[-1])
     if top >= kappa:
         raise ValueError(

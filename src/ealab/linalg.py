@@ -160,6 +160,11 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         raise ValueError(
             f"matrix is not Hermitian within {MATRIX_ATOL:g} (max deviation {defect:.3e})"
         )
+    return _symmetrized_eigenvalues(a)
+
+
+def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """``hermitian_eigenvalues`` minus its check, for operators that passed it."""
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
 
 

@@ -15,9 +15,9 @@ import numpy as np
 from .linalg import (
     MATRIX_ATOL,
     _factor_dims,
+    _symmetrized_eigenvalues,
     dims_product,
     hermiticity_defect,
-    min_eigenvalue,
     partial_trace,
 )
 
@@ -71,17 +71,9 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         ds = _factor_dims(self.dims, m.shape[0])
-        defect = hermiticity_defect(m)
-        if not defect <= MATRIX_ATOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= MATRIX_ATOL:
-            raise ValueError(f"matrix does not have unit trace (trace {tr!r})")
-        low = min_eigenvalue(m)
-        if not low >= -MATRIX_ATOL:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
-            )
+        failure = _first_invalid_density(m[None])
+        if failure is not None:
+            raise ValueError(failure[1])
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "dims", ds)
 
@@ -96,18 +88,30 @@ class DensityOperator:
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
 
 
-def invalid_densities(stack: np.ndarray) -> np.ndarray:
-    """Mask of the operators in a stack ``(B, D, D)`` that ``DensityOperator``
-    rejects.
+def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
+    """First operator of a stack ``(B, D, D)`` that is not a density operator.
 
-    The checks are its own, each within ``MATRIX_ATOL``: Hermiticity, unit
-    trace and positivity.
+    Returns its index and a message naming the first invariant it breaks of
+    Hermiticity, unit trace and positivity, each within ``MATRIX_ATOL`` (NaN
+    fails each), or ``None``.  ``DensityOperator`` and the falsifier use it.
     """
+    defect = hermiticity_defect(stack)
     trace = np.trace(stack, axis1=-2, axis2=-1)
-    ok = (hermiticity_defect(stack) <= MATRIX_ATOL) & (np.abs(trace - 1.0) <= MATRIX_ATOL)
-    low = min_eigenvalue(stack if ok.all() else stack[ok])
-    ok[ok] = low >= -MATRIX_ATOL
-    return ~ok
+    ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL
+    if ok.all():
+        low = _symmetrized_eigenvalues(stack)[:, 0]
+    else:
+        low = np.full(len(stack), np.nan)
+        low[ok] = _symmetrized_eigenvalues(stack[ok])[:, 0]
+    ok = low >= -MATRIX_ATOL
+    if ok.all():
+        return None
+    i = int(ok.argmin())
+    if not defect[i] <= MATRIX_ATOL:
+        return i, f"matrix is not Hermitian (max deviation {defect[i]:.3e})"
+    if not abs(trace[i] - 1.0) <= MATRIX_ATOL:
+        return i, f"matrix does not have unit trace (trace {complex(trace[i])!r})"
+    return i, f"matrix is not positive semidefinite (min eigenvalue {low[i]:.3e})"
 
 
 @dataclass(frozen=True, eq=False)

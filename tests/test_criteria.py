@@ -41,7 +41,7 @@ from ealab import (
     two_lea_verdict_heuristic,
     werner,
 )
-from ealab.criteria import VERDICT_TOL
+from ealab.criteria import BISECTION_TOL, VERDICT_TOL
 from helpers import apply_via_choi, random_measure_prepare, random_separable_two_qubit
 
 SPLIT_12 = Partition((0,), (1,))
@@ -348,7 +348,9 @@ class TestBisection:
 class TestSeparableMixingThreshold:
     def test_max_entangled_gives_one_third(self):
         res = separable_mixing_threshold(max_entangled(2).density())
-        assert res.critical_value == pytest.approx(1 / 3, abs=1e-6)
+        assert abs(res.critical_value - 1 / 3) <= 1e-15
+        assert res.bracket == (res.critical_value, res.critical_value)
+        assert res.tol == 0.0
         assert not res.degenerate_bracket
 
     def test_singlet_gives_one_third(self):
@@ -372,6 +374,24 @@ class TestSeparableMixingThreshold:
     def test_wrong_dims_rejected(self):
         with pytest.raises(ValueError, match="two-qubit"):
             separable_mixing_threshold(random_density((3, 3), 2, seed=0))
+
+    def test_closed_form_matches_bisection(self):
+        eye4 = np.eye(4) / 4.0
+        checked = 0
+        for seed in range(200):
+            rho = random_density((2, 2), rank=1 + seed % 2, seed=(9, seed))
+            res = separable_mixing_threshold(rho)
+            if res.degenerate_bracket:
+                continue
+
+            def criterion(x):
+                mix = DensityOperator(x * rho.matrix + (1.0 - x) * eye4, (2, 2))
+                return ppt_min_eigenvalue(mix, SPLIT_12)
+
+            ref = bisect_threshold(criterion, (0.0, 1.0), BISECTION_TOL)
+            assert abs(res.critical_value - ref.critical_value) <= BISECTION_TOL
+            checked += 1
+        assert checked >= 100
 
 
 class TestEaMixingChannel:

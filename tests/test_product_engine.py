@@ -96,6 +96,17 @@ class TestApplyLocal:
         with pytest.raises(ValueError, match="factor dimensions"):
             apply_local(depolarizing(0.5, 2), haar_pure((2, 3), 0))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("rank", [1, 3, 4])
+    def test_pure_state_gives_its_projector_output(self, k, rank):
+        # a pure input skips the density check of its projector, nothing else
+        single = random_channel(2, kraus_rank=rank, seed=rank)
+        psi = haar_pure((2,) * k, k)
+        rho = psi.density()
+        assert np.array_equal(apply_local(single, psi).matrix, apply_local(single, rho).matrix)
+        power = tensor_power(single, k)
+        assert np.array_equal(apply(power, psi).matrix, apply(power, rho).matrix)
+
 
 class TestTensorPowerBound:
     def test_six_fold_depolarizing_refused_before_allocating(self):
@@ -212,8 +223,9 @@ class TestBatchedFalsifier:
         report = k_lea_falsify(single, 2, budget=8, seed=passes_first, include_probes=False)
         assert report.counterexample_label == "haar:0"
         assert report.trials_used == 1
-        with pytest.raises(ValueError, match="unit trace"):
+        with pytest.raises(ValueError, match="unit trace") as info:
             k_lea_falsify(single, 2, budget=8, seed=fails_first, include_probes=False)
+        assert str(info.value).startswith("trial 0: ")
 
 
 class TestFalsifierBoundary:

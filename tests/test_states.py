@@ -5,13 +5,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ealab.channels
+import ealab.linalg
+import ealab.states
 from ealab import (
     DensityOperator,
+    MeasurePrepare,
     PureState,
     SchmidtDecomposition,
     classically_correlated_pair,
+    depolarizing,
     ghz,
     haar_pure,
+    k_lea_falsify,
     max_entangled,
     min_eigenvalue,
     partial_transpose,
@@ -22,7 +28,7 @@ from ealab import (
     w_state,
     werner,
 )
-from ealab.states import NORM_ATOL, invalid_densities
+from ealab.states import NORM_ATOL, _first_invalid_density
 
 
 class TestInvariants:
@@ -57,9 +63,22 @@ class TestInvariants:
         with pytest.raises(ValueError):
             DensityOperator(m, (2,))
 
-    def test_invalid_densities_flags_nan(self):
+    def test_density_check_flags_nan(self):
         stack = np.stack([np.eye(2) / 2, np.diag([np.nan, 0.5])]).astype(complex)
-        assert invalid_densities(stack).tolist() == [False, True]
+        index, message = _first_invalid_density(stack)
+        assert index == 1
+        assert "Hermitian" in message
+        assert _first_invalid_density(stack[:1]) is None
+
+    def test_density_check_names_the_first_failure(self):
+        valid = np.eye(2) / 2
+        stack = np.stack([valid, valid, np.diag([1.5, -0.5]), np.eye(2)]).astype(complex)
+        index, message = _first_invalid_density(stack)
+        assert index == 2
+        assert "positive semidefinite" in message
+        index, message = _first_invalid_density(stack[[0, 3, 2]])
+        assert index == 1
+        assert "unit trace" in message
 
     @pytest.mark.parametrize("coefficients", [[np.nan, 0.0], [1.0, np.nan]])
     def test_schmidt_decomposition_rejects_nan(self, coefficients):
@@ -79,12 +98,46 @@ class TestInvariants:
         amp = amp / norm * (1.0 + stretch)
         assume(abs(np.linalg.norm(amp) - 1.0) <= NORM_ATOL)
         rho = np.outer(amp, amp.conj())
-        assert not invalid_densities(rho[None])[0]
+        assert _first_invalid_density(rho[None]) is None
 
     def test_arrays_are_frozen(self):
         psi = max_entangled(2)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+class TestHermiticityCheckedOnce:
+    @pytest.fixture
+    def defect_calls(self, monkeypatch):
+        calls = []
+        original = ealab.linalg.hermiticity_defect
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        for module in (ealab.linalg, ealab.states, ealab.channels):
+            monkeypatch.setattr(module, "hermiticity_defect", counted)
+        return calls
+
+    def test_density_operator(self, defect_calls):
+        DensityOperator(np.eye(4) / 4, (2, 2))
+        assert len(defect_calls) == 1
+
+    def test_measure_prepare_effects(self, defect_calls):
+        preps = (werner(0.5), classically_correlated_pair())
+        defect_calls.clear()
+        effect = np.diag([1.0, 0.5, 0.5, 0.0])
+        MeasurePrepare((effect, np.eye(4) - effect), preps)
+        assert len(defect_calls) == 2
+
+    def test_falsifier_batch(self, defect_calls):
+        # one validation of the output stack, then one check per cut's
+        # partial transpose inside hermitian_eigenvalues
+        single = depolarizing(0.2, 2)
+        report = k_lea_falsify(single, 3, budget=4, seed=0, include_probes=False)
+        assert not report.found
+        assert defect_calls == [(4, 8, 8)] * 4
 
 
 class TestMaxEntangled:
