@@ -1,17 +1,18 @@
 """Quantum channels: Kraus and Choi forms, the depolarizing family,
 measure-and-prepare channels, composition, tensoring, and state application.
 
-A channel is stored canonically as a tuple of Kraus operators; complete
-positivity is then automatic and trace preservation is checked on
-construction.  The Choi operator uses the trace-one convention
-``Omega = (E ox Id)[P_+]`` with factor order (output, input), so the Choi
-operator of the depolarizing channel is literally the Werner state.
+A channel is one read-only Kraus stack, given as matrices or a 3-D array;
+complete positivity is then automatic and trace preservation is checked on
+construction.  The trace-one Choi operator ``Omega = (E ox Id)[P_+]`` has
+factor order (output, input), so the Choi operator of the depolarizing
+channel is literally the Werner state.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -36,30 +37,30 @@ TENSOR_POWER_MAX_BYTES = 2**28
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Trace-preserving map held as one read-only Kraus stack ``(n, out, in)``."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape if ops[0].ndim == 2 else (0, 0)
-        for k in ops:
-            if k.ndim != 2 or k.shape != (out_dim, in_dim):
-                raise ValueError("Kraus operators must share one (out, in) shape")
-        acc = np.zeros((in_dim, in_dim), dtype=complex)
-        for k in ops:
-            acc += k.conj().T @ k
-        defect = np.max(np.abs(acc - np.eye(in_dim)))
+        try:
+            ops = _freeze(self.kraus)
+        except ValueError:  # ragged operators
+            ops = np.empty(0)
+        if ops.ndim != 3:
+            raise ValueError("Kraus operators must share one (out, in) shape")
+        _, out_dim, in_dim = ops.shape
+        gram = np.einsum("nki,nkj->ij", ops.conj(), ops)
+        defect = np.max(np.abs(gram - np.eye(in_dim)))
         if not defect <= MATRIX_ATOL:
             raise ValueError(
                 f"trace preservation violated: sum K^dag K deviates from the "
                 f"identity by {defect:.3e}"
             )
-        object.__setattr__(self, "kraus", tuple(_freeze(k) for k in ops))
+        object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
 
@@ -102,7 +103,7 @@ class MeasurePrepare:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel((np.eye(int(d), dtype=complex),))
+    return Channel(np.eye(int(d), dtype=complex)[None])
 
 
 def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channel:
@@ -121,18 +122,12 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     if lam < 0:
         # no Kraus mixture exists below lam = 0; rebuild from the Choi form
         omega = lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
-        return channel_from_choi(DensityOperator(omega, (d, d)))
-    ops: list[np.ndarray] = []
-    if lam > 0:
-        ops.append(np.sqrt(lam) * np.eye(d, dtype=complex))
+        return Channel(kraus_from_choi(omega, d, d))
+    ops = [np.sqrt(lam) * np.eye(d, dtype=complex)[None]] if lam > 0 else []
     if lam < 1:
-        w = np.sqrt((1 - lam) / d)
-        for i in range(d):
-            for j in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = w
-                ops.append(k)
-    return Channel(tuple(ops))
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        ops.append(np.sqrt((1 - lam) / d) * units)
+    return Channel(np.concatenate(ops))
 
 
 def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -153,8 +148,7 @@ def apply(e: Channel, state, out_dims=None) -> DensityOperator:
         raise ValueError(
             f"channel expects input dimension {e.in_dim}, state has {rho.shape[0]}"
         )
-    stack = np.stack(e.kraus)
-    out = np.einsum("nij,jk,nlk->il", stack, rho, stack.conj())
+    out = np.einsum("nij,jk,nlk->il", e.kraus, rho, e.kraus.conj())
     if out_dims is None:
         out_dims = dims if e.out_dim == e.in_dim else (e.out_dim,)
     return DensityOperator(out, out_dims)
@@ -209,7 +203,7 @@ def apply_local(single: Channel, state) -> DensityOperator:
             f"channel acts on dimension {single.in_dim}, state has factor "
             f"dimensions {dims}"
         )
-    out = _apply_sites(np.stack(single.kraus), rho[None], k)[0]
+    out = _apply_sites(single.kraus, rho[None], k)[0]
     return DensityOperator(out, (single.out_dim,) * k)
 
 
@@ -245,10 +239,7 @@ def tensor_power(e: Channel, k: int) -> Channel:
             f"operators ({nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}-byte "
             f"bound); use apply_local to act site by site"
         )
-    out = e
-    for _ in range(k - 1):
-        out = tensor(out, e)
-    return out
+    return reduce(tensor, [e] * k)
 
 
 def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -268,30 +259,29 @@ def choi_of(e: Channel) -> DensityOperator:
     return DensityOperator(choi_from_kraus(e.kraus), (e.out_dim, e.in_dim))
 
 
-def kraus_from_choi(omega: np.ndarray, in_dim: int, out_dim: int) -> list[np.ndarray]:
-    """Kraus operators from the eigendecomposition of a Choi matrix.
+def kraus_from_choi(omega: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
+    """Kraus stack ``(n, out_dim, in_dim)`` from the eigenvectors of a Choi matrix.
 
     One operator per eigenvalue above ``CHOI_RANK_TOL``, so the set is
     minimal: as many operators as the Choi rank, at most ``in_dim * out_dim``.
     Discarding the eigenvalues at or below it keeps Choi round-trips
-    numerically stable.
+    numerically stable.  ``omega`` itself is not checked.
     """
     m = as_operator(omega)
     evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    ops = []
-    for mu, v in zip(evals, vecs.T):
-        if mu > CHOI_RANK_TOL:
-            ops.append(np.sqrt(in_dim * mu) * v.reshape(out_dim, in_dim))
-    return ops
+    keep = evals > CHOI_RANK_TOL
+    ops = np.sqrt(in_dim * evals[keep]) * vecs[:, keep]
+    return ops.T.reshape(-1, out_dim, in_dim)
 
 
 def channel_from_choi(omega: DensityOperator) -> Channel:
-    """Reconstruct the channel represented by a Choi operator.
+    """Reconstruct the channel represented by a Choi operator from outside.
 
     ``omega`` must carry dims (out, in) and satisfy the channel invariants:
     positivity (guaranteed by ``DensityOperator``) and a maximally mixed
     partial trace over the output factor, within ``MATRIX_ATOL``.  The
-    result has the minimal Kraus set of ``kraus_from_choi``.
+    result has the minimal Kraus set of ``kraus_from_choi``, which library
+    constructors with a valid-by-construction Choi matrix call directly.
     """
     if len(omega.dims) != 2:
         raise ValueError(f"Choi operator needs dims (out, in), got {omega.dims}")
@@ -303,28 +293,26 @@ def channel_from_choi(omega: DensityOperator) -> Channel:
             f"not a channel: partial trace over the output factor deviates "
             f"from I/{in_dim} by {defect:.3e}"
         )
-    return Channel(tuple(kraus_from_choi(omega.matrix, in_dim, out_dim)))
+    return Channel(kraus_from_choi(omega.matrix, in_dim, out_dim))
 
 
 def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
     """Channel ``X -> sum_j tr(X F_j) rho_j`` from measure-and-prepare data.
 
-    Built through ``channel_from_choi`` from its Choi operator
+    Built by ``kraus_from_choi`` from its Choi operator
     ``sum_j rho_j ox F_j^T / d_in`` on dims (out, in), so the Kraus set is
-    minimal: at most ``d_in * d_out`` operators.  That Choi operator is
-    separable by construction, so the result is always
-    entanglement-breaking.
+    minimal.  The validated parts make that operator a separable Choi
+    operator, so it is not checked again and the result is entanglement-breaking.
     """
     d_in = mp.povm[0].shape[0]
     omega = sum(np.kron(prep.matrix, f.T) for f, prep in zip(mp.povm, mp.prepares))
-    return channel_from_choi(DensityOperator(omega / d_in, (mp.prepares[0].dim, d_in)))
+    return Channel(kraus_from_choi(omega / d_in, d_in, mp.prepares[0].dim))
 
 
 def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Channel:
     """Channel contracting every input state to the fixed state ``omega``."""
     d = omega.dim if in_dim is None else int(in_dim)
-    mp = MeasurePrepare((np.eye(d, dtype=complex),), (omega,))
-    return measure_prepare_channel(mp)
+    return measure_prepare_channel(MeasurePrepare((np.eye(d, dtype=complex),), (omega,)))
 
 
 def random_channel(
@@ -339,7 +327,8 @@ def random_channel(
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d_out * k, d_in)) + 1j * rng.standard_normal((d_out * k, d_in))
     q, _ = np.linalg.qr(g)
-    return Channel(tuple(q[i * d_out : (i + 1) * d_out, :] for i in range(k)))
+    # the k row blocks of the Stinespring isometry are the Kraus operators
+    return Channel(q.reshape(k, d_out, d_in))
 
 
 # ---------------------------------------------------------------------------

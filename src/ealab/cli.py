@@ -131,13 +131,11 @@ def cmd_thresholds(args) -> int:
 
 def cmd_sweep(args) -> int:
     lo, hi, step = args.lo, args.hi, args.step
-    if not (0.0 <= lo <= hi <= 1.0) or step <= 0.0:
-        print(
-            f"error: sweep range needs 0 <= lo <= hi <= 1 and step > 0, "
-            f"got lo={lo} hi={hi} step={step}",
-            file=sys.stderr,
+    if not (0.0 <= lo <= hi <= 1.0) or not step > 0.0:
+        raise ValueError(
+            f"sweep range needs 0 <= lo <= hi <= 1 and step > 0, "
+            f"got lo={lo} hi={hi} step={step}"
         )
-        return 2
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     rows = [sweep_row(lo + i * step, tol=args.tol) for i in range(count)]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -175,15 +173,10 @@ def cmd_falsify(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: invalid channel description: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = k_lea_falsify(
-            channel, args.k, budget=args.budget, seed=args.seed, tol=args.tol
-        )
-        line = json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(line)
+    report = k_lea_falsify(
+        channel, args.k, budget=args.budget, seed=args.seed, tol=args.tol
+    )
+    print(json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False))
     return 1 if report.found else 0
 
 
@@ -312,7 +305,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "falsify":
         args.seed = _env_seed()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

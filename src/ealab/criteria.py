@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from .channels import (
     measure_prepare_channel,
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
-from .linalg import dims_product, hermitian_eigenvalues, partial_transpose
+from .linalg import (
+    _symmetrized_eigenvalues,
+    dims_product,
+    hermitian_eigenvalues,
+    partial_transpose,
+)
 from .states import (
     DensityOperator,
     PureState,
@@ -168,6 +173,12 @@ class ThresholdResult:
     degenerate_bracket: bool = False
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     """Smallest eigenvalue of the partial transpose over the second block."""
     part.validate_for(len(rho.dims))
@@ -187,6 +198,7 @@ def ppt_verdict(
     rho: DensityOperator, part: Partition, tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Three-valued Peres-Horodecki verdict across one partition."""
+    _check_tol(tol)
     low = ppt_min_eigenvalue(rho, part)
     if low < -tol:
         status = Verdict.ENTANGLED
@@ -273,6 +285,7 @@ def two_lea_verdict_depolarizing(
     states, so the closed-form worst case decides the property outright:
     outputs are two-qubit states, where PPT is exact.
     """
+    _check_tol(tol)
     low = two_lea_min_eig_depolarizing(lam)
     status = Verdict.ENTANGLED if low < -tol else Verdict.SEPARABLE_CERTIFIED
     return SeparabilityVerdict(status, low, Partition((0,), (1,)))
@@ -302,6 +315,7 @@ def two_lea_verdict_heuristic(
     one is only Inconclusive, since the search carries no global optimality
     certificate.
     """
+    _check_tol(tol)
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
     restarts = int(restarts)
@@ -309,8 +323,7 @@ def two_lea_verdict_heuristic(
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     dims = (2, 2)
     part = Partition((0,), (1,))
-    kraus = np.stack(single.kraus)
-    adjoint = kraus.conj().transpose(0, 2, 1)
+    adjoint = single.kraus.conj().transpose(0, 2, 1)
     starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,))]
     starts += [
         _haar_amplitudes(np.random.default_rng((int(seed), r)), 4)
@@ -325,7 +338,7 @@ def two_lea_verdict_heuristic(
     for psi in starts:
         value = math.inf
         for _ in range(SEESAW_MAX_ITER):
-            out = _apply_sites(kraus, np.outer(psi, psi.conj())[None], 2)
+            out = _apply_sites(single.kraus, np.outer(psi, psi.conj())[None], 2)
             low, phi = lowest(partial_transpose(out[0], dims, (1,)))
             if not low < value:
                 break
@@ -379,13 +392,12 @@ def _falsifier_probes(
     return probes
 
 
-def _batches(n_trials: int, cap: int) -> list[range]:
-    out, start, size = [], 0, min(_FIRST_BATCH, cap)
+def _batches(n_trials: int, cap: int) -> Iterator[range]:
+    start, size = 0, min(_FIRST_BATCH, cap)
     while start < n_trials:
-        out.append(range(start, min(start + size, n_trials)))
+        yield range(start, min(start + size, n_trials))
         start += size
         size = min(2 * size, cap)
-    return out
 
 
 def _falsify(
@@ -409,6 +421,7 @@ def _falsify(
     raises only when no earlier trial is a counterexample, as in a
     trial-by-trial loop.
     """
+    _check_tol(tol)
     budget, seed = int(budget), int(seed)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -424,7 +437,6 @@ def _falsify(
     n_trials = len(probes) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")
-    kraus = np.stack(channel.kraus)
 
     def amplitudes(t: int) -> np.ndarray:
         if t < len(probes):
@@ -434,7 +446,7 @@ def _falsify(
     seen = math.inf
     for trials in _batches(n_trials, cap):
         amps = np.stack([amplitudes(t) for t in trials])
-        out = _apply_sites(kraus, amps[:, :, None] * amps.conj()[:, None, :], sites)
+        out = _apply_sites(channel.kraus, amps[:, :, None] * amps.conj()[:, None, :], sites)
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
         # Per-cut PT minima of the trials before the first failed check.
@@ -554,6 +566,7 @@ def bisect_threshold(
     crossing inside the bracket are the caller's responsibility.  A value
     that is not finite, at an endpoint or a midpoint, raises ``ValueError``.
     """
+    _check_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -621,18 +634,18 @@ def ea_mixing_channel(effect: np.ndarray, omega: DensityOperator) -> Channel:
     ``x = tr(rho effect)`` bounded by the largest effect eigenvalue.  When
     that bound stays below the separable mixing threshold of ``omega``, all
     outputs are separable even though ``omega`` itself may be entangled.
-    ``MeasurePrepare`` rejects an effect that is not positive semidefinite.
+    ``MeasurePrepare`` first rejects an effect that is not positive semidefinite.
     """
     f = np.asarray(effect, dtype=complex)
     if omega.dims != (2, 2):
         raise ValueError("the prepared state must be a two-qubit state")
     kappa = separable_mixing_threshold(omega).critical_value
-    top = float(hermitian_eigenvalues(f)[-1])
+    mixture = DensityOperator(np.eye(4) / 4.0, (2, 2))
+    mp = MeasurePrepare((f, np.eye(4) - f), (omega, mixture))
+    top = float(_symmetrized_eigenvalues(mp.povm[0])[-1])
     if top >= kappa:
         raise ValueError(
             f"largest effect eigenvalue {top:.6g} must stay below the "
             f"separable mixing threshold {kappa:.6g}"
         )
-    mixture = DensityOperator(np.eye(4) / 4.0, (2, 2))
-    mp = MeasurePrepare((f, np.eye(4) - f), (omega, mixture))
     return measure_prepare_channel(mp)

@@ -72,6 +72,129 @@ class TestChannelType:
         e = identity_channel(3)
         assert (e.in_dim, e.out_dim) == (3, 3)
 
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ((), "at least one Kraus operator"),
+            (np.zeros((0, 2, 2)), "at least one Kraus operator"),
+            ((np.eye(2), np.eye(3)), "share one"),
+            ((np.eye(2), np.zeros((2, 3))), "share one"),
+            ((np.ones(2),), "share one"),
+            (np.eye(2), "share one"),
+            (np.zeros((1, 1, 2, 2)), "share one"),
+        ],
+    )
+    def test_rejection_messages(self, kraus, message):
+        with pytest.raises(ValueError, match=message):
+            Channel(kraus)
+
+
+def assert_kraus_stack(e, d_out, d_in, n=None):
+    """``e.kraus`` is one read-only complex stack of shape (n, d_out, d_in)."""
+    k = e.kraus
+    assert isinstance(k, np.ndarray)
+    assert k.dtype == complex
+    assert k.ndim == 3 and k.shape[1:] == (d_out, d_in)
+    assert (e.out_dim, e.in_dim) == (d_out, d_in)
+    if n is not None:
+        assert k.shape[0] == n
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0, 0] = 0.0
+
+
+class TestKrausStack:
+    def test_tuple_list_and_array_inputs_agree(self):
+        ops = random_channel(2, d_out=3, kraus_rank=2, seed=3).kraus
+        built = [Channel(tuple(ops)), Channel(list(ops)), Channel(np.array(ops))]
+        for e in built:
+            assert_kraus_stack(e, 3, 2, n=2)
+            assert np.array_equal(e.kraus, ops)
+
+    def test_input_array_is_copied_not_frozen(self):
+        ops = np.eye(2, dtype=complex)[None].copy()
+        e = Channel(ops)
+        ops[0, 0, 0] = 5.0
+        assert ops.flags.writeable
+        assert e.kraus[0, 0, 0] == 1.0
+
+    def test_real_operators_become_complex(self):
+        assert_kraus_stack(Channel([np.eye(2)]), 2, 2, n=1)
+
+    @pytest.mark.parametrize(
+        "lam, d, n",
+        [(0.0, 2, 4), (0.5, 2, 5), (1.0, 2, 1), (0.4, 3, 10), (-0.2, 2, 4), (-0.1, 3, 9)],
+    )
+    def test_depolarizing(self, lam, d, n):
+        e = depolarizing(lam, d, allow_extended=lam < 0)
+        assert_kraus_stack(e, d, d, n=n)
+
+    def test_random_channel_blocks_are_the_isometry(self):
+        e = random_channel(2, d_out=3, kraus_rank=4, seed=8)
+        assert_kraus_stack(e, 3, 2, n=4)
+        isometry = e.kraus.reshape(12, 2)
+        assert np.allclose(isometry.conj().T @ isometry, np.eye(2), atol=1e-12)
+
+    def test_choi_and_measure_prepare_routes(self):
+        assert_kraus_stack(channel_from_choi(choi_of(random_channel(2, seed=4))), 2, 2)
+        assert_kraus_stack(measure_prepare_channel(random_measure_prepare(2, (3,), 3, 5)), 3, 2)
+        assert_kraus_stack(constant_channel(werner(0.3)), 4, 4)
+
+    def test_algebra(self):
+        a, b = depolarizing(0.5, 2), random_channel(2, kraus_rank=2, seed=6)
+        assert_kraus_stack(compose(a, b), 2, 2, n=10)
+        assert_kraus_stack(tensor(a, b), 4, 4, n=10)
+        assert_kraus_stack(tensor_power(b, 3), 8, 8, n=8)
+
+    def test_specs_of_every_kind(self):
+        ref = random_channel(2, kraus_rank=2, seed=9)
+        specs = [
+            {"kind": "depolarizing", "lambda": 0.5, "d": 2},
+            {"kind": "kraus", "ops": [matrix_to_json(k) for k in ref.kraus]},
+            {"kind": "choi", "out_dim": 2, "in_dim": 2,
+             "matrix": matrix_to_json(choi_of(ref).matrix)},
+            {"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))],
+             "prepares": [matrix_to_json(np.eye(2) / 2)]},
+        ]
+        for spec in specs:
+            assert_kraus_stack(channel_from_spec(spec), 2, 2)
+
+
+class TestEigensolvesPerConstruction:
+    """A Choi operator built from validated parts is eigensolved once."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = {"eigvalsh": 0, "eigh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_constant_channel(self, eig_calls):
+        omega = werner(0.3)
+        eig_calls.update(eigvalsh=0, eigh=0)
+        constant_channel(omega)
+        # the effect's positivity check, then the Choi eigendecomposition
+        assert eig_calls == {"eigvalsh": 1, "eigh": 1}
+
+    def test_extended_depolarizing(self, eig_calls):
+        depolarizing(-0.2, 2, allow_extended=True)
+        assert eig_calls == {"eigvalsh": 0, "eigh": 1}
+
+    def test_outside_choi_is_still_checked(self, eig_calls):
+        omega = choi_of(depolarizing(0.5, 2))
+        eig_calls.update(eigvalsh=0, eigh=0)
+        channel_from_choi(omega)
+        assert eig_calls == {"eigvalsh": 0, "eigh": 1}
+        with pytest.raises(ValueError, match="not a channel"):
+            channel_from_choi(DensityOperator(np.diag([1.0, 0, 0, 0]), (2, 2)))
+
 
 class TestDepolarizing:
     def test_full_strength_is_identity(self):

@@ -68,6 +68,17 @@ class TestSweep:
         assert code == 2
         assert "range" in err
 
+    def test_nan_step_exits_2_without_a_file(self, tmp_path, capsys):
+        out_path = tmp_path / "e.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0", "--hi", "1", "--step", "nan",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep range needs")
+        assert not out_path.exists()
+
     def test_row_at_pair_boundary(self):
         row = sweep_row(1 / np.sqrt(3))
         assert row.verdict_2lea == "SeparableCertified"
@@ -163,6 +174,38 @@ class TestFalsify:
             main(["falsify", "--spec", spec, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+class TestBadTolerance:
+    """``--tol`` must be finite and nonnegative on every subcommand."""
+
+    def test_falsify(self, tmp_path, capsys, tol):
+        spec = tmp_path / "channel.json"
+        spec.write_text(json.dumps({"kind": "depolarizing", "lambda": 0.6, "d": 2}))
+        code, out, err = run_cli(
+            capsys, "falsify", "--spec", str(spec), "--budget", "3", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and nonnegative")
+
+    def test_sweep_writes_no_file(self, tmp_path, capsys, tol):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0.5", "--hi", "1", "--step", "0.25",
+            "--out", str(out_path), "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and nonnegative")
+        assert not out_path.exists()
+
+    def test_thresholds(self, capsys, tol):
+        code, out, err = run_cli(capsys, "thresholds", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and nonnegative")
 
 
 class TestReport:

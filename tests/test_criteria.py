@@ -19,10 +19,13 @@ from ealab import (
     classically_correlated_pair,
     compose,
     depolarizing,
+    ea_falsify,
     ea_mixing_channel,
     ghz,
+    identity_channel,
     ghz_three_lea_min_eig,
     is_eb,
+    k_lea_falsify,
     max_entangled,
     measure_prepare_channel,
     negativity,
@@ -41,6 +44,7 @@ from ealab import (
     two_lea_verdict_heuristic,
     werner,
 )
+from ealab.cli import sweep_row
 from ealab.criteria import BISECTION_TOL, VERDICT_TOL
 from helpers import apply_via_choi, random_measure_prepare, random_separable_two_qubit
 
@@ -420,6 +424,50 @@ class TestEaMixingChannel:
     def test_effect_must_be_positive(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             ea_mixing_channel(-0.1 * np.eye(4), max_entangled(2).density())
+
+    def test_invalid_effect_reported_before_threshold(self):
+        # 2*I is above the threshold, and its complement I - 2*I is negative
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ea_mixing_channel(2.0 * np.eye(4), max_entangled(2).density())
+        skew = 0.1 * np.eye(4, dtype=complex)
+        skew[0, 1] = 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            ea_mixing_channel(skew, max_entangled(2).density())
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
+
+
+class TestToleranceValidation:
+    """A verdict or bisection tolerance must be finite and nonnegative."""
+
+    CALLS = {
+        "ppt_verdict": lambda tol: ppt_verdict(werner(0.5), SPLIT_12, tol=tol),
+        "is_eb": lambda tol: is_eb(identity_channel(2), tol=tol),
+        "two_lea_depolarizing": lambda tol: two_lea_verdict_depolarizing(0.5, tol=tol),
+        "two_lea_heuristic": lambda tol: two_lea_verdict_heuristic(
+            depolarizing(0.5, 2), restarts=1, tol=tol
+        ),
+        "k_lea_falsify": lambda tol: k_lea_falsify(depolarizing(0.5, 2), 2, budget=2, tol=tol),
+        "ea_falsify": lambda tol: ea_falsify(identity_channel(4), (2, 2), budget=2, tol=tol),
+        "bisect": lambda tol: bisect_threshold(lambda x: x - 0.3, (0.0, 1.0), tol),
+        "sweep_row": lambda tol: sweep_row(0.5, tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_bad_tolerance_rejected(self, name, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            self.CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_zero_tolerance_accepted(self, name):
+        self.CALLS[name](0.0)
+
+    def test_nan_no_longer_certifies_the_identity(self):
+        assert is_eb(identity_channel(2)).status is Verdict.ENTANGLED
+        with pytest.raises(ValueError):
+            is_eb(identity_channel(2), tol=math.nan)
 
 
 class TestStructuralProperties:

@@ -1,5 +1,7 @@
 """Tests for the randomized entanglement-annihilation falsifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestFalsifier:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             ea_falsify(identity_channel(4), (2, 2, 2), budget=1, seed=0)
+
+    def test_huge_budget_allocates_nothing_up_front(self):
+        # the batch ranges are generated lazily, so a budget that is never
+        # reached costs no memory
+        tracemalloc.start()
+        try:
+            report = k_lea_falsify(depolarizing(0.6, 2), 2, budget=10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counterexample_label == "probe:GHZ"
+        assert report.trials_used == 1
+        assert peak < 20 * 2**20
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from ealab import (
     SchmidtDecomposition,
     classically_correlated_pair,
     depolarizing,
+    ea_mixing_channel,
     ghz,
     haar_pure,
     k_lea_falsify,
@@ -138,6 +139,14 @@ class TestHermiticityCheckedOnce:
         report = k_lea_falsify(single, 3, budget=4, seed=0, include_probes=False)
         assert not report.found
         assert defect_calls == [(4, 8, 8)] * 4
+
+    def test_ea_mixing_channel(self, defect_calls):
+        bell = max_entangled(2).density()
+        defect_calls.clear()
+        ea_mixing_channel(0.3 * np.eye(4), bell)
+        # the threshold's PT spectrum, the mixture prepare and the two effects;
+        # neither the effect nor the Choi operator is checked a second time
+        assert len(defect_calls) == 4
 
 
 class TestMaxEntangled:
