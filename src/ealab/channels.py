@@ -114,6 +114,8 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     """
     lam = float(lam)
     d = int(d)
+    if d < 2:
+        raise ValueError(f"depolarizing channel needs dimension d >= 2, got {d}")
     lo = -1.0 / (d * d - 1) if allow_extended else 0.0
     if not lo <= lam <= 1.0:
         raise ValueError(
@@ -361,6 +363,20 @@ def matrix_to_json(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def _spec_field(spec: dict, key: str, convert, default=None):
+    """``convert(spec[key])``, or ``default`` when the key is absent.
+
+    A value of the wrong JSON type (``null`` for a number, a number for a
+    list) raises ``ValueError`` naming the field.
+    """
+    if key not in spec:
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r} has the wrong type or value: {exc}") from exc
+
+
 def channel_from_spec(spec: dict) -> Channel:
     """Build a channel from its JSON description (see module comment)."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -369,9 +385,10 @@ def channel_from_spec(spec: dict) -> Channel:
     if kind == "depolarizing":
         if "lambda" not in spec:
             raise ValueError("depolarizing description needs a 'lambda' field")
-        return depolarizing(float(spec["lambda"]), int(spec.get("d", 2)))
+        lam = _spec_field(spec, "lambda", float)
+        return depolarizing(lam, _spec_field(spec, "d", int, 2))
     if kind == "kraus":
-        ops = spec.get("ops")
+        ops = _spec_field(spec, "ops", list)
         if not ops:
             raise ValueError("kraus description needs a nonempty 'ops' list")
         return Channel(tuple(matrix_from_json(k) for k in ops))
@@ -379,21 +396,19 @@ def channel_from_spec(spec: dict) -> Channel:
         for key in ("out_dim", "in_dim", "matrix"):
             if key not in spec:
                 raise ValueError(f"choi description needs a '{key}' field")
-        dims = (int(spec["out_dim"]), int(spec["in_dim"]))
+        dims = (_spec_field(spec, "out_dim", int), _spec_field(spec, "in_dim", int))
         return channel_from_choi(DensityOperator(matrix_from_json(spec["matrix"]), dims))
     if kind == "measure_prepare":
-        povm = spec.get("povm")
-        preps = spec.get("prepares")
+        povm = _spec_field(spec, "povm", list)
+        preps = _spec_field(spec, "prepares", list)
         if not povm or not preps:
             raise ValueError(
                 "measure_prepare description needs 'povm' and 'prepares' lists"
             )
         prep_mats = [matrix_from_json(p) for p in preps]
-        pdims = spec.get("prepare_dims")
-        prepares = tuple(
-            DensityOperator(p, tuple(pdims) if pdims else (p.shape[0],))
-            for p in prep_mats
-        )
+        # a missing, null or empty prepare_dims means one factor per state
+        pdims = _spec_field(spec, "prepare_dims", lambda v: tuple(v or ()))
+        prepares = tuple(DensityOperator(p, pdims or (p.shape[0],)) for p in prep_mats)
         mp = MeasurePrepare(tuple(matrix_from_json(f) for f in povm), prepares)
         return measure_prepare_channel(mp)
     raise ValueError(f"unknown channel kind {kind!r}")

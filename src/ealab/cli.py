@@ -43,6 +43,8 @@ from .states import ghz, werner
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
 SEED_ENV_VAR = "EA_LAB_SEED"
+# Most rows one sweep may plan: the grid 0..1 at step 1e-5.
+SWEEP_MAX_ROWS = 100_001
 
 CSV_HEADER = (
     "lambda,min_mu_2lea,ghz_mu_3lea,werner_min_eig,"
@@ -136,8 +138,14 @@ def cmd_sweep(args) -> int:
             f"sweep range needs 0 <= lo <= hi <= 1 and step > 0, "
             f"got lo={lo} hi={hi} step={step}"
         )
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    rows = [sweep_row(lo + i * step, tol=args.tol) for i in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < SWEEP_MAX_ROWS:
+        raise ValueError(
+            f"sweep grid lo={lo} hi={hi} step={step} has more than the "
+            f"{SWEEP_MAX_ROWS} rows a sweep may write"
+        )
+    # rounding can push the last grid point past hi
+    rows = [sweep_row(min(lo + i * step, hi), tol=args.tol) for i in range(int(steps) + 1)]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:

@@ -14,10 +14,11 @@ to be sufficient; everywhere else the verdict is Inconclusive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .channels import (
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
 from .linalg import (
+    _adjoint,
     _symmetrized_eigenvalues,
     dims_product,
     hermitian_eigenvalues,
@@ -305,8 +307,8 @@ def two_lea_verdict_heuristic(
     lowest eigenvector of (E ox E)^dag(|phi><phi|^Gamma).  Neither step can
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
     stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
-    starts are the two-qubit falsifier probes, then ``restarts`` Haar states
-    drawn from ``default_rng((seed, r))``; Haar starts alone can stall at the
+    starts, run as one stack, are GHZ, W and ``restarts`` Haar states drawn
+    from ``default_rng((seed, r))``; Haar starts alone can stall at the
     product-state fixed point near the threshold.
 
     The witness is the PT eigenvalue of the best input, recomputed through
@@ -318,35 +320,29 @@ def two_lea_verdict_heuristic(
     _check_tol(tol)
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
-    restarts = int(restarts)
+    restarts, seed = int(restarts), int(seed)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     dims = (2, 2)
     part = Partition((0,), (1,))
-    adjoint = single.kraus.conj().transpose(0, 2, 1)
-    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,))]
+    starts = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
     starts += [
-        _haar_amplitudes(np.random.default_rng((int(seed), r)), 4)
-        for r in range(restarts)
+        _haar_amplitudes(np.random.default_rng((seed, r)), 4) for r in range(restarts)
     ]
-
-    def lowest(m: np.ndarray) -> tuple[float, np.ndarray]:
-        evals, vecs = np.linalg.eigh(m)
-        return float(evals[0]), vecs[:, 0]
-
-    best, best_psi = math.inf, starts[0]
-    for psi in starts:
-        value = math.inf
-        for _ in range(SEESAW_MAX_ITER):
-            out = _apply_sites(single.kraus, np.outer(psi, psi.conj())[None], 2)
-            low, phi = lowest(partial_transpose(out[0], dims, (1,)))
-            if not low < value:
-                break
-            value = low
-            if value < best:
-                best, best_psi = value, psi
-            flip = partial_transpose(np.outer(phi, phi.conj()), dims, (1,))
-            psi = lowest(_apply_sites(adjoint, flip[None], 2)[0])[1]
+    # Per start: current input, input at its lowest value, that value, still falling.
+    psi = np.stack(starts)
+    best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
+    for _ in range(SEESAW_MAX_ITER):
+        out = _apply_sites(single.kraus, _projectors(psi[live]), 2)
+        evals, vecs = np.linalg.eigh(partial_transpose(out, dims, (1,)))
+        falls = evals[:, 0] < value[live]
+        live[live] = falls
+        if not live.any():
+            break
+        value[live], best[live] = evals[falls, 0], psi[live]
+        flip = partial_transpose(_projectors(vecs[falls, :, 0]), dims, (1,))
+        psi[live] = np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))[1][:, :, 0]
+    best_psi = best[np.argmin(value)]
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
     status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
     return SeparabilityVerdict(status, witness, part, heuristic=True)
@@ -355,6 +351,11 @@ def two_lea_verdict_heuristic(
 # ---------------------------------------------------------------------------
 # Randomized falsification of the entanglement-annihilating property
 # ---------------------------------------------------------------------------
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """Projectors onto each row of a stack of unit vectors, ``(S, D, D)``."""
+    return amps[:, :, None] * amps.conj()[:, None, :]
 
 
 def _permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -400,6 +401,27 @@ def _batches(n_trials: int, cap: int) -> Iterator[range]:
         size = min(2 * size, cap)
 
 
+def _composite_dim(dims: Iterable[int]) -> int:
+    """Dimension of a composite whose density matrix the falsifier can hold.
+
+    Multiplies the factors in turn, so that a composite past the
+    ``_STACK_BYTES`` bound is rejected after a few factors whatever their
+    number.  A factor of dimension below 2 carries no entanglement and is
+    rejected too.
+    """
+    dim = 1
+    for d in dims:
+        if d < 2:
+            raise ValueError(f"every factor needs dimension >= 2, got {d}")
+        dim *= d
+        if 16 * dim * dim > _STACK_BYTES:
+            raise ValueError(
+                f"a density matrix of dimension {dim} or more needs at least "
+                f"{16 * dim * dim} bytes, above the falsifier's {_STACK_BYTES}-byte bound"
+            )
+    return dim
+
+
 def _falsify(
     channel: Channel,
     sites: int,
@@ -425,13 +447,8 @@ def _falsify(
     budget, seed = int(budget), int(seed)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    dim = dims_product(dims)
+    dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
-    if cap < 1:
-        raise ValueError(
-            f"a {dim}-dimensional density matrix needs {16 * dim * dim} bytes, "
-            f"above the falsifier's {_STACK_BYTES}-byte bound"
-        )
     parts = bipartitions(len(dims))
     probes = _falsifier_probes(dims, parts) if include_probes else []
     n_trials = len(probes) + budget
@@ -446,7 +463,7 @@ def _falsify(
     seen = math.inf
     for trials in _batches(n_trials, cap):
         amps = np.stack([amplitudes(t) for t in trials])
-        out = _apply_sites(channel.kraus, amps[:, :, None] * amps.conj()[:, None, :], sites)
+        out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
         # Per-cut PT minima of the trials before the first failed check.
@@ -539,13 +556,15 @@ def k_lea_falsify(
     to 6 is practical: with single-threaded BLAS on an x86 server core a
     trial takes about 1 ms at k = 5 and 15 ms at k = 6.  Composites whose
     density matrix would exceed the falsifier's memory bound (qubits past
-    k = 10) are rejected before any state is built.
+    k = 10), and 1-dimensional sites, are rejected after a few factors
+    whatever k is, before any state is built.
     """
     k = int(k)
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if single.in_dim != single.out_dim:
         raise ValueError("k-local analysis expects an endomorphic channel")
+    _composite_dim(itertools.repeat(single.in_dim, k))  # before k factors are listed
     return _falsify(single, k, (single.in_dim,) * k, budget, seed, tol, include_probes)
 
 

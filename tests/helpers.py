@@ -70,3 +70,53 @@ def apply_via_choi(choi: DensityOperator, rho: np.ndarray) -> np.ndarray:
     prod = choi.matrix @ lifted
     t = prod.reshape(out_dim, in_dim, out_dim, in_dim)
     return in_dim * np.einsum("ikjk->ij", t)
+
+
+def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
+    """Start-by-start see-saw, as two_lea_verdict_heuristic ran before its
+    starts were stacked: the reference its stacked search must match bit for
+    bit.  Returns the verdict and the input it checked.  Its starts include
+    the cut probe psi+:0|1, which equals GHZ on two qubits.
+    """
+    from ealab.channels import _apply_sites, apply_local
+    from ealab.criteria import (
+        SEESAW_MAX_ITER,
+        Partition,
+        PureState,
+        SeparabilityVerdict,
+        Verdict,
+        _falsifier_probes,
+        _haar_amplitudes,
+        partial_transpose,
+        ppt_min_eigenvalue,
+    )
+
+    dims = (2, 2)
+    part = Partition((0,), (1,))
+    adjoint = single.kraus.conj().transpose(0, 2, 1)
+    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,))]
+    starts += [
+        _haar_amplitudes(np.random.default_rng((int(seed), r)), 4)
+        for r in range(restarts)
+    ]
+
+    def lowest(m):
+        evals, vecs = np.linalg.eigh(m)
+        return float(evals[0]), vecs[:, 0]
+
+    best, best_psi = np.inf, starts[0]
+    for psi in starts:
+        value = np.inf
+        for _ in range(SEESAW_MAX_ITER):
+            out = _apply_sites(single.kraus, np.outer(psi, psi.conj())[None], 2)
+            low, phi = lowest(partial_transpose(out[0], dims, (1,)))
+            if not low < value:
+                break
+            value = low
+            if value < best:
+                best, best_psi = value, psi
+            flip = partial_transpose(np.outer(phi, phi.conj()), dims, (1,))
+            psi = lowest(_apply_sites(adjoint, flip[None], 2)[0])[1]
+    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
+    status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
+    return SeparabilityVerdict(status, witness, part, heuristic=True), best_psi

@@ -211,6 +211,11 @@ class TestDepolarizing:
         diff = np.abs(choi_of(depolarizing(lam, 2)).matrix - werner(lam, 2).matrix)
         assert np.max(diff) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_dimension_below_2_rejected(self, d):
+        with pytest.raises(ValueError, match="d >= 2"):
+            depolarizing(0.5, d, allow_extended=True)
+
     def test_default_range(self):
         with pytest.raises(ValueError):
             depolarizing(-0.1, 2)

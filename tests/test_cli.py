@@ -1,12 +1,16 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from ealab.channels import matrix_to_json
-from ealab.cli import CSV_HEADER, build_parser, fmt, main, sweep_row
+from ealab.cli import CSV_HEADER, SWEEP_MAX_ROWS, build_parser, fmt, main, sweep_row
+
+IDENTITY = matrix_to_json(np.eye(2))
+HALF_I = matrix_to_json(np.eye(2) / 2)
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +81,32 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: sweep range needs")
+        assert not out_path.exists()
+
+    def test_last_point_is_clamped_to_hi(self, tmp_path, capsys):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past the range
+        out_path = tmp_path / "f.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0.09", "--hi", "1", "--step", "0.07",
+            "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 1 + 14
+        assert lines[-1].split(",")[0] == "1"
+        assert out.startswith("wrote 14 rows")
+
+    def test_row_bound_exits_2_before_any_row(self, tmp_path, capsys):
+        out_path = tmp_path / "g.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0", "--hi", "1", "--step", "1e-9",
+            "--out", str(out_path),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep grid") and str(SWEEP_MAX_ROWS) in err
         assert not out_path.exists()
 
     def test_row_at_pair_boundary(self):
@@ -167,6 +197,48 @@ class TestFalsify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: invalid channel description")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "depolarizing", "lambda": None},
+            {"kind": "depolarizing", "lambda": [0.5]},
+            {"kind": "depolarizing", "lambda": 0.5, "d": None},
+            {"kind": "depolarizing", "lambda": 0.5, "d": 0},
+            {"kind": "kraus", "ops": 5},
+            {"kind": "measure_prepare", "povm": 5, "prepares": [HALF_I]},
+            {"kind": "measure_prepare", "povm": [IDENTITY], "prepares": [HALF_I],
+             "prepare_dims": 5},
+            {"kind": "choi", "out_dim": None, "in_dim": 2,
+             "matrix": matrix_to_json(np.eye(4) / 4)},
+        ],
+    )
+    def test_malformed_spec_is_an_invalid_description(self, payload, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, payload)
+        code, out, err = run_cli(capsys, "falsify", "--spec", spec, "--budget", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid channel description")
+
+    @pytest.mark.parametrize(
+        "payload, k, message",
+        [
+            ({"kind": "kraus", "ops": [[[[1, 0]]]]}, "16", "dimension >= 2"),
+            ({"kind": "kraus", "ops": [[[[1, 0]]]]}, "40", "dimension >= 2"),
+            ({"kind": "depolarizing", "lambda": 0.6}, "1000", "bytes"),
+            ({"kind": "depolarizing", "lambda": 0.6}, "100000", "bytes"),
+            ({"kind": "depolarizing", "lambda": 0.6}, "3000000", "bytes"),
+            ({"kind": "depolarizing", "lambda": 0.6}, str(10**9), "bytes"),
+        ],
+    )
+    def test_k_is_bounded_before_any_work(self, payload, k, message, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, payload)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "falsify", "--spec", spec, "--k", k)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.6, "d": 2})

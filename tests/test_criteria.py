@@ -45,8 +45,13 @@ from ealab import (
     werner,
 )
 from ealab.cli import sweep_row
-from ealab.criteria import BISECTION_TOL, VERDICT_TOL
-from helpers import apply_via_choi, random_measure_prepare, random_separable_two_qubit
+from ealab.criteria import BISECTION_TOL, SEESAW_MAX_ITER, VERDICT_TOL
+from helpers import (
+    apply_via_choi,
+    random_measure_prepare,
+    random_separable_two_qubit,
+    serial_seesaw_verdict,
+)
 
 SPLIT_12 = Partition((0,), (1,))
 SPLIT_1_23 = Partition((0,), (1, 2))
@@ -293,6 +298,35 @@ class TestSeesaw:
         out = apply_via_choi(pair_choi, psi.density().matrix)
         flipped = partial_transpose(out, (2, 2), (1,))
         assert abs(np.linalg.eigvalsh(flipped)[0] - v.witness_min_eig) < 1e-12
+
+    @pytest.mark.parametrize("restarts", [4, 0, 1, 32])
+    def test_stacked_starts_match_the_serial_search(self, restarts, monkeypatch):
+        # 80 random channels at restarts=4, every 4th of them at 0, 1 and 32,
+        # and 41 depolarizing channels at each: 304 calls in all.
+        seeds = range(80) if restarts == 4 else range(0, 80, 4)
+        cases = [(random_channel(2, kraus_rank=1 + i % 4, seed=i), i) for i in seeds]
+        cases += [(depolarizing(lam, 2), 0) for lam in np.linspace(0.0, 1.0, 41)]
+        for single, seed in cases:
+            v, psi = self.checked_input(single, monkeypatch, restarts=restarts, seed=seed)
+            ref, ref_psi = serial_seesaw_verdict(single, restarts, seed)
+            assert v.status is ref.status
+            assert v.witness_min_eig.hex() == ref.witness_min_eig.hex()
+            assert psi.amplitudes.tobytes() == ref_psi.tobytes()
+
+    @pytest.mark.parametrize("restarts", [4, 32])
+    def test_one_batched_eigensolve_per_half_step(self, restarts, monkeypatch):
+        # Serially, one call at restarts=4 made 2800 eigensolves on this channel.
+        single = random_channel(2, kraus_rank=2, seed=1)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        two_lea_verdict_heuristic(single, restarts=restarts, seed=0)
+        assert 0 < len(calls) <= 2 * SEESAW_MAX_ITER
 
     @pytest.mark.parametrize("seed", [2, 3, 7])
     def test_best_input_is_a_fixed_point(self, seed, monkeypatch):

@@ -242,6 +242,10 @@ class TestFalsifierBoundary:
         with pytest.raises(ValueError, match="bytes"):
             k_lea_falsify(depolarizing(0.5, 2), 11, budget=1, seed=0)
 
+    def test_one_dimensional_factor_rejected(self):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            ea_falsify(identity_channel(2), (1, 2), budget=1, seed=0)
+
     def test_probes_alone_are_a_search(self):
         report = k_lea_falsify(depolarizing(0.2, 2), 2, budget=0, seed=0)
         assert report.trials_used == 3
