@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
+    _adjoint,
     _symmetrized_eigenvalues,
     as_operator,
     hermitian_eigenvalues,  # unused here; bench/tracing.py wraps it
@@ -142,15 +143,16 @@ def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:
 def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     """Apply a channel to a state (``PureState`` or ``DensityOperator``).
 
-    The output keeps the input's factor structure when the dimensions still
-    match; pass ``out_dims`` to override.
+    Computes ``sum_n K_n rho K_n^dag`` as one batched product over the whole
+    Kraus stack.  The output keeps the input's factor structure when the
+    dimensions still match; pass ``out_dims`` to override.
     """
     rho, dims = _state_matrix(state)
     if rho.shape[0] != e.in_dim:
         raise ValueError(
             f"channel expects input dimension {e.in_dim}, state has {rho.shape[0]}"
         )
-    out = np.einsum("nij,jk,nlk->il", e.kraus, rho, e.kraus.conj())
+    out = (e.kraus @ rho @ _adjoint(e.kraus)).sum(axis=0)
     if out_dims is None:
         out_dims = dims if e.out_dim == e.in_dim else (e.out_dim,)
     return DensityOperator(out, out_dims)
@@ -210,13 +212,17 @@ def apply_local(single: Channel, state) -> DensityOperator:
 
 
 def compose(e: Channel, f: Channel) -> Channel:
-    """Composition e after f (first ``f``, then ``e``)."""
+    """Composition e after f (first ``f``, then ``e``).
+
+    The Kraus stack holds every product ``e.kraus[i] @ f.kraus[j]`` at index
+    ``i * len(f.kraus) + j``.
+    """
     if f.out_dim != e.in_dim:
         raise ValueError(
             f"cannot compose: inner channel outputs dimension {f.out_dim}, "
             f"outer expects {e.in_dim}"
         )
-    return Channel(tuple(ke @ kf for ke in e.kraus for kf in f.kraus))
+    return Channel((e.kraus[:, None] @ f.kraus[None]).reshape(-1, e.out_dim, f.in_dim))
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
@@ -245,15 +251,13 @@ def tensor_power(e: Channel, k: int) -> Channel:
 
 
 def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix ``(E ox Id)[P_+]`` of a Kraus set, factor order (out, in)."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
-    out_dim, in_dim = ops[0].shape
-    d = out_dim * in_dim
-    omega = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        w = k.reshape(-1) / np.sqrt(in_dim)
-        omega += np.outer(w, w.conj())
-    return omega
+    """Choi matrix ``(E ox Id)[P_+]`` of a Kraus set, factor order (out, in).
+
+    It is ``V^T conj(V) / d_in``, where row ``n`` of ``V`` is ``K_n`` flattened.
+    """
+    ops = np.asarray(kraus, dtype=complex)
+    v = ops.reshape(len(ops), -1)
+    return v.T @ v.conj() / ops.shape[2]
 
 
 def choi_of(e: Channel) -> DensityOperator:
@@ -344,6 +348,8 @@ def random_channel(
 #   {"kind": "measure_prepare", "povm": [<matrix>, ...],
 #    "prepares": [<matrix>, ...], "prepare_dims": [2, 2]}
 # where <matrix> is a row-major nested array whose entries are [re, im] pairs.
+# "lambda" must be a JSON number and every dimension a JSON integer: a bool,
+# a string, or a float dimension such as 2.9 is refused, never coerced.
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -367,14 +373,28 @@ def _spec_field(spec: dict, key: str, convert, default=None):
     """``convert(spec[key])``, or ``default`` when the key is absent.
 
     A value of the wrong JSON type (``null`` for a number, a number for a
-    list) raises ``ValueError`` naming the field.
+    list) or out of a float's range raises ``ValueError`` naming the field.
     """
     if key not in spec:
         return default
     try:
         return convert(spec[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {key!r} has the wrong type or value: {exc}") from exc
+
+
+def _json_int(value) -> int:
+    """A JSON integer; a bool, float or string raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_real(value) -> float:
+    """A JSON number as a float; a bool or string raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def channel_from_spec(spec: dict) -> Channel:
@@ -385,8 +405,8 @@ def channel_from_spec(spec: dict) -> Channel:
     if kind == "depolarizing":
         if "lambda" not in spec:
             raise ValueError("depolarizing description needs a 'lambda' field")
-        lam = _spec_field(spec, "lambda", float)
-        return depolarizing(lam, _spec_field(spec, "d", int, 2))
+        lam = _spec_field(spec, "lambda", _json_real)
+        return depolarizing(lam, _spec_field(spec, "d", _json_int, 2))
     if kind == "kraus":
         ops = _spec_field(spec, "ops", list)
         if not ops:
@@ -396,7 +416,7 @@ def channel_from_spec(spec: dict) -> Channel:
         for key in ("out_dim", "in_dim", "matrix"):
             if key not in spec:
                 raise ValueError(f"choi description needs a '{key}' field")
-        dims = (_spec_field(spec, "out_dim", int), _spec_field(spec, "in_dim", int))
+        dims = tuple(_spec_field(spec, key, _json_int) for key in ("out_dim", "in_dim"))
         return channel_from_choi(DensityOperator(matrix_from_json(spec["matrix"]), dims))
     if kind == "measure_prepare":
         povm = _spec_field(spec, "povm", list)
@@ -407,7 +427,9 @@ def channel_from_spec(spec: dict) -> Channel:
             )
         prep_mats = [matrix_from_json(p) for p in preps]
         # a missing, null or empty prepare_dims means one factor per state
-        pdims = _spec_field(spec, "prepare_dims", lambda v: tuple(v or ()))
+        pdims = _spec_field(
+            spec, "prepare_dims", lambda v: tuple(_json_int(x) for x in v or ())
+        )
         prepares = tuple(DensityOperator(p, pdims or (p.shape[0],)) for p in prep_mats)
         mp = MeasurePrepare(tuple(matrix_from_json(f) for f in povm), prepares)
         return measure_prepare_channel(mp)

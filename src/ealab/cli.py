@@ -146,10 +146,13 @@ def cmd_sweep(args) -> int:
         )
     # rounding can push the last grid point past hi
     rows = [sweep_row(min(lo + i * step, hi), tol=args.tol) for i in range(int(steps) + 1)]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv() + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for row in rows:
+                fh.write(row.csv() + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

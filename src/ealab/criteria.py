@@ -308,8 +308,9 @@ def two_lea_verdict_heuristic(
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
     stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
     starts, run as one stack, are GHZ, W and ``restarts`` Haar states drawn
-    from ``default_rng((seed, r))``; Haar starts alone can stall at the
-    product-state fixed point near the threshold.
+    from ``default_rng((seed, r))``, so ``seed`` must be nonnegative; Haar
+    starts alone can stall at the product-state fixed point near the
+    threshold.
 
     The witness is the PT eigenvalue of the best input, recomputed through
     ``apply_local`` and ``ppt_min_eigenvalue``.  A negative witness proves
@@ -323,6 +324,8 @@ def two_lea_verdict_heuristic(
     restarts, seed = int(restarts), int(seed)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     dims = (2, 2)
     part = Partition((0,), (1,))
     starts = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
@@ -447,6 +450,8 @@ def _falsify(
     budget, seed = int(budget), int(seed)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
     parts = bipartitions(len(dims))
@@ -513,14 +518,15 @@ def ea_falsify(
     embedded maximally entangled probes unless ``include_probes`` is off) and
     checks the PPT spectrum of every 2-block partition of the output.
 
-    ``budget`` counts the Haar trials; a negative budget, or a search with
-    no trials at all, is rejected.  Each trial derives its own random stream
-    from ``(seed, trial_index)`` and the reported counterexample is the one
-    with the smallest trial index, so the report depends only on the
-    arguments.  Of the partitions across which the counterexample is
-    entangled, the report names the first in ``bipartitions`` order whose
-    minimum lies within ``CUT_TIE_ATOL`` of the lowest; ``min_eig_seen`` is
-    the lowest partial-transpose eigenvalue over all trials used.
+    ``budget`` counts the Haar trials; a negative budget or seed, or a
+    search with no trials at all, is rejected before any trial.  Each trial
+    derives its own random stream from ``(seed, trial_index)`` and the
+    reported counterexample is the one with the smallest trial index, so the
+    report depends only on the arguments.  Of the partitions across which
+    the counterexample is entangled, the report names the first in
+    ``bipartitions`` order whose minimum lies within ``CUT_TIE_ATOL`` of the
+    lowest; ``min_eig_seen`` is the lowest partial-transpose eigenvalue over
+    all trials used.
     """
     ds = tuple(int(d) for d in dims)
     total = dims_product(ds)

@@ -81,15 +81,23 @@ def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the big-endian index convention."""
-    return np.kron(as_operator(a), as_operator(b))
+    """Kronecker product of two matrices with the big-endian index convention.
+
+    The operands may have any shapes, square or not, so Kraus operators of
+    dimension-changing channels tensor like any others.
+    """
+    x, y = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"kron needs two matrices, got shapes {x.shape} and {y.shape}")
+    return np.kron(x, y)
 
 
 def kron_all(ops: Sequence) -> np.ndarray:
-    """Left-folded Kronecker product of a sequence of operators."""
+    """Left-folded ``kron`` of a nonempty sequence of matrices."""
     if not ops:
         raise ValueError("kron_all needs at least one operator")
-    return reduce(np.kron, (as_operator(o) for o in ops))
+    # [[1]] is the unit of kron, so one operator still comes back checked
+    return reduce(kron, ops, np.ones((1, 1), dtype=complex))
 
 
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -72,6 +72,20 @@ def apply_via_choi(choi: DensityOperator, rho: np.ndarray) -> np.ndarray:
     return in_dim * np.einsum("ikjk->ij", t)
 
 
+def choi_via_outer_products(kraus) -> np.ndarray:
+    """Choi matrix summed one outer product per Kraus operator: the
+    independent reference for the stacked ``choi_from_kraus``.
+    """
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    out_dim, in_dim = ops[0].shape
+    d = out_dim * in_dim
+    omega = np.zeros((d, d), dtype=complex)
+    for k in ops:
+        w = k.reshape(-1) / np.sqrt(in_dim)
+        omega += np.outer(w, w.conj())
+    return omega
+
+
 def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
     """Start-by-start see-saw, as two_lea_verdict_heuristic ran before its
     starts were stacked: the reference its stacked search must match bit for

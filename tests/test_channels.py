@@ -29,9 +29,10 @@ from ealab import (
     tensor_power,
     werner,
 )
-from ealab.channels import matrix_from_json, matrix_to_json
+from ealab.channels import choi_from_kraus, matrix_from_json, matrix_to_json
 from helpers import (
     apply_via_choi,
+    choi_via_outer_products,
     random_measure_prepare,
     random_state_matrix,
     random_unitary,
@@ -303,6 +304,60 @@ class TestApply:
             assert np.max(np.abs(direct - via_choi)) < 1e-10
 
 
+# Channels of every Kraus-stack shape: rank 1 and full rank on a qubit and a
+# qutrit, a dimension-changing channel and a stack of 125 operators.
+STACK_SHAPES = {
+    "qubit-rank-1": lambda: random_channel(2, kraus_rank=1, seed=1),
+    "qubit-full-rank": lambda: random_channel(2, seed=2),
+    "qutrit-rank-1": lambda: random_channel(3, kraus_rank=1, seed=3),
+    "qutrit-full-rank": lambda: random_channel(3, seed=4),
+    "2-to-3": lambda: random_channel(2, 3, kraus_rank=2, seed=5),
+    "depolarizing-cubed": lambda: tensor_power(depolarizing(0.4, 2), 3),
+}
+
+
+class TestStackedConsumers:
+    """apply, choi_from_kraus and compose each act on the whole Kraus stack."""
+
+    @pytest.mark.parametrize("build", STACK_SHAPES.values(), ids=STACK_SHAPES.keys())
+    def test_apply_matches_choi_route(self, build):
+        e = build()
+        rho = random_state_matrix(e.in_dim, np.random.default_rng(e.in_dim))
+        out = apply(e, DensityOperator(rho, (e.in_dim,))).matrix
+        assert np.max(np.abs(out - apply_via_choi(choi_of(e), rho))) < 1e-12
+
+    def test_apply_of_large_identity(self):
+        # the Choi route would hold 4096 x 4096 matrices; the identity's own
+        # action is the reference
+        rho = random_state_matrix(64, np.random.default_rng(64))
+        out = apply(identity_channel(64), DensityOperator(rho, (64,))).matrix
+        assert np.max(np.abs(out - rho)) < 1e-12
+
+    @pytest.mark.parametrize("build", STACK_SHAPES.values(), ids=STACK_SHAPES.keys())
+    def test_choi_matches_outer_product_sum(self, build):
+        kraus = build().kraus
+        reference = choi_via_outer_products(kraus)
+        assert np.max(np.abs(choi_from_kraus(kraus) - reference)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "e, f",
+        [
+            (random_channel(2, seed=13), depolarizing(0.3, 2)),
+            (
+                random_channel(3, 2, kraus_rank=3, seed=14),
+                random_channel(2, 3, kraus_rank=2, seed=15),
+            ),
+        ],
+        ids=["square", "rectangular"],
+    )
+    def test_compose_operator_order(self, e, f):
+        stack = compose(e, f).kraus
+        assert stack.shape == (len(e.kraus) * len(f.kraus), e.out_dim, f.in_dim)
+        for i, ke in enumerate(e.kraus):
+            for j, kf in enumerate(f.kraus):
+                assert np.array_equal(stack[i * len(f.kraus) + j], ke @ kf)
+
+
 class TestTensor:
     def test_tensor_power_of_identity(self):
         e = tensor_power(identity_channel(2), 3)
@@ -345,6 +400,26 @@ class TestTensor:
             + 0.5 * lam**2 * (1 - lam) * (t12 + t13 + t23)
         )
         assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_dimension_changing_factor(self):
+        a, b = random_channel(2, 3, kraus_rank=2, seed=16), random_channel(2, seed=17)
+        rho_a = random_density((2,), rank=2, seed=18)
+        rho_b = random_density((2,), rank=2, seed=19)
+        pair = DensityOperator(kron(rho_a.matrix, rho_b.matrix), (2, 2))
+        joint = apply(tensor(a, b), pair)
+        product = kron(apply(a, rho_a).matrix, apply(b, rho_b).matrix)
+        assert np.max(np.abs(joint.matrix - product)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "e, d_out",
+        [
+            (random_channel(2, 3, kraus_rank=2, seed=1), 3),
+            (measure_prepare_channel(random_measure_prepare(2, (2, 2), 2, seed=0)), 4),
+        ],
+        ids=["2-to-3", "measure-prepare-into-2x2"],
+    )
+    def test_tensor_power_of_dimension_changing_channel(self, e, d_out):
+        assert tensor_power(e, 2).kraus.shape == (len(e.kraus) ** 2, d_out**2, 4)
 
     def test_choi_of_tensor_is_reordered_product(self):
         a = depolarizing(0.3, 2)

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -109,6 +110,21 @@ class TestSweep:
         assert err.startswith("error: sweep grid") and str(SWEEP_MAX_ROWS) in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("target", ["directory", "missing/e.csv"])
+    def test_unwritable_out_exits_2(self, target, tmp_path, capsys):
+        out_path = tmp_path / target
+        if target == "directory":
+            out_path.mkdir()
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0", "--hi", "0.1", "--step", "0.1",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
+        assert out_path.is_dir() == (target == "directory")
+
     def test_row_at_pair_boundary(self):
         row = sweep_row(1 / np.sqrt(3))
         assert row.verdict_2lea == "SeparableCertified"
@@ -211,6 +227,19 @@ class TestFalsify:
              "prepare_dims": 5},
             {"kind": "choi", "out_dim": None, "in_dim": 2,
              "matrix": matrix_to_json(np.eye(4) / 4)},
+            # JSON types are strict: no bool, string or float is coerced
+            {"kind": "depolarizing", "lambda": True},
+            {"kind": "depolarizing", "lambda": "0.6"},
+            {"kind": "depolarizing", "lambda": 0.6, "d": 2.9},
+            {"kind": "depolarizing", "lambda": 0.6, "d": True},
+            {"kind": "choi", "out_dim": 2.5, "in_dim": 2,
+             "matrix": matrix_to_json(np.eye(4) / 4)},
+            {"kind": "choi", "out_dim": 2, "in_dim": True,
+             "matrix": matrix_to_json(np.eye(4) / 4)},
+            {"kind": "measure_prepare", "povm": [IDENTITY], "prepares": [HALF_I],
+             "prepare_dims": [2.5]},
+            # a JSON integer past the float range
+            {"kind": "depolarizing", "lambda": 10**400},
         ],
     )
     def test_malformed_spec_is_an_invalid_description(self, payload, tmp_path, capsys):
@@ -239,6 +268,23 @@ class TestFalsify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("budget", ["0", "5"])
+    @pytest.mark.parametrize("lam", [0.6, 0.3])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_exits_2(
+        self, source, lam, budget, tmp_path, capsys, monkeypatch
+    ):
+        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": lam})
+        argv = ["falsify", "--spec", spec, "--budget", budget]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("EA_LAB_SEED", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.6, "d": 2})
@@ -287,6 +333,60 @@ class TestReport:
         assert "SeparableCertified" in out
         assert "-0.0128917115316" in out
         assert "not entanglement-breaking" in out
+
+
+# Reference outputs of the CLI contract.  Every real prints at 12 significant
+# digits and the sweep's near-zero rows print as exact decimals, so these
+# bytes do not depend on the last bits of a LAPACK result.
+GOLDEN_THRESHOLDS = (
+    "EB threshold (Choi/Werner PPT boundary): critical lambda = 0.33333333293  bracket [0.333333332464, 0.333333333395]  tol 1e-09  [eb-choi-ppt]\n"
+    "2-LEA threshold (worst-case pair PT eigenvalue): critical lambda = 0.577350268979  bracket [0.577350268699, 0.577350269258]  tol 1e-09  [two-lea-worst-case]\n"
+    "3-LEA PPT threshold (GHZ witness): critical lambda = 0.556693094876  bracket [0.556693094596, 0.556693095155]  tol 1e-09  [three-lea-ghz-ppt]\n"
+)
+
+GOLDEN_REPORT = (
+    "depolarizing parameter lambda = 0.57735026919\n"
+    "\n"
+    "(1) pair channel annihilates two-qubit entanglement:\n"
+    "    worst-case PT eigenvalue over all pure inputs = -8.32667268469e-17 >= -1e-09\n"
+    "    verdict SeparableCertified: every output of the pair channel is a separable two-qubit state (PPT is exact at 2x2).\n"
+    "\n"
+    "(2) yet the three-fold channel leaves the GHZ state entangled:\n"
+    "    min PT eigenvalue across 1|23 split  = -0.0128917115316\n"
+    "    min PT eigenvalue across 12|3 split  = -0.0128917115316\n"
+    "    both negative, so the triple output is entangled across every bipartite split.\n"
+    "\n"
+    "(3) contradiction with the pair channel being entanglement-breaking:\n"
+    "    write the triple channel as (id ox id ox single) after (pair ox id).  Local noise on the third qubit cannot create entanglement across the 12|3 split, so the entanglement seen in (2) must already be present in (pair ox id)[GHZ].\n"
+    "    an entanglement-breaking pair channel would instead force (pair ox id)[GHZ] to be separable across 12|3.\n"
+    "    the pair channel's own Choi operator confirms this directly: its min PT eigenvalue is -0.0721687836487 < 0, so the Choi operator is entangled and the pair channel is not entanglement-breaking.\n"
+    "\n"
+    "(4) the single-qubit channel is itself not entanglement-breaking:\n"
+    "    Choi (= Werner state) min PT eigenvalue = -0.183012701892 -> verdict Entangled (lambda exceeds 1/3).\n"
+    "\n"
+    "conclusion: the pair channel is entanglement-annihilating but not entanglement-breaking; annihilating all internal entanglement does not imply breaking entanglement with the outside.\n"
+)
+
+# sha256 of `ealab sweep --lo 0 --hi 1 --step 0.0025`
+GOLDEN_SWEEP_SHA256 = "ba8e244790ab7a4760f92eaa5db4da3f780e2df41afb8ec5c17ab6988cddfdd9"
+
+
+class TestGoldenOutputs:
+    def test_thresholds(self, capsys):
+        assert run_cli(capsys, "thresholds") == (0, GOLDEN_THRESHOLDS, "")
+
+    def test_report(self, capsys):
+        assert run_cli(capsys, "report-ea-not-eb") == (0, GOLDEN_REPORT, "")
+
+    def test_sweep(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0", "--hi", "1", "--step", "0.0025",
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (0, f"wrote 401 rows to {out_path}\n", "")
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SWEEP_SHA256
 
 
 def test_real_formatting_is_twelve_significant_digits():

@@ -274,6 +274,12 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="restarts"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=-1)
 
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_negative_seed_rejected(self, restarts):
+        # with no Haar start the seed was never used, so it went unchecked
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=restarts, seed=-1)
+
     @staticmethod
     def checked_input(single, monkeypatch, **kwargs):
         """Run the search; return its verdict and the state it checked."""

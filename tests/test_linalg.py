@@ -43,6 +43,22 @@ def test_kron_associative():
     assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-14
 
 
+def test_kron_of_rectangular_matrices():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((2, 2))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert kron_all([a, b, a]).shape == (8, 18)
+
+
+@pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2))])
+def test_kron_rejects_non_matrices(bad):
+    with pytest.raises(ValueError, match="two matrices"):
+        kron(bad, np.eye(2))
+    with pytest.raises(ValueError, match="two matrices"):
+        kron(np.eye(2), bad)
+
+
 def test_kron_all_matches_pairwise():
     rng = np.random.default_rng(4)
     ops = [rng.standard_normal((2, 2)) for _ in range(3)]
