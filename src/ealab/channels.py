@@ -27,12 +27,19 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .states import DensityOperator, PureState, _freeze, max_entangled_projector
+from .states import (
+    DensityOperator,
+    PureState,
+    _freeze,
+    _seeded_rng,
+    max_entangled_projector,
+)
 
 CHOI_RANK_TOL = 1e-12
-# Largest Kraus stack tensor_power materializes, in bytes.  The k-fold power
-# of a depolarized qubit holds 5^k operators of 2^k x 2^k complex entries:
-# 51 MB at k = 5, 1 GB at k = 6.
+# Largest Kraus stack tensor_power or depolarizing materializes, in bytes.
+# The k-fold power of a depolarized qubit holds 5^k operators of 2^k x 2^k
+# complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
+# d holds d^2 + 1 operators of d x d: 252 MB at d = 63.
 TENSOR_POWER_MAX_BYTES = 2**28
 
 
@@ -111,12 +118,20 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     """Depolarizing channel ``X -> lam*X + (1-lam)*tr(X)*I/d``.
 
     The default parameter range is [0, 1].  With ``allow_extended`` the range
-    widens to the full complete-positivity interval [-1/(d^2-1), 1].
+    widens to the full complete-positivity interval [-1/(d^2-1), 1].  A
+    dimension whose stack of d^2 + 1 Kraus operators would exceed
+    ``TENSOR_POWER_MAX_BYTES`` (d > 63) is rejected before any allocation.
     """
     lam = float(lam)
     d = int(d)
     if d < 2:
         raise ValueError(f"depolarizing channel needs dimension d >= 2, got {d}")
+    nbytes = 16 * (d * d + 1) * d * d
+    if nbytes > TENSOR_POWER_MAX_BYTES:
+        raise ValueError(
+            f"depolarizing channel of dimension {d} would materialize {d * d + 1} "
+            f"Kraus operators ({nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}-byte bound)"
+        )
     lo = -1.0 / (d * d - 1) if allow_extended else 0.0
     if not lo <= lam <= 1.0:
         raise ValueError(
@@ -330,7 +345,7 @@ def random_channel(
     k = d_in * d_out if kraus_rank is None else int(kraus_rank)
     if k < 1 or d_out * k < d_in:
         raise ValueError(f"kraus rank {k} too small for a {d_in}->{d_out} isometry")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     g = rng.standard_normal((d_out * k, d_in)) + 1j * rng.standard_normal((d_out * k, d_in))
     q, _ = np.linalg.qr(g)
     # the k row blocks of the Stinespring isometry are the Kraus operators

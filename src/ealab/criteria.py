@@ -33,7 +33,9 @@ from .channels import (
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
 from .linalg import (
+    CHOLESKY_MARGIN,
     _adjoint,
+    _spectra_above,
     _symmetrized_eigenvalues,
     dims_product,
     hermitian_eigenvalues,
@@ -440,11 +442,12 @@ def _falsify(
     composite with factor dimensions ``dims`` (one site: the whole system).
     Trials run in batches in index order.  Per batch there is one stacked
     channel application and, per cut, one stacked partial transpose and one
-    batched eigensolve.  Inputs are unit vectors (probes are ``PureState``s,
-    Haar draws are normalized), so their projectors go unchecked; each output
-    batch passes the density check of ``DensityOperator``, and a failure
-    raises only when no earlier trial is a counterexample, as in a
-    trial-by-trial loop.
+    batched eigensolve, unless a batched Cholesky proves that the eigensolve
+    cannot change the report.  Inputs are unit vectors (probes are
+    ``PureState``s, Haar draws are normalized), so their projectors go
+    unchecked; each output batch passes the density check of
+    ``DensityOperator``, and a failure raises only when no earlier trial is
+    a counterexample, as in a trial-by-trial loop.
     """
     _check_tol(tol)
     budget, seed = int(budget), int(seed)
@@ -472,16 +475,20 @@ def _falsify(
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
         # Per-cut PT minima of the trials before the first failed check.
-        # hermitian_eigenvalues checks each partial transpose again and never
-        # fires: a partial transpose permutes the entries of out - out^dagger,
-        # and both checks use linalg.MATRIX_ATOL.
-        lows = np.stack(
-            [
-                hermitian_eigenvalues(partial_transpose(out[:n], dims, p.second))[:, 0]
-                for p in parts
-            ],
-            axis=1,
-        )
+        # Earlier batches had no hit, so seen >= -tol.  In a batch of Haar
+        # trials, a cut whose minima a Cholesky proves above seen can neither
+        # hit nor lower seen, nor tie with a hit's cut, so it keeps +inf
+        # uneigensolved; a hit always fails that proof.  Probe batches, the
+        # likely record setters, are always eigensolved.  hermitian_eigenvalues
+        # checks each partial transpose again and never fires: a partial
+        # transpose permutes the entries of out - out^dagger, and both checks
+        # use linalg.MATRIX_ATOL.
+        screen = trials.start >= len(probes) and seen < math.inf
+        lows = np.full((n, len(parts)), math.inf)
+        for i, p in enumerate(parts):
+            pt = partial_transpose(out[:n], dims, p.second)
+            if not (screen and _spectra_above(pt, seen + CHOLESKY_MARGIN)):
+                lows[:, i] = hermitian_eigenvalues(pt)[:, 0]
         worst = lows.min(axis=1)
         hits = np.flatnonzero(worst < -tol)
         if hits.size:
@@ -556,14 +563,16 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized, so a trial costs about as much as its eigensolves:
-    one per cut (2^(k-1) - 1 partial transposes) and one for the positivity
-    check of its output, which is half of them at k = 2.  For qubits k up
-    to 6 is practical: with single-threaded BLAS on an x86 server core a
-    trial takes about 1 ms at k = 5 and 15 ms at k = 6.  Composites whose
-    density matrix would exceed the falsifier's memory bound (qubits past
-    k = 10), and 1-dimensional sites, are rejected after a few factors
-    whatever k is, before any state is built.
+    never materialized.  Per cut (2^(k-1) - 1 partial transposes) only probe
+    batches and batches that set a new running minimum are eigensolved; the
+    others, and the positivity check of each output batch, cost one batched
+    Cholesky.  For qubits k up to 6 is practical: with single-threaded BLAS
+    on an x86 server core a no-counterexample trial takes about 0.05 ms at
+    k = 3, 0.08-0.11 ms at k = 4, 0.5-0.8 ms at k = 5 and 7-10 ms at k = 6,
+    where the probe batches dominate.  Composites whose density matrix would
+    exceed the falsifier's memory bound (qubits past k = 10), and
+    1-dimensional sites, are rejected after a few factors whatever k is,
+    before any state is built.
     """
     k = int(k)
     if k < 2:

@@ -22,6 +22,13 @@ import numpy as np
 # preservation and POVM closure.  Absorbs rounding from repeated kron/apply.
 MATRIX_ATOL = 1e-10
 
+# A Cholesky factorization that succeeds in floating point factors A + dA
+# with ||dA|| of order D*u*tr(A) (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 10.1): a few times 1e-13 at most for the
+# unit-trace operators of dimension up to 1024 that the falsifier holds.  A
+# screen keeps this margin between the floor it tests and the bound it needs.
+CHOLESKY_MARGIN = 1e-12
+
 
 def as_operator(m) -> np.ndarray:
     """Coerce input to a square complex matrix."""
@@ -174,6 +181,24 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
     """``hermitian_eigenvalues`` minus its check, for operators that passed it."""
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
+
+
+def _spectra_above(a: np.ndarray, floor: float) -> bool:
+    """True when one Cholesky proves every eigenvalue of each symmetrized
+    matrix ``(a + a^dagger)/2`` of a stack above ``floor``.
+
+    The proof holds up to the backward error ``CHOLESKY_MARGIN`` covers, and
+    ``a`` must be finite.  ``False`` proves nothing: some matrix of the stack
+    may lie at or below ``floor``, or only too close to it to decide.
+    """
+    m = a + _adjoint(a)  # twice the symmetrized matrix, exactly
+    diag = np.arange(m.shape[-1])
+    m[..., diag, diag] -= 2 * floor
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def min_eigenvalue(m):

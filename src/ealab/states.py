@@ -13,8 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    CHOLESKY_MARGIN,
     MATRIX_ATOL,
     _factor_dims,
+    _spectra_above,
     _symmetrized_eigenvalues,
     dims_product,
     hermiticity_defect,
@@ -99,6 +101,10 @@ def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
     trace = np.trace(stack, axis1=-2, axis2=-1)
     ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL
     if ok.all():
+        # On a stack of several matrices a Cholesky costs a fraction of the
+        # eigensolve, and its success proves every minimum >= -MATRIX_ATOL.
+        if len(stack) > 1 and _spectra_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL):
+            return None
         low = _symmetrized_eigenvalues(stack)[:, 0]
     else:
         low = np.full(len(stack), np.nan)
@@ -228,6 +234,15 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u, vh.T)
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``, naming a negative seed (or a
+    negative entry of a seed tuple) instead of numpy's unnamed message."""
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -241,7 +256,7 @@ def haar_pure(dims, seed) -> PureState:
     integer in typical use).
     """
     ds = _factor_dims(dims)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return PureState(_haar_amplitudes(rng, dims_product(ds)), ds)
 
 
@@ -252,7 +267,7 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     rank = int(rank)
     if rank < 1 or rank > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     m = np.zeros((d, d), dtype=complex)
     for w in weights:

@@ -1,5 +1,7 @@
 """Tests for channel construction, algebra, and representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,19 @@ class TestDepolarizing:
     def test_dimension_below_2_rejected(self, d):
         with pytest.raises(ValueError, match="d >= 2"):
             depolarizing(0.5, d, allow_extended=True)
+
+    @pytest.mark.parametrize("d", [64, 100, 10**6])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_dimension_bounded_before_allocation(self, d, extended):
+        # d^2 + 1 operators of d x d stay within TENSOR_POWER_MAX_BYTES up to d = 63
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="byte bound"):
+                depolarizing(0.5, d, allow_extended=extended)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_default_range(self):
         with pytest.raises(ValueError):

@@ -269,6 +269,17 @@ class TestFalsify:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_huge_depolarizing_dimension_exits_2(self, tmp_path, capsys):
+        # d = 100 would need about 1.6 GB of Kraus operators
+        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.5, "d": 100})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "falsify", "--spec", spec)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid channel description: ")
+        assert "byte bound" in err
+
     @pytest.mark.parametrize("budget", ["0", "5"])
     @pytest.mark.parametrize("lam", [0.6, 0.3])
     @pytest.mark.parametrize("source", ["flag", "env"])

@@ -32,6 +32,22 @@ from ealab import (
 from ealab.states import NORM_ATOL, _first_invalid_density
 
 
+@pytest.mark.parametrize(
+    "sample, shown",
+    [
+        (lambda: haar_pure((2, 2), -1), "-1"),
+        (lambda: haar_pure((2,), np.int64(-3)), "-3"),
+        (lambda: haar_pure((2,), (4, -1)), "(4, -1)"),
+        (lambda: ealab.channels.random_channel(2, seed=-1), "-1"),
+        (lambda: random_density((2,), rank=1, seed=-1), "-1"),
+    ],
+)
+def test_negative_seed_is_named(sample, shown):
+    with pytest.raises(ValueError) as exc:
+        sample()
+    assert str(exc.value) == f"seed must be nonnegative, got {shown}"
+
+
 class TestInvariants:
     def test_pure_state_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
