@@ -32,7 +32,7 @@ from .states import (
     PureState,
     _freeze,
     _seeded_rng,
-    max_entangled_projector,
+    _werner_matrix,
 )
 
 CHOI_RANK_TOL = 1e-12
@@ -41,6 +41,8 @@ CHOI_RANK_TOL = 1e-12
 # complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
 # d holds d^2 + 1 operators of d x d: 252 MB at d = 63.
 TENSOR_POWER_MAX_BYTES = 2**28
+# Largest conjugated block of Kraus rows the trace-preservation check copies.
+_GRAM_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +60,18 @@ class Channel:
             ops = _freeze(self.kraus)
         except ValueError:  # ragged operators
             ops = np.empty(0)
-        if ops.ndim != 3:
-            raise ValueError("Kraus operators must share one (out, in) shape")
+        if ops.ndim != 3 or 0 in ops.shape[1:]:
+            raise ValueError("Kraus operators must share one nonempty (out, in) shape")
         _, out_dim, in_dim = ops.shape
-        gram = np.einsum("nki,nkj->ij", ops.conj(), ops)
-        defect = np.max(np.abs(gram - np.eye(in_dim)))
+        # sum K^dag K over blocks of the operators' stacked rows, so that the
+        # conjugated copy is one block, not a second stack
+        rows = ops.reshape(-1, in_dim)
+        step = max(1, _GRAM_BLOCK_BYTES // (16 * in_dim))
+        gram = -np.eye(in_dim, dtype=complex)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            gram += block.conj().T @ block
+        defect = np.max(np.abs(gram))
         if not defect <= MATRIX_ATOL:
             raise ValueError(
                 f"trace preservation violated: sum K^dag K deviates from the "
@@ -139,13 +148,17 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
         )
     if lam < 0:
         # no Kraus mixture exists below lam = 0; rebuild from the Choi form
-        omega = lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
-        return Channel(kraus_from_choi(omega, d, d))
-    ops = [np.sqrt(lam) * np.eye(d, dtype=complex)[None]] if lam > 0 else []
-    if lam < 1:
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        ops.append(np.sqrt((1 - lam) / d) * units)
-    return Channel(np.concatenate(ops))
+        return Channel(kraus_from_choi(_werner_matrix(lam, d), d, d))
+    # sqrt(lam) I, then the d^2 matrix units |i><j| scaled by sqrt((1-lam)/d),
+    # each left out when its weight is zero; filled in place and handed over
+    units = d * d if lam < 1 else 0
+    ops = np.zeros((int(lam > 0) + units, d, d), dtype=complex)
+    if lam > 0:
+        np.fill_diagonal(ops[0], np.sqrt(lam))
+    if units:
+        np.fill_diagonal(ops[-units:].reshape(units, units), np.sqrt((1 - lam) / d))
+    ops.setflags(write=False)
+    return Channel(ops)
 
 
 def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -17,9 +17,14 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import (
+    _apply_sites,
+    _state_matrix,
     apply,  # unused here; bench/tracing.py wraps cli.apply
     apply_local,
+    choi_from_kraus,
     choi_of,
     depolarizing,
     load_channel_spec,
@@ -29,22 +34,30 @@ from .criteria import (
     BISECTION_TOL,
     VERDICT_TOL,
     Partition,
+    _check_tol,
     bisect_threshold,
     ghz_three_lea_min_eig,
     is_eb,
     k_lea_falsify,
     ppt_min_eigenvalue,
-    ppt_verdict,
+    ppt_min_eigenvalues,
+    ppt_status,
     two_lea_min_eig_depolarizing,
     two_lea_verdict_depolarizing,
 )
-from .states import ghz, werner
+from .states import _first_invalid_density, _werner_matrix, ghz, werner
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
 SEED_ENV_VAR = "EA_LAB_SEED"
 # Most rows one sweep may plan: the grid 0..1 at step 1e-5.
 SWEEP_MAX_ROWS = 100_001
+# Rows sweep_rows evaluates as one stack, which bounds its working memory.
+SWEEP_CHUNK_ROWS = 512
+# The sweep's cuts: qubit | qubit (Werner state, Choi operator) and the first
+# qubit of the depolarized GHZ state against the other two.
+_PAIR_CUT = Partition((0,), (1,))
+_GHZ_CUT = Partition((0,), (1, 2))
 
 CSV_HEADER = (
     "lambda,min_mu_2lea,ghz_mu_3lea,werner_min_eig,"
@@ -59,7 +72,7 @@ def fmt(x: float) -> str:
 
 def _werner_pt_min_eig(lam: float) -> float:
     w = werner(lam, 2)
-    return ppt_min_eigenvalue(w, Partition((0,), (1,)))
+    return ppt_min_eigenvalue(w, _PAIR_CUT)
 
 
 @dataclass(frozen=True)
@@ -89,18 +102,54 @@ class SweepRow:
 
 
 def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
-    """Evaluate every sweep column at one lambda."""
-    ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
-    v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
-    return SweepRow(
-        lam=lam,
-        min_mu_2lea=two_lea_min_eig_depolarizing(lam),
-        ghz_mu_3lea=ghz_three_lea_min_eig(lam),
-        werner_min_eig=_werner_pt_min_eig(lam),
-        verdict_2lea=two_lea_verdict_depolarizing(lam, tol=tol).status.value,
-        verdict_eb=is_eb(depolarizing(lam, 2), tol=tol).status.value,
-        verdict_3lea_ppt=v3.status.value,
-    )
+    """Evaluate every sweep column at one lambda: ``sweep_rows([lam], tol)[0]``."""
+    return sweep_rows([lam], tol)[0]
+
+
+def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
+    """Evaluate every sweep column at each lambda of ``lams``, in order.
+
+    Rows are evaluated ``SWEEP_CHUNK_ROWS`` at a time.  Per chunk, each
+    row's qubit depolarizing channel is built once, and three stacks are
+    formed: the Werner states, the channels' Choi operators (the EB column)
+    and the channels applied to each qubit of GHZ_3 (the 3-LEA PPT column).
+    Each stack gets one density-operator check, one partial transpose and
+    one batched eigensolve; the values are those of ``werner``,
+    ``ppt_verdict``, ``is_eb`` and ``apply_local`` row by row, bit for bit.
+    The closed-form columns are evaluated per row.
+    """
+    _check_tol(tol)
+    lams = [float(lam) for lam in lams]
+    ghz_in = _state_matrix(ghz(3))[0][None]
+    rows = []
+    for start in range(0, len(lams), SWEEP_CHUNK_ROWS):
+        chunk = lams[start : start + SWEEP_CHUNK_ROWS]
+        kraus = [depolarizing(lam, 2).kraus for lam in chunk]
+        wer = _werner_matrix(np.array(chunk)[:, None, None], 2)
+        chois = np.stack([choi_from_kraus(k) for k in kraus])
+        ghz_out = np.concatenate([_apply_sites(k, ghz_in, 3) for k in kraus])
+        for stack in (wer, chois, ghz_out):
+            failure = _first_invalid_density(stack)
+            if failure is not None:
+                raise ValueError(failure[1])
+        wer_low = ppt_min_eigenvalues(wer, (2, 2), _PAIR_CUT)
+        choi_low = ppt_min_eigenvalues(chois, (2, 2), _PAIR_CUT)
+        ghz_low = ppt_min_eigenvalues(ghz_out, (2, 2, 2), _GHZ_CUT)
+        for i, lam in enumerate(chunk):
+            eb = ppt_status(float(choi_low[i]), _PAIR_CUT, (2, 2), tol)
+            v3 = ppt_status(float(ghz_low[i]), _GHZ_CUT, (2, 2, 2), tol)
+            rows.append(
+                SweepRow(
+                    lam=lam,
+                    min_mu_2lea=two_lea_min_eig_depolarizing(lam),
+                    ghz_mu_3lea=ghz_three_lea_min_eig(lam),
+                    werner_min_eig=float(wer_low[i]),
+                    verdict_2lea=two_lea_verdict_depolarizing(lam, tol=tol).status.value,
+                    verdict_eb=eb.value,
+                    verdict_3lea_ppt=v3.value,
+                )
+            )
+    return rows
 
 
 def compute_thresholds(tol: float = BISECTION_TOL):
@@ -145,7 +194,7 @@ def cmd_sweep(args) -> int:
             f"{SWEEP_MAX_ROWS} rows a sweep may write"
         )
     # rounding can push the last grid point past hi
-    rows = [sweep_row(min(lo + i * step, hi), tol=args.tol) for i in range(int(steps) + 1)]
+    rows = sweep_rows([min(lo + i * step, hi) for i in range(int(steps) + 1)], tol=args.tol)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")

@@ -185,9 +185,30 @@ def _check_tol(tol: float) -> None:
 
 def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     """Smallest eigenvalue of the partial transpose over the second block."""
-    part.validate_for(len(rho.dims))
-    g = partial_transpose(rho.matrix, rho.dims, part.second)
-    return float(hermitian_eigenvalues(g)[0])
+    return float(ppt_min_eigenvalues(rho.matrix, rho.dims, part))
+
+
+def ppt_min_eigenvalues(stack: np.ndarray, dims: Sequence[int], part: Partition) -> np.ndarray:
+    """``ppt_min_eigenvalue`` of each operator of a stack ``(..., D, D)`` of
+    valid density matrices with factor dimensions ``dims``: one partial
+    transpose and one batched eigensolve for the whole stack."""
+    part.validate_for(len(dims))
+    g = partial_transpose(stack, dims, part.second)
+    return hermitian_eigenvalues(g)[..., 0]
+
+
+def ppt_status(
+    low: float, part: Partition, dims: Sequence[int], tol: float
+) -> Verdict:
+    """Peres-Horodecki status of a partial-transpose minimum ``low`` across
+    ``part``: Entangled below ``-tol``, else SeparableCertified where PPT is
+    exact for the cut's block dimensions, else Inconclusive.  ``tol`` must
+    already have passed the tolerance check."""
+    if low < -tol:
+        return Verdict.ENTANGLED
+    if tuple(sorted(part.block_dims(dims))) in _PPT_EXACT_BLOCKS:
+        return Verdict.SEPARABLE_CERTIFIED
+    return Verdict.INCONCLUSIVE
 
 
 def negativity(rho: DensityOperator, part: Partition) -> float:
@@ -204,13 +225,7 @@ def ppt_verdict(
     """Three-valued Peres-Horodecki verdict across one partition."""
     _check_tol(tol)
     low = ppt_min_eigenvalue(rho, part)
-    if low < -tol:
-        status = Verdict.ENTANGLED
-    elif tuple(sorted(part.block_dims(rho.dims))) in _PPT_EXACT_BLOCKS:
-        status = Verdict.SEPARABLE_CERTIFIED
-    else:
-        status = Verdict.INCONCLUSIVE
-    return SeparabilityVerdict(status, low, part)
+    return SeparabilityVerdict(ppt_status(low, part, rho.dims, tol), low, part)
 
 
 def is_eb(e: Channel, tol: float = VERDICT_TOL) -> SeparabilityVerdict:

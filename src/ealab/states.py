@@ -26,7 +26,21 @@ from .linalg import (
 NORM_ATOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
+    """A read-only complex copy of ``a``.
+
+    A read-only, C-contiguous complex array that owns its data is returned
+    as is, so a constructor that builds a large array and freezes it hands
+    it over without a second copy.
+    """
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == complex
+        and a.base is None
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+    ):
+        return a
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
@@ -171,8 +185,13 @@ def werner(lam: float, d: int = 2) -> DensityOperator:
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
-    m = lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
-    return DensityOperator(m, (d, d))
+    return DensityOperator(_werner_matrix(lam, d), (d, d))
+
+
+def _werner_matrix(lam, d: int) -> np.ndarray:
+    """``lam * P_+ + (1 - lam) * I/d^2`` with no check, for a float ``lam`` or
+    a stack of them shaped ``(B, 1, 1)``, entry for entry the same arithmetic."""
+    return lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
 
 
 def ghz(n: int = 3) -> PureState:

@@ -134,3 +134,34 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
     status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
     return SeparabilityVerdict(status, witness, part, heuristic=True), best_psi
+
+
+def reference_sweep_row(lam, tol=1e-9):
+    """One sweep row evaluated on its own, through ``werner``, ``apply_local``,
+    ``ppt_verdict`` and ``is_eb``, as the sweep ran before its rows were
+    stacked: the reference ``cli.sweep_rows`` must match byte for byte.
+    """
+    from ealab.channels import apply_local, depolarizing
+    from ealab.cli import SweepRow
+    from ealab.criteria import (
+        Partition,
+        ghz_three_lea_min_eig,
+        is_eb,
+        ppt_min_eigenvalue,
+        ppt_verdict,
+        two_lea_min_eig_depolarizing,
+        two_lea_verdict_depolarizing,
+    )
+    from ealab.states import ghz, werner
+
+    ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
+    v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
+    return SweepRow(
+        lam=lam,
+        min_mu_2lea=two_lea_min_eig_depolarizing(lam),
+        ghz_mu_3lea=ghz_three_lea_min_eig(lam),
+        werner_min_eig=ppt_min_eigenvalue(werner(lam, 2), Partition((0,), (1,))),
+        verdict_2lea=two_lea_verdict_depolarizing(lam, tol=tol).status.value,
+        verdict_eb=is_eb(depolarizing(lam, 2), tol=tol).status.value,
+        verdict_3lea_ppt=v3.status.value,
+    )

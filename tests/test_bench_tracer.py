@@ -41,3 +41,25 @@ def test_tracer_installs_and_records_spans(tmp_path, capsys):
     assert summary["cli.main.calls"] == 2
     assert summary["criteria.falsify.calls"] == 1
     assert summary["linalg.hermitian_eigenvalues.calls"] > 0
+
+
+def test_traced_sweep_builds_one_channel_per_row(tmp_path, capsys):
+    # a 41-row sweep is one chunk: one channel per row, and three stacked
+    # eigensolves in all, none of them through DensityOperator or the scalar
+    # ppt_min_eigenvalue
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    out = tmp_path / "sweep.csv"
+    try:
+        tracer.install(ealab)
+        argv = ["sweep", "--lo", "0.3", "--hi", "0.4", "--step", "0.0025", "--out", str(out)]
+        assert ealab.cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    summary = tracer.summarize()
+    assert summary["channels.Channel.calls"] == 41
+    assert summary["states.DensityOperator.calls"] == 0
+    assert summary["criteria.ppt_min_eigenvalue.calls"] == 0
+    assert summary["linalg.partial_transpose.calls"] == 3
+    assert summary["linalg.hermitian_eigenvalues.calls"] == 3

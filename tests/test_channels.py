@@ -85,11 +85,37 @@ class TestChannelType:
             ((np.ones(2),), "share one"),
             (np.eye(2), "share one"),
             (np.zeros((1, 1, 2, 2)), "share one"),
+            (np.zeros((1, 2, 0)), "share one nonempty"),
+            (np.zeros((1, 0, 0)), "share one nonempty"),
         ],
     )
     def test_rejection_messages(self, kraus, message):
         with pytest.raises(ValueError, match=message):
             Channel(kraus)
+
+    def test_trace_check_spans_several_blocks(self):
+        # 901 operators of 30 x 30: the Gram sum runs over several row blocks
+        kraus = depolarizing(0.5, 30).kraus
+        with pytest.raises(ValueError, match="trace preservation"):
+            Channel(kraus * (1 + 1e-8))
+        bad = kraus.copy()
+        bad[-1, -1, -1] += 1e-8
+        with pytest.raises(ValueError, match="trace preservation"):
+            Channel(bad)
+
+    def test_writeable_input_is_copied(self):
+        ops = np.eye(2, dtype=complex)[None].copy()
+        e = Channel(ops)
+        ops[0, 0, 0] = 5.0
+        assert e.kraus[0, 0, 0] == 1.0
+        assert not e.kraus.flags.writeable
+
+    def test_frozen_input_is_kept(self):
+        ops = np.eye(2, dtype=complex)[None].copy()
+        ops.setflags(write=False)
+        assert Channel(ops).kraus is ops
+        view = ops[:1]
+        assert Channel(view).kraus is not view
 
 
 def assert_kraus_stack(e, d_out, d_in, n=None):
@@ -231,6 +257,18 @@ class TestDepolarizing:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    def test_peak_memory_near_the_kraus_stack(self):
+        # the stack is filled in place and handed to Channel without a copy,
+        # and the trace-preservation check conjugates one block at a time
+        tracemalloc.start()
+        try:
+            e = depolarizing(0.5, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.kraus.shape == (901, 30, 30)
+        assert peak <= 2 * e.kraus.nbytes
 
     def test_default_range(self):
         with pytest.raises(ValueError):

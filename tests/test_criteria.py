@@ -44,7 +44,7 @@ from ealab import (
     two_lea_verdict_heuristic,
     werner,
 )
-from ealab.cli import sweep_row
+from ealab.cli import sweep_row, sweep_rows
 from ealab.criteria import BISECTION_TOL, SEESAW_MAX_ITER, VERDICT_TOL
 from helpers import (
     apply_via_choi,
@@ -492,6 +492,8 @@ class TestToleranceValidation:
         "ea_falsify": lambda tol: ea_falsify(identity_channel(4), (2, 2), budget=2, tol=tol),
         "bisect": lambda tol: bisect_threshold(lambda x: x - 0.3, (0.0, 1.0), tol),
         "sweep_row": lambda tol: sweep_row(0.5, tol=tol),
+        # checked before any row, so an empty grid is rejected too
+        "sweep_rows": lambda tol: sweep_rows([], tol=tol),
     }
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
