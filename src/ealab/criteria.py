@@ -35,7 +35,7 @@ from .channels import (
 from .linalg import (
     CHOLESKY_MARGIN,
     _adjoint,
-    _spectra_above,
+    _screen_above,
     _symmetrized_eigenvalues,
     dims_product,
     hermitian_eigenvalues,
@@ -457,8 +457,8 @@ def _falsify(
     composite with factor dimensions ``dims`` (one site: the whole system).
     Trials run in batches in index order.  Per batch there is one stacked
     channel application and, per cut, one stacked partial transpose and one
-    batched eigensolve, unless a batched Cholesky proves that the eigensolve
-    cannot change the report.  Inputs are unit vectors (probes are
+    batched eigensolve of the matrices that a batched Cholesky cannot prove
+    unable to change the report.  Inputs are unit vectors (probes are
     ``PureState``s, Haar draws are normalized), so their projectors go
     unchecked; each output batch passes the density check of
     ``DensityOperator``, and a failure raises only when no earlier trial is
@@ -490,20 +490,21 @@ def _falsify(
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
         # Per-cut PT minima of the trials before the first failed check.
-        # Earlier batches had no hit, so seen >= -tol.  In a batch of Haar
-        # trials, a cut whose minima a Cholesky proves above seen can neither
-        # hit nor lower seen, nor tie with a hit's cut, so it keeps +inf
-        # uneigensolved; a hit always fails that proof.  Probe batches, the
-        # likely record setters, are always eigensolved.  hermitian_eigenvalues
-        # checks each partial transpose again and never fires: a partial
-        # transpose permutes the entries of out - out^dagger, and both checks
-        # use linalg.MATRIX_ATOL.
-        screen = trials.start >= len(probes) and seen < math.inf
+        # Earlier batches had no hit, so seen >= -tol.  A matrix whose minimum
+        # a Cholesky proves above seen can neither hit nor lower seen, nor tie
+        # with a hit's cut, so it keeps +inf uneigensolved; a hit always fails
+        # that proof.  Once seen is finite every batch is screened, probe
+        # batches too.  hermitian_eigenvalues checks each partial transpose
+        # again and never fires: a partial transpose permutes the entries of
+        # out - out^dagger, and both checks use linalg.MATRIX_ATOL.
         lows = np.full((n, len(parts)), math.inf)
         for i, p in enumerate(parts):
             pt = partial_transpose(out[:n], dims, p.second)
-            if not (screen and _spectra_above(pt, seen + CHOLESKY_MARGIN)):
-                lows[:, i] = hermitian_eigenvalues(pt)[:, 0]
+            rest = np.ones(n, bool)
+            if seen < math.inf:
+                rest = ~_screen_above(pt, seen + CHOLESKY_MARGIN)
+            if rest.any():
+                lows[rest, i] = hermitian_eigenvalues(pt[rest])[:, 0]
         worst = lows.min(axis=1)
         hits = np.flatnonzero(worst < -tol)
         if hits.size:
@@ -578,16 +579,17 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized.  Per cut (2^(k-1) - 1 partial transposes) only probe
-    batches and batches that set a new running minimum are eigensolved; the
-    others, and the positivity check of each output batch, cost one batched
-    Cholesky.  For qubits k up to 6 is practical: with single-threaded BLAS
-    on an x86 server core a no-counterexample trial takes about 0.05 ms at
-    k = 3, 0.08-0.11 ms at k = 4, 0.5-0.8 ms at k = 5 and 7-10 ms at k = 6,
-    where the probe batches dominate.  Composites whose density matrix would
-    exceed the falsifier's memory bound (qubits past k = 10), and
-    1-dimensional sites, are rejected after a few factors whatever k is,
-    before any state is built.
+    never materialized.  Per cut (2^(k-1) - 1 partial transposes) a batched
+    Cholesky proves most matrices unable to set a new running minimum, and
+    only the rest are eigensolved; the positivity check of each output batch
+    is screened the same way.  For qubits k up to 7 is practical: with
+    single-threaded BLAS on an x86 server core a no-counterexample trial
+    takes about 0.035 ms at k = 3, 0.07 ms at k = 4, 0.3-0.45 ms at k = 5,
+    3-6 ms at k = 6 (budget 100) and 40-55 ms at k = 7 (budget 30), where
+    the Cholesky of 63 cuts of 128x128 matrices dominates.  Composites whose
+    density matrix would exceed the falsifier's memory bound (qubits past
+    k = 10), and 1-dimensional sites, are rejected after a few factors
+    whatever k is, before any state is built.
     """
     k = int(k)
     if k < 2:

@@ -16,6 +16,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # The one tolerance of the matrix invariants: Hermiticity (accepted matrices
 # are symmetrized before eigensolving), unit trace, positivity, trace
@@ -183,22 +184,22 @@ def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
 
 
-def _spectra_above(a: np.ndarray, floor: float) -> bool:
-    """True when one Cholesky proves every eigenvalue of each symmetrized
-    matrix ``(a + a^dagger)/2`` of a stack above ``floor``.
+def _screen_above(a: np.ndarray, floor: float) -> np.ndarray:
+    """Per matrix of a stack, True when a Cholesky proves every eigenvalue of
+    the symmetrized matrix ``(a + a^dagger)/2`` above ``floor``.
 
     The proof holds up to the backward error ``CHOLESKY_MARGIN`` covers, and
-    ``a`` must be finite.  ``False`` proves nothing: some matrix of the stack
-    may lie at or below ``floor``, or only too close to it to decide.
+    ``a`` must be finite.  ``False`` proves nothing: the matrix may lie at or
+    below ``floor``, or only too close to it to decide.  numpy's Cholesky
+    gufunc fills each matrix it fails to factor with NaN, and a NaN entry
+    reaches the last diagonal entry of the factor.
     """
     m = a + _adjoint(a)  # twice the symmetrized matrix, exactly
     diag = np.arange(m.shape[-1])
     m[..., diag, diag] -= 2 * floor
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(m, signature="D->D")
+    return ~np.isnan(low[..., -1, -1])
 
 
 def min_eigenvalue(m):

@@ -16,7 +16,7 @@ from .linalg import (
     CHOLESKY_MARGIN,
     MATRIX_ATOL,
     _factor_dims,
-    _spectra_above,
+    _screen_above,
     _symmetrized_eigenvalues,
     dims_product,
     hermiticity_defect,
@@ -114,15 +114,19 @@ def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
     defect = hermiticity_defect(stack)
     trace = np.trace(stack, axis1=-2, axis2=-1)
     ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL
-    if ok.all():
-        # On a stack of several matrices a Cholesky costs a fraction of the
-        # eigensolve, and its success proves every minimum >= -MATRIX_ATOL.
-        if len(stack) > 1 and _spectra_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL):
-            return None
-        low = _symmetrized_eigenvalues(stack)[:, 0]
-    else:
+    if not ok.all():
         low = np.full(len(stack), np.nan)
         low[ok] = _symmetrized_eigenvalues(stack[ok])[:, 0]
+    elif len(stack) == 1:
+        low = _symmetrized_eigenvalues(stack)[:, 0]
+    else:
+        # On a stack of several matrices a Cholesky costs a fraction of an
+        # eigensolve, and its success proves a minimum >= -MATRIX_ATOL; only
+        # the matrices it fails on are eigensolved.
+        low = np.full(len(stack), np.inf)
+        rest = ~_screen_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL)
+        if rest.any():
+            low[rest] = _symmetrized_eigenvalues(stack[rest])[:, 0]
     ok = low >= -MATRIX_ATOL
     if ok.all():
         return None
@@ -263,7 +267,8 @@ def _seeded_rng(seed) -> np.random.Generator:
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = rng.standard_normal(2 * dim)  # real parts, then imaginary parts
+    v = x[:dim] + 1j * x[dim:]
     return v / np.linalg.norm(v)
 
 

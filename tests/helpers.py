@@ -16,6 +16,27 @@ def random_state_matrix(dim, rng):
     return m / np.trace(m)
 
 
+def haar_amplitudes_two_draws(rng, dim):
+    """Haar amplitudes drawn as two calls, real parts then imaginary parts:
+    the reference stream of ``states._haar_amplitudes``.
+    """
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def random_density_two_draws(dim, rank, seed):
+    """Matrix of ``random_density((dim,), rank, seed)`` built on
+    ``haar_amplitudes_two_draws``.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(rank))
+    m = np.zeros((dim, dim), dtype=complex)
+    for w in weights:
+        v = haar_amplitudes_two_draws(rng, dim)
+        m += w * np.outer(v, v.conj())
+    return m
+
+
 def random_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -30,6 +30,7 @@ from ealab import (
     werner,
 )
 from ealab.states import NORM_ATOL, _first_invalid_density
+from helpers import haar_amplitudes_two_draws, random_density_two_draws
 
 
 @pytest.mark.parametrize(
@@ -315,6 +316,17 @@ class TestHaar:
     def test_unit_norm(self):
         psi = haar_pure((4,), 7)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(2, 64), st.integers(0, 2**63 - 1), st.integers(1, 4))
+    def test_one_draw_matches_the_two_draw_stream(self, dim, seed, rank):
+        # real and imaginary parts drawn in one call are the same stream as
+        # two calls, so every seeded sample stays byte-identical
+        psi = haar_pure((dim,), seed)
+        reference = haar_amplitudes_two_draws(np.random.default_rng(seed), dim)
+        assert psi.amplitudes.tobytes() == reference.tobytes()
+        rank = min(rank, dim)
+        rho = random_density((dim,), rank=rank, seed=seed)
+        assert rho.matrix.tobytes() == random_density_two_draws(dim, rank, seed).tobytes()
 
     def test_first_component_moment(self):
         # oracle: Haar expectation of |<0|psi>|^2 on dimension d is 1/d
