@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    _apply_sites,
-    _state_matrix,
     apply,  # unused here; bench/tracing.py wraps cli.apply
     apply_local,
     choi_from_kraus,
@@ -88,17 +86,9 @@ class SweepRow:
     verdict_3lea_ppt: str
 
     def csv(self) -> str:
-        return ",".join(
-            [
-                fmt(self.lam),
-                fmt(self.min_mu_2lea),
-                fmt(self.ghz_mu_3lea),
-                fmt(self.werner_min_eig),
-                self.verdict_2lea,
-                self.verdict_eb,
-                self.verdict_3lea_ppt,
-            ]
-        )
+        reals = (self.lam, self.min_mu_2lea, self.ghz_mu_3lea, self.werner_min_eig)
+        verdicts = (self.verdict_2lea, self.verdict_eb, self.verdict_3lea_ppt)
+        return ",".join([*map(fmt, reals), *verdicts])
 
 
 def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
@@ -109,44 +99,39 @@ def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
 def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
     """Evaluate every sweep column at each lambda of ``lams``, in order.
 
-    Rows are evaluated ``SWEEP_CHUNK_ROWS`` at a time.  Per chunk, each
-    row's qubit depolarizing channel is built once, and three stacks are
-    formed: the Werner states, the channels' Choi operators (the EB column)
-    and the channels applied to each qubit of GHZ_3 (the 3-LEA PPT column).
-    Each stack gets one density-operator check, one partial transpose and
-    one batched eigensolve; the values are those of ``werner``,
-    ``ppt_verdict``, ``is_eb`` and ``apply_local`` row by row, bit for bit.
-    The closed-form columns are evaluated per row.
+    Rows are evaluated ``SWEEP_CHUNK_ROWS`` at a time.  Per chunk, the
+    Werner states and the Choi operators of the rows' depolarizing channels
+    form two stacks, each with one density-operator check, one partial
+    transpose and one batched eigensolve; the values are those of ``werner``
+    and ``is_eb`` row by row, bit for bit.  The closed-form columns are
+    evaluated per row.  Each verdict is ``ppt_status`` of a value its row
+    holds: ``min_mu_2lea``, the Choi minimum, and ``ghz_mu_3lea`` across
+    the GHZ cut.
     """
     _check_tol(tol)
     lams = [float(lam) for lam in lams]
-    ghz_in = _state_matrix(ghz(3))[0][None]
     rows = []
     for start in range(0, len(lams), SWEEP_CHUNK_ROWS):
         chunk = lams[start : start + SWEEP_CHUNK_ROWS]
-        kraus = [depolarizing(lam, 2).kraus for lam in chunk]
         wer = _werner_matrix(np.array(chunk)[:, None, None], 2)
-        chois = np.stack([choi_from_kraus(k) for k in kraus])
-        ghz_out = np.concatenate([_apply_sites(k, ghz_in, 3) for k in kraus])
-        for stack in (wer, chois, ghz_out):
+        chois = np.stack([choi_from_kraus(depolarizing(lam, 2).kraus) for lam in chunk])
+        for stack in (wer, chois):
             failure = _first_invalid_density(stack)
             if failure is not None:
                 raise ValueError(failure[1])
         wer_low = ppt_min_eigenvalues(wer, (2, 2), _PAIR_CUT)
         choi_low = ppt_min_eigenvalues(chois, (2, 2), _PAIR_CUT)
-        ghz_low = ppt_min_eigenvalues(ghz_out, (2, 2, 2), _GHZ_CUT)
-        for i, lam in enumerate(chunk):
-            eb = ppt_status(float(choi_low[i]), _PAIR_CUT, (2, 2), tol)
-            v3 = ppt_status(float(ghz_low[i]), _GHZ_CUT, (2, 2, 2), tol)
+        for lam, wer_min, choi_min in zip(chunk, wer_low, choi_low):
+            mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
             rows.append(
                 SweepRow(
                     lam=lam,
-                    min_mu_2lea=two_lea_min_eig_depolarizing(lam),
-                    ghz_mu_3lea=ghz_three_lea_min_eig(lam),
-                    werner_min_eig=float(wer_low[i]),
-                    verdict_2lea=two_lea_verdict_depolarizing(lam, tol=tol).status.value,
-                    verdict_eb=eb.value,
-                    verdict_3lea_ppt=v3.value,
+                    min_mu_2lea=mu2,
+                    ghz_mu_3lea=mu3,
+                    werner_min_eig=float(wer_min),
+                    verdict_2lea=ppt_status(mu2, _PAIR_CUT, (2, 2), tol).value,
+                    verdict_eb=ppt_status(float(choi_min), _PAIR_CUT, (2, 2), tol).value,
+                    verdict_3lea_ppt=ppt_status(mu3, _GHZ_CUT, (2, 2, 2), tol).value,
                 )
             )
     return rows

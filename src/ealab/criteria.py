@@ -37,6 +37,7 @@ from .linalg import (
     _adjoint,
     _screen_above,
     _symmetrized_eigenvalues,
+    _unit_interval,
     dims_product,
     hermitian_eigenvalues,
     partial_transpose,
@@ -44,6 +45,7 @@ from .linalg import (
 from .states import (
     DensityOperator,
     PureState,
+    _check_seed,
     _first_invalid_density,
     _haar_amplitudes,
     ghz,
@@ -68,7 +70,7 @@ SEESAW_MAX_ITER = 200
 CUT_TIE_ATOL = 1e-12
 # Falsifier batches double from _FIRST_BATCH trials while a stack of their
 # density matrices stays within _STACK_BYTES; a composite too large for one
-# trial to fit is rejected.
+# trial to fit is rejected, as are see-saw starts that do not fit together.
 _FIRST_BATCH = 4
 _STACK_BYTES = 2**24
 
@@ -250,12 +252,8 @@ def two_lea_pt_eigenvalues(lam: float, q0: float) -> tuple[float, float, float, 
     four eigenvalues of the partially transposed output; only the last can
     be negative.
     """
-    lam = float(lam)
-    q0 = float(q0)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not 0.0 <= q0 <= 1.0:
-        raise ValueError(f"q0 must lie in [0, 1], got {q0}")
+    lam = _unit_interval(lam, "lambda")
+    q0 = _unit_interval(q0, "q0")
     q1 = 1.0 - q0
     base = 0.25 * (1.0 - lam) ** 2
     cross = lam * lam * math.sqrt(q0 * q1)
@@ -289,9 +287,7 @@ def ghz_three_lea_min_eig(lam: float) -> float:
     lambda in [0, 1] and turns negative past the real root of
     ``4 x^3 + x^2 - 1 = 0`` (about 0.5567).
     """
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    lam = _unit_interval(lam, "lambda")
     return 0.5 * (0.25 * (1.0 - lam * lam) - lam**3)
 
 
@@ -306,8 +302,8 @@ def two_lea_verdict_depolarizing(
     """
     _check_tol(tol)
     low = two_lea_min_eig_depolarizing(lam)
-    status = Verdict.ENTANGLED if low < -tol else Verdict.SEPARABLE_CERTIFIED
-    return SeparabilityVerdict(status, low, Partition((0,), (1,)))
+    part = Partition((0,), (1,))
+    return SeparabilityVerdict(ppt_status(low, part, (2, 2), tol), low, part)
 
 
 def two_lea_verdict_heuristic(
@@ -327,7 +323,8 @@ def two_lea_verdict_heuristic(
     starts, run as one stack, are GHZ, W and ``restarts`` Haar states drawn
     from ``default_rng((seed, r))``, so ``seed`` must be nonnegative; Haar
     starts alone can stall at the product-state fixed point near the
-    threshold.
+    threshold.  ``restarts`` is rejected, before any start is drawn, when
+    the stack of the starts' density matrices would pass ``_STACK_BYTES``.
 
     The witness is the PT eigenvalue of the best input, recomputed through
     ``apply_local`` and ``ppt_min_eigenvalue``.  A negative witness proves
@@ -341,8 +338,12 @@ def two_lea_verdict_heuristic(
     restarts, seed = int(restarts), int(seed)
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if 16 * 16 * (restarts + 2) > _STACK_BYTES:  # complex 4x4 per start
+        raise ValueError(
+            f"restarts={restarts} needs a stack of {restarts + 2} two-qubit "
+            f"density matrices, above the {_STACK_BYTES}-byte bound"
+        )
+    _check_seed(seed)
     dims = (2, 2)
     part = Partition((0,), (1,))
     starts = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
@@ -468,8 +469,7 @@ def _falsify(
     budget, seed = int(budget), int(seed)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
     parts = bipartitions(len(dims))

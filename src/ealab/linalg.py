@@ -81,6 +81,14 @@ def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, _factor_dims(dims, a.shape[0])
 
 
+def _unit_interval(x, name: str) -> float:
+    """``x`` as a float, rejected (NaN too) outside [0, 1]."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return x
+
+
 def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
     idx = tuple(sorted({int(i) for i in indices}))
     if any(i < 0 or i >= n for i in idx):

@@ -16,8 +16,10 @@ from .linalg import (
     CHOLESKY_MARGIN,
     MATRIX_ATOL,
     _factor_dims,
+    _factor_subset,
     _screen_above,
     _symmetrized_eigenvalues,
+    _unit_interval,
     dims_product,
     hermiticity_defect,
     partial_trace,
@@ -186,9 +188,7 @@ def max_entangled_projector(d: int) -> np.ndarray:
 
 def werner(lam: float, d: int = 2) -> DensityOperator:
     """Werner state ``lam * P_+  +  (1 - lam) * (I/d) ox (I/d)``."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
+    lam = _unit_interval(lam, "mixing parameter")
     return DensityOperator(_werner_matrix(lam, d), (d, d))
 
 
@@ -198,11 +198,17 @@ def _werner_matrix(lam, d: int) -> np.ndarray:
     return lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
 
 
-def ghz(n: int = 3) -> PureState:
-    """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
+def _qubit_count(n: int) -> int:
+    """``n`` as an int, rejected below the two qubits of a composite."""
     n = int(n)
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
+    return n
+
+
+def ghz(n: int = 3) -> PureState:
+    """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
+    n = _qubit_count(n)
     amp = np.zeros(2**n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2)
     return PureState(amp, (2,) * n)
@@ -210,9 +216,7 @@ def ghz(n: int = 3) -> PureState:
 
 def w_state(n: int = 3) -> PureState:
     """Uniform single-excitation superposition on n qubits."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
+    n = _qubit_count(n)
     amp = np.zeros(2**n, dtype=complex)
     for j in range(n):
         amp[1 << j] = 1.0 / np.sqrt(n)
@@ -226,9 +230,7 @@ def classically_correlated_pair() -> DensityOperator:
 
 def schmidt_pure(q0: float) -> PureState:
     """Two-qubit state sqrt(q0)|00> + sqrt(1-q0)|11>."""
-    q0 = float(q0)
-    if not 0.0 <= q0 <= 1.0:
-        raise ValueError(f"Schmidt weight must lie in [0, 1], got {q0}")
+    q0 = _unit_interval(q0, "Schmidt weight")
     amp = np.zeros(4, dtype=complex)
     amp[0] = np.sqrt(q0)
     amp[3] = np.sqrt(1.0 - q0)
@@ -243,9 +245,7 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     the singular value decomposition of the reshaped amplitude matrix.
     """
     n = len(psi.dims)
-    left_idx = tuple(sorted({int(i) for i in left}))
-    if any(i < 0 or i >= n for i in left_idx):
-        raise ValueError(f"left block {left_idx} out of range for {n} factors")
+    left_idx = _factor_subset(left, n, "left block")
     right_idx = tuple(i for i in range(n) if i not in left_idx)
     if not left_idx or not right_idx:
         raise ValueError("partition must split the factors into two nonempty blocks")
@@ -257,12 +257,17 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u, vh.T)
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """``numpy.random.default_rng(seed)``, naming a negative seed (or a
-    negative entry of a seed tuple) instead of numpy's unnamed message."""
+def _check_seed(seed) -> None:
+    """Name a negative seed (or a negative entry of a seed tuple) instead of
+    leaving it to numpy's unnamed message."""
     entries = seed if isinstance(seed, (tuple, list)) else (seed,)
     if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
         raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` after ``_check_seed``."""
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

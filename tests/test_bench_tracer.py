@@ -44,9 +44,9 @@ def test_tracer_installs_and_records_spans(tmp_path, capsys):
 
 
 def test_traced_sweep_builds_one_channel_per_row(tmp_path, capsys):
-    # a 41-row sweep is one chunk: one channel per row, and three stacked
-    # eigensolves in all, none of them through DensityOperator or the scalar
-    # ppt_min_eigenvalue
+    # a 41-row sweep is one chunk: one channel per row, and two stacked
+    # eigensolves in all (Werner and Choi), none of them through
+    # DensityOperator or the scalar ppt_min_eigenvalue
     tracing = load_tracing()
     tracer = tracing.Tracer()
     out = tmp_path / "sweep.csv"
@@ -61,5 +61,5 @@ def test_traced_sweep_builds_one_channel_per_row(tmp_path, capsys):
     assert summary["channels.Channel.calls"] == 41
     assert summary["states.DensityOperator.calls"] == 0
     assert summary["criteria.ppt_min_eigenvalue.calls"] == 0
-    assert summary["linalg.partial_transpose.calls"] == 3
-    assert summary["linalg.hermitian_eigenvalues.calls"] == 3
+    assert summary["linalg.partial_transpose.calls"] == 2
+    assert summary["linalg.hermitian_eigenvalues.calls"] == 2

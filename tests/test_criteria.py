@@ -274,6 +274,17 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="restarts"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=-1)
 
+    def test_restarts_past_the_stack_bound_rejected(self, monkeypatch):
+        # rejected before any start is drawn: nothing near this many is built
+        def no_draw(*args):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(ealab.criteria, "_haar_amplitudes", no_draw)
+        with pytest.raises(ValueError, match="restarts=65535 needs a stack"):
+            two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=65535)
+        with pytest.raises(ValueError, match="-byte bound"):
+            two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=10**18)
+
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_negative_seed_rejected(self, restarts):
         # with no Haar start the seed was never used, so it went unchecked

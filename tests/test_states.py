@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ealab
 import ealab.channels
 import ealab.linalg
 import ealab.states
@@ -47,6 +48,25 @@ def test_negative_seed_is_named(sample, shown):
     with pytest.raises(ValueError) as exc:
         sample()
     assert str(exc.value) == f"seed must be nonnegative, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: werner(1.5), "mixing parameter must lie in [0, 1], got 1.5"),
+        (lambda: schmidt_pure(-0.1), "Schmidt weight must lie in [0, 1], got -0.1"),
+        (lambda: ealab.two_lea_pt_eigenvalues(np.nan, 0.5), "lambda must lie in [0, 1], got nan"),
+        (lambda: ealab.two_lea_pt_eigenvalues(0.5, 2), "q0 must lie in [0, 1], got 2.0"),
+        (lambda: ealab.ghz_three_lea_min_eig(-0.2), "lambda must lie in [0, 1], got -0.2"),
+        (lambda: schmidt(ghz(3), (0, 3)), "left block (0, 3) out of range for 3 factors"),
+        (lambda: ghz(1), "need at least 2 qubits, got 1"),
+        (lambda: w_state(0), "need at least 2 qubits, got 0"),
+    ],
+)
+def test_range_and_index_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestInvariants:

@@ -70,9 +70,9 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# 2500 rows (five chunks) peak near 3 MB in 512-row chunks, about 1 MB of
-# it the rows themselves, and near 12.5 MB as one stack.
-SWEEP_PEAK_BOUND = 6 * 2**20
+# 2500 rows (five chunks) peak near 1.2 MiB in 512-row chunks, most of it
+# the rows themselves, and near 3.35 MiB as one stack.
+SWEEP_PEAK_BOUND = 2 * 2**20
 
 
 class TestBoundedMemory:
