@@ -22,7 +22,6 @@ import numpy as np
 from .channels import (
     apply,  # unused here; bench/tracing.py wraps cli.apply
     apply_local,
-    choi_from_kraus,
     choi_of,
     depolarizing,
     load_channel_spec,
@@ -34,6 +33,7 @@ from .criteria import (
     Partition,
     _check_tol,
     bisect_threshold,
+    eb_min_eig_depolarizing,
     ghz_three_lea_min_eig,
     is_eb,
     k_lea_falsify,
@@ -43,7 +43,8 @@ from .criteria import (
     two_lea_min_eig_depolarizing,
     two_lea_verdict_depolarizing,
 )
-from .states import _first_invalid_density, _werner_matrix, ghz, werner
+from .linalg import _unit_interval
+from .states import _first_invalid_density, _werner_matrix, ghz
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
@@ -52,8 +53,9 @@ SEED_ENV_VAR = "EA_LAB_SEED"
 SWEEP_MAX_ROWS = 100_001
 # Rows sweep_rows evaluates as one stack, which bounds its working memory.
 SWEEP_CHUNK_ROWS = 512
-# The sweep's cuts: qubit | qubit (Werner state, Choi operator) and the first
-# qubit of the depolarized GHZ state against the other two.
+# The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
+# depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ state
+# against the other two.
 _PAIR_CUT = Partition((0,), (1,))
 _GHZ_CUT = Partition((0,), (1, 2))
 
@@ -66,11 +68,6 @@ CSV_HEADER = (
 def fmt(x: float) -> str:
     """Render a real with 12 significant digits, locale-free."""
     return f"{float(x):.12g}"
-
-
-def _werner_pt_min_eig(lam: float) -> float:
-    w = werner(lam, 2)
-    return ppt_min_eigenvalue(w, _PAIR_CUT)
 
 
 @dataclass(frozen=True)
@@ -100,29 +97,26 @@ def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
     """Evaluate every sweep column at each lambda of ``lams``, in order.
 
     Rows are evaluated ``SWEEP_CHUNK_ROWS`` at a time.  Per chunk, the
-    Werner states and the Choi operators of the rows' depolarizing channels
-    form two stacks, each with one density-operator check, one partial
-    transpose and one batched eigensolve; the values are those of ``werner``
-    and ``is_eb`` row by row, bit for bit.  The closed-form columns are
-    evaluated per row.  Each verdict is ``ppt_status`` of a value its row
-    holds: ``min_mu_2lea``, the Choi minimum, and ``ghz_mu_3lea`` across
-    the GHZ cut.
+    Werner states form one stack, with one density-operator check, one
+    partial transpose and one batched eigensolve; ``werner_min_eig`` is
+    that of ``werner`` row by row, bit for bit.  The other columns are
+    closed forms evaluated per row.  Each verdict is ``ppt_status`` of a
+    closed form: ``min_mu_2lea``, the Werner minimum (1 - 3 lambda)/4 of
+    ``eb_min_eig_depolarizing``, and ``ghz_mu_3lea`` across the GHZ cut.
     """
     _check_tol(tol)
-    lams = [float(lam) for lam in lams]
+    lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
     rows = []
     for start in range(0, len(lams), SWEEP_CHUNK_ROWS):
         chunk = lams[start : start + SWEEP_CHUNK_ROWS]
         wer = _werner_matrix(np.array(chunk)[:, None, None], 2)
-        chois = np.stack([choi_from_kraus(depolarizing(lam, 2).kraus) for lam in chunk])
-        for stack in (wer, chois):
-            failure = _first_invalid_density(stack)
-            if failure is not None:
-                raise ValueError(failure[1])
+        failure = _first_invalid_density(wer)
+        if failure is not None:
+            raise ValueError(failure[1])
         wer_low = ppt_min_eigenvalues(wer, (2, 2), _PAIR_CUT)
-        choi_low = ppt_min_eigenvalues(chois, (2, 2), _PAIR_CUT)
-        for lam, wer_min, choi_min in zip(chunk, wer_low, choi_low):
+        for lam, wer_min in zip(chunk, wer_low):
             mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
+            eb = eb_min_eig_depolarizing(lam)
             rows.append(
                 SweepRow(
                     lam=lam,
@@ -130,7 +124,7 @@ def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
                     ghz_mu_3lea=mu3,
                     werner_min_eig=float(wer_min),
                     verdict_2lea=ppt_status(mu2, _PAIR_CUT, (2, 2), tol).value,
-                    verdict_eb=ppt_status(float(choi_min), _PAIR_CUT, (2, 2), tol).value,
+                    verdict_eb=ppt_status(eb, _PAIR_CUT, (2, 2), tol).value,
                     verdict_3lea_ppt=ppt_status(mu3, _GHZ_CUT, (2, 2, 2), tol).value,
                 )
             )
@@ -138,8 +132,9 @@ def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
 
 
 def compute_thresholds(tol: float = BISECTION_TOL):
-    """The three critical depolarizing parameters, located by bisection."""
-    eb = bisect_threshold(_werner_pt_min_eig, (0.1, 0.6), tol, "eb-choi-ppt")
+    """The three critical depolarizing parameters, located by bisecting the
+    closed-form PT minima of the Werner (Choi), pair and GHZ outputs."""
+    eb = bisect_threshold(eb_min_eig_depolarizing, (0.1, 0.6), tol, "eb-choi-ppt")
     two = bisect_threshold(
         two_lea_min_eig_depolarizing, (0.3, 0.9), tol, "two-lea-worst-case"
     )

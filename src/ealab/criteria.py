@@ -278,6 +278,17 @@ def two_lea_min_eig_depolarizing(lam: float) -> float:
     return two_lea_pt_eigenvalues(lam, 0.5)[3]
 
 
+def eb_min_eig_depolarizing(lam: float) -> float:
+    """Lowest PT eigenvalue of the Werner state, the Choi operator of
+    ``depolarizing(lam, 2)``: (1 - 3 lambda)/4, negative exactly past 1/3.
+
+    On [1/4, 1] the difference ``1 - 2 lambda`` is exact, so the computed
+    sign is exact near 1/3, where ``1 - 3 lambda`` can round to the wrong one.
+    """
+    lam = _unit_interval(lam, "lambda")
+    return ((1.0 - 2.0 * lam) - lam) / 4.0
+
+
 def ghz_three_lea_min_eig(lam: float) -> float:
     """Minimum PT eigenvalue of the locally depolarized GHZ state.
 

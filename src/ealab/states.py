@@ -116,19 +116,13 @@ def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
     defect = hermiticity_defect(stack)
     trace = np.trace(stack, axis1=-2, axis2=-1)
     ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL
-    if not ok.all():
-        low = np.full(len(stack), np.nan)
-        low[ok] = _symmetrized_eigenvalues(stack[ok])[:, 0]
-    elif len(stack) == 1:
-        low = _symmetrized_eigenvalues(stack)[:, 0]
-    else:
-        # On a stack of several matrices a Cholesky costs a fraction of an
-        # eigensolve, and its success proves a minimum >= -MATRIX_ATOL; only
-        # the matrices it fails on are eigensolved.
-        low = np.full(len(stack), np.inf)
-        rest = ~_screen_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL)
-        if rest.any():
-            low[rest] = _symmetrized_eigenvalues(stack[rest])[:, 0]
+    # A Cholesky costs less than an eigensolve, and its success proves a
+    # minimum >= -MATRIX_ATOL; only the matrices it fails on are eigensolved.
+    # Matrices that failed a check above stay NaN, whatever their screen says.
+    low = np.where(ok, np.inf, np.nan)
+    rest = ok & ~_screen_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL)
+    if rest.any():
+        low[rest] = _symmetrized_eigenvalues(stack[rest])[:, 0]
     ok = low >= -MATRIX_ATOL
     if ok.all():
         return None

@@ -43,10 +43,10 @@ def test_tracer_installs_and_records_spans(tmp_path, capsys):
     assert summary["linalg.hermitian_eigenvalues.calls"] > 0
 
 
-def test_traced_sweep_builds_one_channel_per_row(tmp_path, capsys):
-    # a 41-row sweep is one chunk: one channel per row, and two stacked
-    # eigensolves in all (Werner and Choi), none of them through
-    # DensityOperator or the scalar ppt_min_eigenvalue
+def test_traced_sweep_builds_no_channel_and_one_stack(tmp_path, capsys):
+    # a 41-row sweep is one chunk: no channel, and one stacked eigensolve
+    # in all (Werner), not through DensityOperator or the scalar
+    # ppt_min_eigenvalue; the verdicts are closed forms
     tracing = load_tracing()
     tracer = tracing.Tracer()
     out = tmp_path / "sweep.csv"
@@ -58,8 +58,8 @@ def test_traced_sweep_builds_one_channel_per_row(tmp_path, capsys):
         tracer.restore()
     capsys.readouterr()
     summary = tracer.summarize()
-    assert summary["channels.Channel.calls"] == 41
+    assert summary["channels.Channel.calls"] == 0
     assert summary["states.DensityOperator.calls"] == 0
     assert summary["criteria.ppt_min_eigenvalue.calls"] == 0
-    assert summary["linalg.partial_transpose.calls"] == 2
-    assert summary["linalg.hermitian_eigenvalues.calls"] == 2
+    assert summary["linalg.partial_transpose.calls"] == 1
+    assert summary["linalg.hermitian_eigenvalues.calls"] == 1

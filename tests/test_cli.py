@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ THREE_LEA_EDGES = {
     0.05: [0.630483164182297],
     0.01: [0.5728310456958045],
     1e-3: [0.5583442936659618],
+}
+# Lambdas within rounding of the EB boundary (1 + 4 tol)/3, keyed by tol: a
+# verdict taken from a numerical Choi stack had the wrong sign at each.
+EB_EDGES = {
+    1e-12: [0.33333333333466664],
+    1e-9: [0.33333333466666665],
+    1e-3: [0.33466666666666667, 0.3346666666666667],
 }
 
 
@@ -144,15 +152,19 @@ class TestSweep:
     def test_row_in_eb_region(self):
         assert sweep_row(0.3).verdict_eb == "SeparableCertified"
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.01, 0.05])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3, 0.01, 0.05])
     def test_verdicts_consistent_with_values(self, tol):
-        for lam in [*np.linspace(0.0, 1.0, 11), *THREE_LEA_EDGES.get(tol, [])]:
+        edges = [*THREE_LEA_EDGES.get(tol, []), *EB_EDGES.get(tol, [])]
+        for lam in [*np.linspace(0.0, 1.0, 11), *edges]:
             row = sweep_row(lam, tol)
             assert (row.verdict_2lea == "Entangled") == (row.min_mu_2lea < -tol)
             assert (row.verdict_3lea_ppt == "Entangled") == (row.ghz_mu_3lea < -tol)
+            # the exact sign of the Werner minimum (1 - 3 lambda)/4
+            eb_entangled = (1 - 3 * Fraction(float(lam))) / 4 < -Fraction(tol)
+            assert (row.verdict_eb == "Entangled") == eb_entangled
 
     def test_eb_verdict_consistent_with_werner_value(self):
-        # The EB verdict comes from the Choi stack, not from the printed
+        # The EB verdict comes from the closed form, not from the printed
         # Werner value; at tol 0.05 the two disagree at lambda = 0.4.
         for lam in np.linspace(0.0, 1.0, 11):
             row = sweep_row(lam)

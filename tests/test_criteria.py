@@ -1,6 +1,7 @@
 """Tests for separability verdicts, closed-form spectra, and thresholds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +46,12 @@ from ealab import (
     werner,
 )
 from ealab.cli import sweep_row, sweep_rows
-from ealab.criteria import BISECTION_TOL, SEESAW_MAX_ITER, VERDICT_TOL
+from ealab.criteria import (
+    BISECTION_TOL,
+    SEESAW_MAX_ITER,
+    VERDICT_TOL,
+    eb_min_eig_depolarizing,
+)
 from helpers import (
     apply_via_choi,
     random_measure_prepare,
@@ -171,6 +177,27 @@ class TestIsEb:
         mp = random_measure_prepare(3, (2,), n_effects=2, seed=7)
         v = is_eb(measure_prepare_channel(mp))
         assert v.status is Verdict.SEPARABLE_CERTIFIED
+
+
+class TestEbMinEig:
+    @pytest.mark.parametrize("lam", np.linspace(0.0, 1.0, 11))
+    def test_matches_choi_eigensolve(self, lam):
+        assert is_eb(depolarizing(lam, 2)).witness_min_eig == pytest.approx(
+            eb_min_eig_depolarizing(lam), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3, 0.01, 0.05])
+    def test_sign_is_exact_near_boundary(self, tol):
+        # (1 - 3 lambda)/4 crosses -tol at (1 + 4 tol)/3; every lambda within
+        # 5000 ulps of it lies in [1/4, 1/2), where the ulp is one constant
+        centre = (1 + 4 * tol) / 3
+        for lam in centre + np.arange(-5000, 5001) * np.spacing(centre):
+            exact = (1 - 3 * Fraction(float(lam))) / 4 < -Fraction(tol)
+            assert (eb_min_eig_depolarizing(lam) < -tol) == exact, lam
+
+    def test_range_check(self):
+        with pytest.raises(ValueError, match="lambda"):
+            eb_min_eig_depolarizing(1.5)
 
 
 class TestClosedFormSpectra:

@@ -70,8 +70,8 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# 2500 rows (five chunks) peak near 1.2 MiB in 512-row chunks, most of it
-# the rows themselves, and near 3.35 MiB as one stack.
+# 2500 rows (five chunks) peak near 1.1 MiB in 512-row chunks, most of it
+# the rows themselves, and near 2.7 MiB as one stack.
 SWEEP_PEAK_BOUND = 2 * 2**20
 
 
