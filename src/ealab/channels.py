@@ -20,7 +20,8 @@ import numpy as np
 from .linalg import (
     MATRIX_ATOL,
     _adjoint,
-    _symmetrized_eigenvalues,
+    _lowest_eigenvalues,
+    _whole,
     as_operator,
     hermitian_eigenvalues,  # unused here; bench/tracing.py wraps it
     hermiticity_defect,
@@ -95,19 +96,15 @@ class MeasurePrepare:
         if not effects or len(effects) != len(preps):
             raise ValueError("need matching nonempty POVM and prepare lists")
         d = effects[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
-        for f in effects:
-            if f.shape != (d, d):
-                raise ValueError("POVM effects must share one dimension")
-            if not hermiticity_defect(f) <= MATRIX_ATOL:
-                raise ValueError("POVM effects must be Hermitian")
-            low = float(_symmetrized_eigenvalues(f)[0])
-            if not low >= -MATRIX_ATOL:
-                raise ValueError(
-                    f"POVM effect is not positive semidefinite (min eig {low:.3e})"
-                )
-            acc += f
-        defect = np.max(np.abs(acc - np.eye(d)))
+        if any(f.shape != (d, d) for f in effects):
+            raise ValueError("POVM effects must share one dimension")
+        stack = np.stack(effects)
+        if not hermiticity_defect(stack).max() <= MATRIX_ATOL:
+            raise ValueError("POVM effects must be Hermitian")
+        low = _lowest_eigenvalues(stack, -MATRIX_ATOL).min()
+        if not low >= -MATRIX_ATOL:
+            raise ValueError(f"POVM effect is not positive semidefinite (min eig {low:.3e})")
+        defect = np.max(np.abs(stack.sum(axis=0) - np.eye(d)))
         if not defect <= MATRIX_ATOL:
             raise ValueError(
                 f"POVM does not sum to the identity (deviation {defect:.3e})"
@@ -120,7 +117,7 @@ class MeasurePrepare:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel(np.eye(int(d), dtype=complex)[None])
+    return Channel(np.eye(_whole(d, "dimension"), dtype=complex)[None])
 
 
 def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channel:
@@ -132,7 +129,7 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     ``TENSOR_POWER_MAX_BYTES`` (d > 63) is rejected before any allocation.
     """
     lam = float(lam)
-    d = int(d)
+    d = _whole(d, "dimension")
     if d < 2:
         raise ValueError(f"depolarizing channel needs dimension d >= 2, got {d}")
     nbytes = 16 * (d * d + 1) * d * d
@@ -265,7 +262,7 @@ def tensor_power(e: Channel, k: int) -> Channel:
     ``TENSOR_POWER_MAX_BYTES``; ``apply_local`` applies the power site by site
     without materializing it.
     """
-    k = int(k)
+    k = _whole(k, "tensor power")
     if k < 1:
         raise ValueError(f"tensor power must be at least 1, got {k}")
     nbytes = 16 * (len(e.kraus) * e.out_dim * e.in_dim) ** k
@@ -345,7 +342,7 @@ def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
 
 def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Channel:
     """Channel contracting every input state to the fixed state ``omega``."""
-    d = omega.dim if in_dim is None else int(in_dim)
+    d = omega.dim if in_dim is None else _whole(in_dim, "in_dim")
     return measure_prepare_channel(MeasurePrepare((np.eye(d, dtype=complex),), (omega,)))
 
 
@@ -353,9 +350,9 @@ def random_channel(
     d_in: int, d_out: int | None = None, kraus_rank: int | None = None, seed=0
 ) -> Channel:
     """Random channel from a Haar-random Stinespring isometry; seed-deterministic."""
-    d_in = int(d_in)
-    d_out = d_in if d_out is None else int(d_out)
-    k = d_in * d_out if kraus_rank is None else int(kraus_rank)
+    d_in = _whole(d_in, "d_in")
+    d_out = d_in if d_out is None else _whole(d_out, "d_out")
+    k = d_in * d_out if kraus_rank is None else _whole(kraus_rank, "kraus_rank")
     if k < 1 or d_out * k < d_in:
         raise ValueError(f"kraus rank {k} too small for a {d_in}->{d_out} isometry")
     rng = _seeded_rng(seed)
@@ -465,5 +462,11 @@ def channel_from_spec(spec: dict) -> Channel:
 
 
 def load_channel_spec(path) -> Channel:
+    """Read a channel description from a JSON file; one nested too deeply to
+    parse raises ``ValueError``, like any other malformed description."""
     with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_spec(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("description is nested too deeply to parse") from exc
+    return channel_from_spec(spec)

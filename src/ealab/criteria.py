@@ -33,11 +33,11 @@ from .channels import (
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
 from .linalg import (
-    CHOLESKY_MARGIN,
     _adjoint,
-    _screen_above,
+    _lowest_eigenvalues,
     _symmetrized_eigenvalues,
     _unit_interval,
+    _whole,
     dims_product,
     hermitian_eigenvalues,
     partial_transpose,
@@ -96,8 +96,8 @@ class Partition:
     second: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted({int(i) for i in self.first}))
-        b = tuple(sorted({int(i) for i in self.second}))
+        a = tuple(sorted({_whole(i, "partition index") for i in self.first}))
+        b = tuple(sorted({_whole(i, "partition index") for i in self.second}))
         if not a or not b:
             raise ValueError("both partition blocks must be nonempty")
         if set(a) & set(b):
@@ -126,7 +126,7 @@ class Partition:
 
 def bipartitions(n: int) -> tuple[Partition, ...]:
     """All unordered 2-block partitions of ``n`` factors (factor 0 first)."""
-    n = int(n)
+    n = _whole(n, "factor count")
     if n < 2:
         raise ValueError(f"need at least 2 factors, got {n}")
     parts = []
@@ -195,8 +195,7 @@ def ppt_min_eigenvalues(stack: np.ndarray, dims: Sequence[int], part: Partition)
     valid density matrices with factor dimensions ``dims``: one partial
     transpose and one batched eigensolve for the whole stack."""
     part.validate_for(len(dims))
-    g = partial_transpose(stack, dims, part.second)
-    return hermitian_eigenvalues(g)[..., 0]
+    return _lowest_eigenvalues(partial_transpose(stack, dims, part.second))
 
 
 def ppt_status(
@@ -346,7 +345,7 @@ def two_lea_verdict_heuristic(
     _check_tol(tol)
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
-    restarts, seed = int(restarts), int(seed)
+    restarts, seed = _whole(restarts, "restarts"), _whole(seed, "seed")
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if 16 * 16 * (restarts + 2) > _STACK_BYTES:  # complex 4x4 per start
@@ -402,7 +401,7 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     Pairs the computational bases of the two blocks up to the smaller block
     dimension, then restores the original factor order.
     """
-    ds = tuple(int(d) for d in dims)
+    ds = tuple(_whole(d, "factor dimension") for d in dims)
     part.validate_for(len(ds))
     d_a, d_b = part.block_dims(ds)
     m = min(d_a, d_b)
@@ -469,15 +468,15 @@ def _falsify(
     composite with factor dimensions ``dims`` (one site: the whole system).
     Trials run in batches in index order.  Per batch there is one stacked
     channel application and, per cut, one stacked partial transpose and one
-    batched eigensolve of the matrices that a batched Cholesky cannot prove
-    unable to change the report.  Inputs are unit vectors (probes are
-    ``PureState``s, Haar draws are normalized), so their projectors go
-    unchecked; each output batch passes the density check of
-    ``DensityOperator``, and a failure raises only when no earlier trial is
-    a counterexample, as in a trial-by-trial loop.
+    ``linalg._lowest_eigenvalues`` above the running minimum, which
+    eigensolves only what a Cholesky cannot prove unable to change it.
+    Inputs are unit vectors (probes are ``PureState``s, Haar draws are
+    normalized), so their projectors go unchecked; each output batch passes
+    the density check of ``DensityOperator``, and a failure raises only when
+    no earlier trial is a counterexample, as in a trial-by-trial loop.
     """
     _check_tol(tol)
-    budget, seed = int(budget), int(seed)
+    budget, seed = _whole(budget, "budget"), _whole(seed, "seed")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     _check_seed(seed)
@@ -500,22 +499,10 @@ def _falsify(
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
-        # Per-cut PT minima of the trials before the first failed check.
-        # Earlier batches had no hit, so seen >= -tol.  A matrix whose minimum
-        # a Cholesky proves above seen can neither hit nor lower seen, nor tie
-        # with a hit's cut, so it keeps +inf uneigensolved; a hit always fails
-        # that proof.  Once seen is finite every batch is screened, probe
-        # batches too.  hermitian_eigenvalues checks each partial transpose
-        # again and never fires: a partial transpose permutes the entries of
-        # out - out^dagger, and both checks use linalg.MATRIX_ATOL.
-        lows = np.full((n, len(parts)), math.inf)
-        for i, p in enumerate(parts):
-            pt = partial_transpose(out[:n], dims, p.second)
-            rest = np.ones(n, bool)
-            if seen < math.inf:
-                rest = ~_screen_above(pt, seen + CHOLESKY_MARGIN)
-            if rest.any():
-                lows[rest, i] = hermitian_eigenvalues(pt[rest])[:, 0]
+        # Per-cut PT minima before the first failed check.  No earlier batch
+        # hit, so seen >= -tol, and a cut left at +inf cannot change the report.
+        pts = (partial_transpose(out[:n], dims, p.second) for p in parts)
+        lows = np.stack([_lowest_eigenvalues(pt, seen) for pt in pts], axis=1)
         worst = lows.min(axis=1)
         hits = np.flatnonzero(worst < -tol)
         if hits.size:
@@ -562,7 +549,7 @@ def ea_falsify(
     lowest; ``min_eig_seen`` is the lowest partial-transpose eigenvalue over
     all trials used.
     """
-    ds = tuple(int(d) for d in dims)
+    ds = tuple(_whole(d, "factor dimension") for d in dims)
     total = dims_product(ds)
     if e.in_dim != total:
         raise ValueError(
@@ -590,19 +577,19 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized.  Per cut (2^(k-1) - 1 partial transposes) a batched
-    Cholesky proves most matrices unable to set a new running minimum, and
-    only the rest are eigensolved; the positivity check of each output batch
-    is screened the same way.  For qubits k up to 7 is practical: with
-    single-threaded BLAS on an x86 server core a no-counterexample trial
-    takes about 0.035 ms at k = 3, 0.07 ms at k = 4, 0.3-0.45 ms at k = 5,
-    3-6 ms at k = 6 (budget 100) and 40-55 ms at k = 7 (budget 30), where
-    the Cholesky of 63 cuts of 128x128 matrices dominates.  Composites whose
-    density matrix would exceed the falsifier's memory bound (qubits past
-    k = 10), and 1-dimensional sites, are rejected after a few factors
-    whatever k is, before any state is built.
+    never materialized.  Per cut (2^(k-1) - 1 partial transposes) and per
+    output positivity check, ``linalg._lowest_eigenvalues`` eigensolves only
+    the matrices a batched Cholesky cannot prove above the running minimum
+    (or zero).  For qubits k up to 7 is practical: with single-threaded BLAS
+    on an x86 server core a no-counterexample trial takes about 0.035 ms at
+    k = 3, 0.07 ms at k = 4, 0.3-0.45 ms at k = 5, 3-6 ms at k = 6 (budget
+    100) and 40-55 ms at k = 7 (budget 30), where the Cholesky of 63 cuts of
+    128x128 matrices dominates.  Composites whose density matrix would
+    exceed the falsifier's memory bound (qubits past k = 10), and
+    1-dimensional sites, are rejected after a few factors whatever k is,
+    before any state is built.
     """
-    k = int(k)
+    k = _whole(k, "k")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if single.in_dim != single.out_dim:

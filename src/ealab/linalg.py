@@ -12,6 +12,7 @@ All factor index sets are 0-based.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -53,10 +54,23 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _whole(x, name: str) -> int:
+    """``x`` as an int, rejected (NaN and infinities too) unless integral."""
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
 def dims_product(dims: Sequence[int]) -> int:
     p = 1
     for d in dims:
-        p *= int(d)
+        p *= _whole(d, "factor dimension")
     return p
 
 
@@ -66,8 +80,8 @@ def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     With ``d`` given, their product must equal it.
     """
     if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    ds = tuple(int(x) for x in dims)
+        dims = (dims,)
+    ds = tuple(_whole(x, "factor dimension") for x in dims)
     if not ds or any(x < 1 for x in ds):
         raise ValueError(f"factor dimensions must be positive, got {ds}")
     if d is not None and dims_product(ds) != d:
@@ -90,7 +104,7 @@ def _unit_interval(x, name: str) -> float:
 
 
 def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
-    idx = tuple(sorted({int(i) for i in indices}))
+    idx = tuple(sorted({_whole(i, f"{name} index") for i in indices}))
     if any(i < 0 or i >= n for i in idx):
         raise ValueError(f"{name} {idx} out of range for {n} factors")
     return idx
@@ -154,7 +168,7 @@ def permute_factors(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors so new factor ``k`` is old factor ``perm[k]``."""
     a, ds = check_dims(m, dims)
     n = len(ds)
-    p = tuple(int(i) for i in perm)
+    p = tuple(_whole(i, "perm") for i in perm)
     if sorted(p) != list(range(n)):
         raise ValueError(f"perm {p} is not a permutation of {n} factors")
     t = a.reshape(ds + ds)
@@ -208,6 +222,24 @@ def _screen_above(a: np.ndarray, floor: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         low = _umath_linalg.cholesky_lo(m, signature="D->D")
     return ~np.isnan(low[..., -1, -1])
+
+
+def _lowest_eigenvalues(a: np.ndarray, above: float = math.inf) -> np.ndarray:
+    """Lowest eigenvalue of each matrix of a stack, or ``+inf`` where
+    ``_screen_above(a, above + CHOLESKY_MARGIN)`` proves it above ``above``:
+    the one place where a Cholesky stands in for an eigensolve, for callers
+    that ask only whether a minimum lies at or below ``above``.  The rest go
+    to ``hermitian_eigenvalues``, where bench/tracing.py counts them, and a
+    whole stack goes uncopied; an infinite ``above`` runs no Cholesky.  ``a``
+    must be finite.
+    """
+    rest = None if above == math.inf else ~_screen_above(a, above + CHOLESKY_MARGIN)
+    if rest is None or rest.all():
+        return hermitian_eigenvalues(a)[..., 0]
+    low = np.full(rest.shape, math.inf)
+    if rest.any():
+        low[rest] = hermitian_eigenvalues(a[rest])[:, 0]
+    return low
 
 
 def min_eigenvalue(m):

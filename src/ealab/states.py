@@ -13,13 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    CHOLESKY_MARGIN,
     MATRIX_ATOL,
     _factor_dims,
     _factor_subset,
-    _screen_above,
-    _symmetrized_eigenvalues,
+    _lowest_eigenvalues,
     _unit_interval,
+    _whole,
     dims_product,
     hermiticity_defect,
     partial_trace,
@@ -101,7 +100,7 @@ class DensityOperator:
 
     def marginal(self, keep: Sequence[int]) -> "DensityOperator":
         """Reduced state on the kept factors."""
-        kept = tuple(sorted({int(i) for i in keep}))
+        kept = tuple(sorted({_whole(i, "keep index") for i in keep}))
         m = partial_trace(self.matrix, self.dims, kept)
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
 
@@ -110,28 +109,23 @@ def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
     """First operator of a stack ``(B, D, D)`` that is not a density operator.
 
     Returns its index and a message naming the first invariant it breaks of
-    Hermiticity, unit trace and positivity, each within ``MATRIX_ATOL`` (NaN
-    fails each), or ``None``.  ``DensityOperator`` and the falsifier use it.
+    Hermiticity, unit trace and positivity (``linalg._lowest_eigenvalues``),
+    each within ``MATRIX_ATOL`` (NaN fails each), or ``None``.
+    ``DensityOperator`` and the falsifier use it.
     """
     defect = hermiticity_defect(stack)
     trace = np.trace(stack, axis1=-2, axis2=-1)
     ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL
-    # A Cholesky costs less than an eigensolve, and its success proves a
-    # minimum >= -MATRIX_ATOL; only the matrices it fails on are eigensolved.
-    # Matrices that failed a check above stay NaN, whatever their screen says.
-    low = np.where(ok, np.inf, np.nan)
-    rest = ok & ~_screen_above(stack, CHOLESKY_MARGIN - MATRIX_ATOL)
-    if rest.any():
-        low[rest] = _symmetrized_eigenvalues(stack[rest])[:, 0]
-    ok = low >= -MATRIX_ATOL
-    if ok.all():
+    n = len(ok) if ok.all() else int(ok.argmin())  # the first failed check
+    low = _lowest_eigenvalues(stack[:n], -MATRIX_ATOL)
+    i = int(next(iter(np.flatnonzero(low < -MATRIX_ATOL)), n))  # first negative, or n
+    if i < n:
+        return i, f"matrix is not positive semidefinite (min eigenvalue {low[i]:.3e})"
+    if i == len(ok):
         return None
-    i = int(ok.argmin())
     if not defect[i] <= MATRIX_ATOL:
         return i, f"matrix is not Hermitian (max deviation {defect[i]:.3e})"
-    if not abs(trace[i] - 1.0) <= MATRIX_ATOL:
-        return i, f"matrix does not have unit trace (trace {complex(trace[i])!r})"
-    return i, f"matrix is not positive semidefinite (min eigenvalue {low[i]:.3e})"
+    return i, f"matrix does not have unit trace (trace {complex(trace[i])!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +160,7 @@ class SchmidtDecomposition:
 
 def max_entangled(d: int) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> on dims (d, d)."""
-    d = int(d)
+    d = _whole(d, "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     amp = np.zeros(d * d, dtype=complex)
@@ -194,7 +188,7 @@ def _werner_matrix(lam, d: int) -> np.ndarray:
 
 def _qubit_count(n: int) -> int:
     """``n`` as an int, rejected below the two qubits of a composite."""
-    n = int(n)
+    n = _whole(n, "qubit count")
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
     return n
@@ -287,7 +281,7 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     """Random mixture of ``rank`` Haar pure states with Dirichlet weights."""
     ds = _factor_dims(dims)
     d = dims_product(ds)
-    rank = int(rank)
+    rank = _whole(rank, "rank")
     if rank < 1 or rank > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = _seeded_rng(seed)

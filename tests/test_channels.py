@@ -209,8 +209,8 @@ class TestEigensolvesPerConstruction:
         omega = werner(0.3)
         eig_calls.update(eigvalsh=0, eigh=0)
         constant_channel(omega)
-        # the effect's positivity check, then the Choi eigendecomposition
-        assert eig_calls == {"eigvalsh": 1, "eigh": 1}
+        # a Cholesky proves the effect positive; then the Choi eigendecomposition
+        assert eig_calls == {"eigvalsh": 0, "eigh": 1}
 
     def test_extended_depolarizing(self, eig_calls):
         depolarizing(-0.2, 2, allow_extended=True)

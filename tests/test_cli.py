@@ -276,6 +276,16 @@ class TestFalsify:
         assert out == ""
         assert err.startswith("error: invalid channel description")
 
+    @pytest.mark.parametrize("depth", [500, 990, 1200])
+    def test_deeply_nested_spec_is_an_invalid_description(self, depth, tmp_path, capsys):
+        # raw text: json.dumps would recurse as deep as the parser
+        path = tmp_path / "channel.json"
+        path.write_text('{"kind":"kraus","ops":[' + "[" * depth + "]" * depth + "]}")
+        code, out, err = run_cli(capsys, "falsify", "--spec", str(path), "--budget", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid channel description")
+
     @pytest.mark.parametrize(
         "payload, k, message",
         [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ealab
 from ealab import (
     ghz,
     hermitian_eigenvalues,
@@ -189,3 +190,53 @@ def test_permute_factors_swaps_kron_order():
 def test_permute_factors_rejects_non_permutation():
     with pytest.raises(ValueError):
         permute_factors(np.eye(4), (2, 2), (0, 0))
+
+
+
+def _whole_cases():
+    """Each entry point's user-given count: the name its error gives, an
+    integral value that it accepts, and a call taking the value."""
+    qubit = ealab.depolarizing(0.5, 2)
+    rho = ealab.max_entangled(2).density()
+    m = np.eye(4) / 4
+    cases = {
+        "ea_falsify dims": ("factor dimension", 2, lambda x: ealab.ea_falsify(
+            ealab.identity_channel(4), (x, 2), budget=1)),
+        "k": ("k", 2, lambda x: ealab.k_lea_falsify(qubit, x, budget=1)),
+        "budget": ("budget", 2, lambda x: ealab.k_lea_falsify(qubit, 2, budget=x)),
+        "falsify seed": ("seed", 2, lambda x: ealab.k_lea_falsify(qubit, 2, budget=1, seed=x)),
+        "restarts": ("restarts", 2, lambda x: ealab.two_lea_verdict_heuristic(qubit, x)),
+        "heuristic seed": ("seed", 2, lambda x: ealab.two_lea_verdict_heuristic(
+            qubit, restarts=0, seed=x)),
+        "depolarizing": ("dimension", 2, lambda x: ealab.depolarizing(0.5, x)),
+        "identity_channel": ("dimension", 2, ealab.identity_channel),
+        "tensor_power": ("tensor power", 2, lambda x: ealab.tensor_power(qubit, x)),
+        "random_channel d_in": ("d_in", 2, ealab.random_channel),
+        "random_channel d_out": ("d_out", 2, lambda x: ealab.random_channel(2, x)),
+        "kraus_rank": ("kraus_rank", 2, lambda x: ealab.random_channel(2, kraus_rank=x)),
+        "constant_channel": ("in_dim", 2, lambda x: ealab.constant_channel(rho, x)),
+        "Partition": ("partition index", 0, lambda x: ealab.Partition((x,), (1,))),
+        "bipartitions": ("factor count", 2, ealab.bipartitions),
+        "max_entangled": ("local dimension", 2, ealab.max_entangled),
+        "ghz": ("qubit count", 2, ealab.ghz),
+        "random_density": ("rank", 2, lambda x: ealab.random_density((2,), x, 0)),
+        "haar_pure": ("factor dimension", 2, lambda x: ealab.haar_pure((x, 2), 0)),
+        "marginal": ("keep index", 0, lambda x: rho.marginal((x,))),
+        "partial_trace": ("keep index", 0, lambda x: partial_trace(m, (2, 2), (x,))),
+        "partial_transpose": ("transposed index", 0,
+                              lambda x: partial_transpose(m, (2, 2), (x,))),
+        "permute_factors": ("perm", 1, lambda x: permute_factors(m, (2, 2), (x, 0))),
+    }
+    return [pytest.param(*case, id=key) for key, case in cases.items()]
+
+
+@pytest.mark.parametrize("name, good, call", _whole_cases())
+@pytest.mark.parametrize("value", [0.7, 1.5, 2.9, np.nan, np.inf, -np.inf])
+def test_non_integral_counts_are_refused_by_name(name, good, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, good, call", _whole_cases())
+def test_integral_floats_are_accepted(name, good, call):
+    call(float(good))

@@ -1,18 +1,20 @@
-"""Tests for the falsifier's Cholesky screen.
+"""Tests for the Cholesky screen and the one routine that uses it.
 
-A partial transpose that a Cholesky proves above the running minimum skips
-its eigensolve, and an output that a Cholesky proves positive skips the
-positivity eigensolve, matrix by matrix.  Neither may change any field of a
-report.
+``linalg._lowest_eigenvalues`` skips the eigensolve of each matrix that a
+Cholesky proves above a bound: a partial transpose above the falsifier's
+running minimum, or an output proven positive.  It may not change any field
+of a report.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import ealab.criteria
-import ealab.states
+import ealab.linalg
 from ealab import depolarizing, k_lea_falsify, random_channel
-from ealab.linalg import CHOLESKY_MARGIN, MATRIX_ATOL, _screen_above
+from ealab.linalg import CHOLESKY_MARGIN, MATRIX_ATOL, _lowest_eigenvalues, _screen_above
 from ealab.states import _first_invalid_density
 
 BUDGETS = {2: 40, 3: 40, 4: 40, 5: 20, 6: 30, 7: 2}
@@ -42,20 +44,6 @@ def report_fields(report):
 
 def proves_nothing(a, floor):
     return np.zeros(a.shape[:-2], bool)
-
-
-@pytest.fixture
-def eigensolved(monkeypatch):
-    """Number of matrices passed to ``np.linalg.eigvalsh``, one entry per call."""
-    matrices = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return matrices
 
 
 class TestScreenAbove:
@@ -106,13 +94,58 @@ class TestScreenAbove:
         assert np.array_equal(stack, copy)
 
 
+class TestLowestEigenvalues:
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((12, 5, 5)) + 1j * rng.standard_normal((12, 5, 5))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        # shift half of them so that their minima straddle the bounds below
+        return rho - np.arange(12)[:, None, None] % 2 * 0.02 * np.eye(5)
+
+    @pytest.mark.parametrize(
+        "above, n_proven", [(-0.05, 12), (-0.01, 7), (0.0, 7), (0.004, 5), (0.02, 0)]
+    )
+    def test_inf_exactly_where_the_screen_proves_the_bound(self, above, n_proven):
+        a = self.stack()
+        proven = _screen_above(a, above + CHOLESKY_MARGIN)
+        exact = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[:, 0]
+        low = _lowest_eigenvalues(a, above)
+        assert proven.sum() == n_proven
+        assert np.isinf(low).tolist() == proven.tolist()
+        assert (low[~proven] == exact[~proven]).all()
+        assert (exact[proven] > above).all()
+
+    def test_infinite_bound_is_one_eigensolve_and_no_cholesky(self, eigensolved, monkeypatch):
+        screens = []
+        monkeypatch.setattr(ealab.linalg, "_screen_above", lambda *args: screens.append(args))
+        a = self.stack()
+        low = _lowest_eigenvalues(a)
+        assert eigensolved == [len(a)]
+        assert screens == []
+        assert low.shape == (len(a),)
+
+    @pytest.mark.parametrize("above", [math.inf, 0.0])
+    def test_empty_stack_gives_an_empty_result(self, above, eigensolved):
+        low = _lowest_eigenvalues(np.zeros((0, 3, 3), complex), above)
+        assert low.shape == (0,)
+        assert sum(eigensolved) == 0
+
+    @pytest.mark.parametrize("above", [math.inf, 0.0, -MATRIX_ATOL])
+    def test_input_is_left_unchanged(self, above):
+        a = self.stack()
+        copy = a.copy()
+        _lowest_eigenvalues(a, above)
+        assert np.array_equal(a, copy)
+
+
 class TestScreenIsExact:
     @pytest.mark.parametrize("k, name", EXACT_CASES)
     def test_reports_match_the_exact_path_bit_for_bit(self, k, name, monkeypatch):
         single = CHANNELS[name]()
         screened = k_lea_falsify(single, k, budget=BUDGETS[k], seed=7)
-        monkeypatch.setattr(ealab.criteria, "_screen_above", proves_nothing)
-        monkeypatch.setattr(ealab.states, "_screen_above", proves_nothing)
+        monkeypatch.setattr(ealab.linalg, "_screen_above", proves_nothing)
         exact = k_lea_falsify(single, k, budget=BUDGETS[k], seed=7)
         assert report_fields(screened) == report_fields(exact)
 
@@ -128,14 +161,18 @@ class TestScreenIsExact:
     def test_every_skipped_cut_lies_above_the_running_minimum(
         self, single, k, budget, monkeypatch
     ):
+        # the falsifier's cuts, not its positivity checks, which states calls
         calls = []
 
-        def recording(pt, floor):
-            mask = _screen_above(pt, floor)
-            calls.append((pt[mask], floor - CHOLESKY_MARGIN, mask.mean()))
-            return mask
+        def recording(pt, above=math.inf):
+            low = _lowest_eigenvalues(pt, above)
+            if above < math.inf:
+                mask = np.isinf(low)
+                assert (mask == _screen_above(pt, above + CHOLESKY_MARGIN)).all()
+                calls.append((pt[mask], above, mask.mean()))
+            return low
 
-        monkeypatch.setattr(ealab.criteria, "_screen_above", recording)
+        monkeypatch.setattr(ealab.criteria, "_lowest_eigenvalues", recording)
         report = k_lea_falsify(single, k, budget=budget, seed=1)
         # some cut of some batch is skipped only in part
         assert any(0 < share < 1 for _, _, share in calls)

@@ -108,15 +108,30 @@ class TestInvariants:
         assert "Hermitian" in message
         assert _first_invalid_density(stack[:1]) is None
 
-    def test_density_check_names_the_first_failure(self):
+    def test_density_check_names_the_first_failure(self, eigensolved):
         valid = np.eye(2) / 2
-        stack = np.stack([valid, valid, np.diag([1.5, -0.5]), np.eye(2)]).astype(complex)
+        not_psd = np.diag([1.5, -0.5])
+        stack = np.stack([valid, valid, not_psd, np.eye(2)]).astype(complex)
         index, message = _first_invalid_density(stack)
         assert index == 2
         assert "positive semidefinite" in message
         index, message = _first_invalid_density(stack[[0, 3, 2]])
         assert index == 1
         assert "unit trace" in message
+        # no operator after the first invalid one is eigensolved: only the
+        # one not positive semidefinite, and only when it comes first
+        for bad in ([[0.5, 0.1], [0.0, 0.5]], np.diag([np.nan, 0.5])):
+            eigensolved.clear()
+            index, message = _first_invalid_density(
+                np.stack([valid, bad, not_psd, valid]).astype(complex)
+            )
+            assert (index, eigensolved) == (1, [])
+            assert "Hermitian" in message
+            index, message = _first_invalid_density(
+                np.stack([valid, not_psd, bad, valid]).astype(complex)
+            )
+            assert (index, eigensolved) == (1, [1])
+            assert "positive semidefinite" in message
 
     @pytest.mark.parametrize("coefficients", [[np.nan, 0.0], [1.0, np.nan]])
     def test_schmidt_decomposition_rejects_nan(self, coefficients):
@@ -167,7 +182,8 @@ class TestHermiticityCheckedOnce:
         defect_calls.clear()
         effect = np.diag([1.0, 0.5, 0.5, 0.0])
         MeasurePrepare((effect, np.eye(4) - effect), preps)
-        assert len(defect_calls) == 2
+        # one check of the stacked effects
+        assert defect_calls == [(2, 4, 4)]
 
     def test_falsifier_batch(self, defect_calls):
         # one validation of the output stack, then one check per cut's
@@ -181,9 +197,9 @@ class TestHermiticityCheckedOnce:
         bell = max_entangled(2).density()
         defect_calls.clear()
         ea_mixing_channel(0.3 * np.eye(4), bell)
-        # the threshold's PT spectrum, the mixture prepare and the two effects;
-        # neither the effect nor the Choi operator is checked a second time
-        assert len(defect_calls) == 4
+        # the threshold's PT spectrum, the mixture prepare and the stacked
+        # effects; neither an effect nor the Choi operator is checked again
+        assert defect_calls == [(4, 4), (1, 4, 4), (2, 4, 4)]
 
 
 class TestMaxEntangled:
