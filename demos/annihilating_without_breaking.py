@@ -13,7 +13,7 @@ import numpy as np
 
 from ealab import (
     Partition,
-    apply,
+    apply_local,
     choi_of,
     constant_channel,
     depolarizing,
@@ -45,7 +45,7 @@ print("so the pair channel is NOT entanglement-breaking: an outside ancilla")
 print("can stay entangled with the pair after the noise acts.")
 print()
 
-ghz_out = apply(tensor_power(depolarizing(lam, 2), 3), ghz(3))
+ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
 eig = ppt_min_eigenvalue(ghz_out, Partition((0, 1), (2,)))
 print("the witness behind that statement is the GHZ state: treating the")
 print("third qubit as the ancilla and noising it too,")

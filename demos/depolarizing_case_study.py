@@ -16,7 +16,7 @@ import numpy as np
 
 from ealab import (
     Partition,
-    apply,
+    apply_local,
     bisect_threshold,
     depolarizing,
     ghz,
@@ -24,7 +24,6 @@ from ealab import (
     partial_transpose,
     ppt_min_eigenvalue,
     schmidt_pure,
-    tensor_power,
     two_lea_min_eig_depolarizing,
     two_lea_pt_eigenvalues,
     werner,
@@ -63,7 +62,7 @@ print(f"lam = {lam}")
 print(f"{'q0':>6} {'eig1':>10} {'eig2':>10} {'eig+':>10} {'eig-':>10} {'numeric min':>12}")
 for q0 in (0.0, 0.25, 0.5, 0.75, 1.0):
     mu = two_lea_pt_eigenvalues(lam, q0)
-    out = apply(tensor_power(depolarizing(lam, 2), 2), schmidt_pure(q0))
+    out = apply_local(depolarizing(lam, 2), schmidt_pure(q0))
     numeric = np.linalg.eigvalsh(partial_transpose(out.matrix, (2, 2), (1,)))[0]
     print(
         f"{q0:>6.2f} {mu[0]:>10.6f} {mu[1]:>10.6f} {mu[2]:>10.6f} "
@@ -96,7 +95,7 @@ print("4. The GHZ state as the three-party witness")
 print("=" * 72)
 print()
 lam = 1 / np.sqrt(3)
-out = apply(tensor_power(depolarizing(lam, 2), 3), ghz(3))
+out = apply_local(depolarizing(lam, 2), ghz(3))
 for part in (Partition((0,), (1, 2)), Partition((0, 1), (2,))):
     val = ppt_min_eigenvalue(out, part)
     print(f"min PT eigenvalue across {part.label():>5}: {val:+.8f}")

@@ -117,7 +117,7 @@ class MeasurePrepare:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel(np.eye(_whole(d, "dimension"), dtype=complex)[None])
+    return Channel(np.eye(_whole(d, "dimension", 1), dtype=complex)[None])
 
 
 def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channel:
@@ -260,18 +260,21 @@ def tensor_power(e: Channel, k: int) -> Channel:
 
     Raises before allocating when that Kraus stack would exceed
     ``TENSOR_POWER_MAX_BYTES``; ``apply_local`` applies the power site by site
-    without materializing it.
+    without materializing it.  The size grows one factor at a time, so a huge k
+    fails fast.
     """
-    k = _whole(k, "tensor power")
-    if k < 1:
-        raise ValueError(f"tensor power must be at least 1, got {k}")
-    nbytes = 16 * (len(e.kraus) * e.out_dim * e.in_dim) ** k
-    if nbytes > TENSOR_POWER_MAX_BYTES:
-        raise ValueError(
-            f"tensor power {k} would materialize {len(e.kraus) ** k} Kraus "
-            f"operators ({nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}-byte "
-            f"bound); use apply_local to act site by site"
-        )
+    k = _whole(k, "tensor power", 1)
+    nbytes = 16
+    # a factor of more than one entry at least doubles the size, so the bound
+    # is passed within its bit length of factors, or never
+    for j in range(1, min(k, TENSOR_POWER_MAX_BYTES.bit_length()) + 1):
+        nbytes *= len(e.kraus) * e.out_dim * e.in_dim
+        if nbytes > TENSOR_POWER_MAX_BYTES:
+            raise ValueError(
+                f"tensor power {k} would materialize at least {len(e.kraus) ** j} Kraus "
+                f"operators (at least {nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}"
+                f"-byte bound); use apply_local to act site by site"
+            )
     return reduce(tensor, [e] * k)
 
 
@@ -342,7 +345,7 @@ def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
 
 def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Channel:
     """Channel contracting every input state to the fixed state ``omega``."""
-    d = omega.dim if in_dim is None else _whole(in_dim, "in_dim")
+    d = omega.dim if in_dim is None else _whole(in_dim, "in_dim", 1)
     return measure_prepare_channel(MeasurePrepare((np.eye(d, dtype=complex),), (omega,)))
 
 
@@ -350,8 +353,8 @@ def random_channel(
     d_in: int, d_out: int | None = None, kraus_rank: int | None = None, seed=0
 ) -> Channel:
     """Random channel from a Haar-random Stinespring isometry; seed-deterministic."""
-    d_in = _whole(d_in, "d_in")
-    d_out = d_in if d_out is None else _whole(d_out, "d_out")
+    d_in = _whole(d_in, "d_in", 1)
+    d_out = d_in if d_out is None else _whole(d_out, "d_out", 1)
     k = d_in * d_out if kraus_rank is None else _whole(kraus_rank, "kraus_rank")
     if k < 1 or d_out * k < d_in:
         raise ValueError(f"kraus rank {k} too small for a {d_in}->{d_out} isometry")

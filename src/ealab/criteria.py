@@ -45,7 +45,6 @@ from .linalg import (
 from .states import (
     DensityOperator,
     PureState,
-    _check_seed,
     _first_invalid_density,
     _haar_amplitudes,
     ghz,
@@ -345,15 +344,12 @@ def two_lea_verdict_heuristic(
     _check_tol(tol)
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
-    restarts, seed = _whole(restarts, "restarts"), _whole(seed, "seed")
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    restarts, seed = _whole(restarts, "restarts", 0), _whole(seed, "seed", 0)
     if 16 * 16 * (restarts + 2) > _STACK_BYTES:  # complex 4x4 per start
         raise ValueError(
             f"restarts={restarts} needs a stack of {restarts + 2} two-qubit "
             f"density matrices, above the {_STACK_BYTES}-byte bound"
         )
-    _check_seed(seed)
     dims = (2, 2)
     part = Partition((0,), (1,))
     starts = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
@@ -476,10 +472,7 @@ def _falsify(
     no earlier trial is a counterexample, as in a trial-by-trial loop.
     """
     _check_tol(tol)
-    budget, seed = _whole(budget, "budget"), _whole(seed, "seed")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    _check_seed(seed)
+    budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
     parts = bipartitions(len(dims))
@@ -589,9 +582,7 @@ def k_lea_falsify(
     1-dimensional sites, are rejected after a few factors whatever k is,
     before any state is built.
     """
-    k = _whole(k, "k")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    k = _whole(k, "k", 2)
     if single.in_dim != single.out_dim:
         raise ValueError("k-local analysis expects an endomorphic channel")
     _composite_dim(itertools.repeat(single.in_dim, k))  # before k factors are listed

@@ -54,16 +54,22 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _whole(x, name: str) -> int:
-    """``x`` as an int, rejected (NaN and infinities too) unless integral."""
-    if type(x) is int:
-        return x
+def _whole(x, name: str, least: int | None = None) -> int:
+    """``x`` as an int, rejected (NaN and infinities too) unless integral.
+
+    With ``least`` given, a value below it is rejected too: as
+    ``"{name} must be nonnegative"`` when ``least`` is 0, else as
+    ``"{name} must be at least {least}"``.
+    """
     try:
-        n = int(x)
+        n = x if type(x) is int else int(x)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != x:
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if least is not None and n < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {n}")
     return n
 
 
@@ -75,11 +81,13 @@ def dims_product(dims: Sequence[int]) -> int:
 
 
 def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
-    """Factor dimensions as a tuple of positive ints (an int is one factor).
+    """Factor dimensions as a tuple of positive ints (a scalar is one factor).
 
     With ``d`` given, their product must equal it.
     """
-    if isinstance(dims, (int, np.integer)):
+    try:
+        dims = tuple(dims)
+    except TypeError:  # not iterable: a scalar, 0-d arrays included
         dims = (dims,)
     ds = tuple(_whole(x, "factor dimension") for x in dims)
     if not ds or any(x < 1 for x in ds):

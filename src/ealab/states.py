@@ -160,9 +160,7 @@ class SchmidtDecomposition:
 
 def max_entangled(d: int) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> on dims (d, d)."""
-    d = _whole(d, "local dimension")
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
+    d = _whole(d, "local dimension", 2)
     amp = np.zeros(d * d, dtype=complex)
     amp[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(amp, (d, d))
@@ -245,18 +243,18 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u, vh.T)
 
 
-def _check_seed(seed) -> None:
-    """Name a negative seed (or a negative entry of a seed tuple) instead of
-    leaving it to numpy's unnamed message."""
-    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
-    if any(isinstance(s, (int, np.integer)) and s < 0 for s in entries):
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-
-
 def _seeded_rng(seed) -> np.random.Generator:
-    """``numpy.random.default_rng(seed)`` after ``_check_seed``."""
-    _check_seed(seed)
-    return np.random.default_rng(seed)
+    """``numpy.random.default_rng(seed)`` for an integer seed or nested tuples
+    of them, each entry checked by ``_whole``; a negative one names the seed."""
+    def checked(s):
+        if isinstance(s, (tuple, list)):
+            return tuple(checked(x) for x in s)
+        n = _whole(s, "seed")
+        if n < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        return n
+
+    return np.random.default_rng(checked(seed))
 
 
 def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -269,8 +267,7 @@ def haar_pure(dims, seed) -> PureState:
     """Haar-random pure state, deterministic per seed.
 
     Sampled as a normalized vector of i.i.d. standard complex Gaussians.
-    ``seed`` is anything ``numpy.random.default_rng`` accepts (a 64-bit
-    integer in typical use).
+    ``seed`` is a nonnegative integer or a nested tuple of them.
     """
     ds = _factor_dims(dims)
     rng = _seeded_rng(seed)

@@ -7,6 +7,7 @@ per-state API, and the Choi route of ``helpers.apply_via_choi``.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ class TestTensorPowerBound:
         monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 6399)
         with pytest.raises(ValueError, match="6400 bytes"):
             tensor_power(depolarizing(0.5, 2), 2)
+
+    @pytest.mark.parametrize("k", [10**4, 10**18])
+    def test_huge_power_refused_at_once(self, k):
+        # the size is multiplied up factor by factor, never formed as 80**k
+        start = time.perf_counter()
+        message = r"^tensor power \d+ would materialize at least 15625 .*; use apply_local"
+        with pytest.raises(ValueError, match=message):
+            tensor_power(depolarizing(0.5, 2), k)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestBatchedLinalg:

@@ -51,6 +51,40 @@ def test_negative_seed_is_named(sample, shown):
 
 
 @pytest.mark.parametrize(
+    "seed", [1.5, np.nan, np.inf, -np.inf, None, "3", (1.5, 2)], ids=repr
+)
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda s: haar_pure((2,), s),
+        lambda s: ealab.random_channel(2, seed=s),
+        lambda s: random_density((2,), 1, s),
+        lambda s: k_lea_falsify(depolarizing(0.5, 2), 2, budget=1, seed=s),
+        lambda s: ealab.two_lea_verdict_heuristic(depolarizing(0.5, 2), 0, seed=s),
+    ],
+    ids=["haar_pure", "random_channel", "random_density", "k_lea_falsify", "heuristic"],
+)
+def test_non_integral_seed_is_named(sample, seed):
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        sample(seed)
+
+
+@pytest.mark.parametrize("seed", [((101, 0), 7), [[101, 0], 7], (np.int64(3), (4, (5,)))])
+def test_nested_seed_draws_numpys_stream(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(6)
+    v = x[:3] + 1j * x[3:]
+    assert haar_pure(3, seed).amplitudes.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("dims", [2.0, np.float64(2), np.int64(2), np.array(2)])
+def test_scalar_dimension_is_one_factor(dims):
+    psi = haar_pure(dims, 0)
+    assert psi.dims == (2,)
+    assert psi.amplitudes.tobytes() == haar_pure(2, 0).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: werner(1.5), "mixing parameter must lie in [0, 1], got 1.5"),
