@@ -261,12 +261,15 @@ def tensor_power(e: Channel, k: int) -> Channel:
     Raises before allocating when that Kraus stack would exceed
     ``TENSOR_POWER_MAX_BYTES``; ``apply_local`` applies the power site by site
     without materializing it.  The size grows one factor at a time, so a huge k
-    fails fast.
+    fails fast.  A channel whose only Kraus operator is 1x1 (a phase) is
+    returned as it is: every power of it is the same map.
     """
     k = _whole(k, "tensor power", 1)
+    if len(e.kraus) * e.out_dim * e.in_dim == 1:
+        return e
     nbytes = 16
-    # a factor of more than one entry at least doubles the size, so the bound
-    # is passed within its bit length of factors, or never
+    # every factor left has more than one entry and at least doubles the
+    # size, so the bound is passed within its bit length of factors, or never
     for j in range(1, min(k, TENSOR_POWER_MAX_BYTES.bit_length()) + 1):
         nbytes *= len(e.kraus) * e.out_dim * e.in_dim
         if nbytes > TENSOR_POWER_MAX_BYTES:

@@ -11,6 +11,7 @@ variable (flags take precedence).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -298,6 +299,7 @@ def _env_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new ``ealab`` parser on every call, for callers that extend it."""
     parser = argparse.ArgumentParser(
         prog="ealab",
         description=(
@@ -341,8 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses, built by its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one ``ealab`` command line and return its exit code.
+
+    Repeated in-process calls reuse one parser, built on the first call;
+    each call's output and exit code are those of a fresh parser.
+    """
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "falsify":
         args.seed = _env_seed()
     try:

@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ealab.cli
 from ealab.channels import matrix_to_json
 from ealab.cli import CSV_HEADER, SWEEP_MAX_ROWS, build_parser, fmt, main, sweep_row
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 IDENTITY = matrix_to_json(np.eye(2))
 HALF_I = matrix_to_json(np.eye(2) / 2)
@@ -447,3 +454,134 @@ def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["mystery"])
     assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser, built by its first call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self, monkeypatch):
+        monkeypatch.delenv("EA_LAB_SEED", raising=False)
+        ealab.cli._parser.cache_clear()
+        yield
+        ealab.cli._parser.cache_clear()
+
+    @pytest.fixture
+    def specs(self, tmp_path):
+        """Spec paths of a clean (lambda 0.2) and a refuted (lambda 0.6) channel."""
+        specs = {}
+        for name, lam in (("clean", 0.2), ("hit", 0.6)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"kind": "depolarizing", "lambda": lam}))
+            specs[name] = str(path)
+        return specs
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        return tmp_path / "sweep.csv"
+
+    @pytest.fixture
+    def calls(self, specs, csv_path):
+        """Command lines of every subcommand, with exits 0, 1 and 2."""
+        out = str(csv_path)
+        return [
+            ["thresholds"],
+            ["sweep", "--lo", "0.3", "--hi", "0.6", "--step", "0.05", "--out", out],
+            ["falsify", "--spec", specs["hit"], "--k", "3", "--budget", "5", "--seed", "1"],
+            ["thresholds", "--tol", "1e-6"],
+            ["falsify", "--spec", specs["clean"], "--budget", "20"],
+            ["sweep", "--lo", "0.5", "--hi", "0.2", "--step", "0.1", "--out", out],
+            ["falsify", "--spec", specs["clean"], "--budget", "3", "--tol", "nan"],
+            ["sweep", "--lo", "0", "--hi", "1", "--step", "0.25", "--out", out, "--tol", "0.01"],
+            ["falsify", "--spec", specs["clean"], "--k", "3", "--budget", "4", "--seed", "7"],
+        ]
+
+    @staticmethod
+    def run(capsys, csv_path, argv):
+        """Exit code, stdout, stderr and the CSV bytes (None without a file)."""
+        csv_path.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        csv = csv_path.read_bytes() if csv_path.exists() else None
+        return code, captured.out, captured.err, csv
+
+    def test_parser_is_built_once(self, calls, capsys, csv_path, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(ealab.cli, "build_parser", counted)
+        for argv in calls:
+            self.run(capsys, csv_path, argv)
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_interleaved_calls_match_fresh_parsers(self, calls, capsys, csv_path):
+        interleaved = [self.run(capsys, csv_path, argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            ealab.cli._parser.cache_clear()
+            fresh.append(self.run(capsys, csv_path, argv))
+        assert interleaved == fresh
+        assert {code for code, *_ in interleaved} == {0, 1, 2}
+
+    def test_seed_variable_is_read_per_call(self, specs, capsys, monkeypatch):
+        argv = ["falsify", "--spec", specs["clean"], "--budget", "3"]
+        assert run_cli(capsys, *argv, "--seed", "5")[0] == 0
+        for seed in ("3", "9"):
+            monkeypatch.setenv("EA_LAB_SEED", seed)
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, json.loads(out)["seed"]) == (0, int(seed))
+
+    def test_usage_error_leaves_the_parser_working(self, specs, capsys, csv_path):
+        valid = [["thresholds"], ["falsify", "--spec", specs["clean"], "--budget", "5"]]
+        before = [self.run(capsys, csv_path, argv) for argv in valid]
+        for bad in (["falsify", "--spec", specs["clean"], "--workers", "2"], ["mystery"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            after = [self.run(capsys, csv_path, argv) for argv in valid]
+            assert after == before
+            assert {code for code, *_ in after} == {0}
+
+
+class TestModuleEntryPoint:
+    """``python -m ealab`` builds its parser on the process's first call."""
+
+    @staticmethod
+    def python(*args):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_thresholds(self):
+        proc = self.python("-m", "ealab", "thresholds")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN_THRESHOLDS, "")
+
+    def test_workers_flag_exits_2(self, tmp_path):
+        spec = tmp_path / "channel.json"
+        spec.write_text(json.dumps({"kind": "depolarizing", "lambda": 0.6}))
+        proc = self.python("-m", "ealab", "falsify", "--spec", str(spec), "--workers", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--workers" in proc.stderr
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(None)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import ealab.cli\n"
+            "print(len(built))\n"
+        )
+        proc = self.python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

@@ -132,6 +132,20 @@ class TestTensorPowerBound:
             tensor_power(depolarizing(0.5, 2), k)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("k", [10**4, 10**18])
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)], ids=["identity", "phase"])
+    def test_power_of_a_one_by_one_operator_is_the_channel(self, phase, k):
+        # a single 1x1 Kraus operator passes the byte bound at every k
+        single = identity_channel(1) if phase == 1.0 else Channel([[[phase]]])
+        start = time.perf_counter()
+        power = tensor_power(single, k)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(choi_of(power).matrix, choi_of(single).matrix)
+
+    def test_two_one_by_one_operators_stay_bounded(self):
+        with pytest.raises(ValueError, match=r"at least \d+ bytes, .*; use apply_local"):
+            tensor_power(Channel([[[0.6]], [[0.8]]]), 10**4)
+
 
 class TestBatchedLinalg:
     def test_stacked_partial_transpose_and_spectrum(self):
