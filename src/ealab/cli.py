@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import (
     apply,  # unused here; bench/tracing.py wraps cli.apply
     apply_local,
@@ -39,21 +37,18 @@ from .criteria import (
     is_eb,
     k_lea_falsify,
     ppt_min_eigenvalue,
-    ppt_min_eigenvalues,
     ppt_status,
     two_lea_min_eig_depolarizing,
     two_lea_verdict_depolarizing,
 )
 from .linalg import _unit_interval
-from .states import _first_invalid_density, _werner_matrix, ghz
+from .states import ghz
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
 SEED_ENV_VAR = "EA_LAB_SEED"
 # Most rows one sweep may plan: the grid 0..1 at step 1e-5.
 SWEEP_MAX_ROWS = 100_001
-# Rows sweep_rows evaluates as one stack, which bounds its working memory.
-SWEEP_CHUNK_ROWS = 512
 # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
 # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ state
 # against the other two.
@@ -97,38 +92,29 @@ def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
 def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
     """Evaluate every sweep column at each lambda of ``lams``, in order.
 
-    Rows are evaluated ``SWEEP_CHUNK_ROWS`` at a time.  Per chunk, the
-    Werner states form one stack, with one density-operator check, one
-    partial transpose and one batched eigensolve; ``werner_min_eig`` is
-    that of ``werner`` row by row, bit for bit.  The other columns are
-    closed forms evaluated per row.  Each verdict is ``ppt_status`` of a
-    closed form: ``min_mu_2lea``, the Werner minimum (1 - 3 lambda)/4 of
-    ``eb_min_eig_depolarizing``, and ``ghz_mu_3lea`` across the GHZ cut.
+    Every lambda is checked before any row is built.  Each column is a
+    closed form: ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``,
+    the Werner minimum (1 - 3 lambda)/4 of ``eb_min_eig_depolarizing``.
+    Each verdict is ``ppt_status`` of the value its row prints, so a
+    verdict and its value always agree against ``-tol``.
     """
     _check_tol(tol)
     lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
     rows = []
-    for start in range(0, len(lams), SWEEP_CHUNK_ROWS):
-        chunk = lams[start : start + SWEEP_CHUNK_ROWS]
-        wer = _werner_matrix(np.array(chunk)[:, None, None], 2)
-        failure = _first_invalid_density(wer)
-        if failure is not None:
-            raise ValueError(failure[1])
-        wer_low = ppt_min_eigenvalues(wer, (2, 2), _PAIR_CUT)
-        for lam, wer_min in zip(chunk, wer_low):
-            mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
-            eb = eb_min_eig_depolarizing(lam)
-            rows.append(
-                SweepRow(
-                    lam=lam,
-                    min_mu_2lea=mu2,
-                    ghz_mu_3lea=mu3,
-                    werner_min_eig=float(wer_min),
-                    verdict_2lea=ppt_status(mu2, _PAIR_CUT, (2, 2), tol).value,
-                    verdict_eb=ppt_status(eb, _PAIR_CUT, (2, 2), tol).value,
-                    verdict_3lea_ppt=ppt_status(mu3, _GHZ_CUT, (2, 2, 2), tol).value,
-                )
+    for lam in lams:
+        mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
+        eb = eb_min_eig_depolarizing(lam)
+        rows.append(
+            SweepRow(
+                lam=lam,
+                min_mu_2lea=mu2,
+                ghz_mu_3lea=mu3,
+                werner_min_eig=eb,
+                verdict_2lea=ppt_status(mu2, _PAIR_CUT, (2, 2), tol).value,
+                verdict_eb=ppt_status(eb, _PAIR_CUT, (2, 2), tol).value,
+                verdict_3lea_ppt=ppt_status(mu3, _GHZ_CUT, (2, 2, 2), tol).value,
             )
+        )
     return rows
 
 

@@ -179,8 +179,8 @@ def werner(lam: float, d: int = 2) -> DensityOperator:
 
 
 def _werner_matrix(lam, d: int) -> np.ndarray:
-    """``lam * P_+ + (1 - lam) * I/d^2`` with no check, for a float ``lam`` or
-    a stack of them shaped ``(B, 1, 1)``, entry for entry the same arithmetic."""
+    """``lam * P_+ + (1 - lam) * I/d^2`` for a float ``lam``, with no check:
+    the one expression ``werner`` and the extended-range ``depolarizing`` use."""
     return lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
 
 

@@ -4,6 +4,14 @@ import numpy as np
 
 from ealab import DensityOperator, MeasurePrepare, random_density
 
+# Lambdas within rounding of the EB boundary (1 + 4 tol)/3, keyed by tol: a
+# verdict taken from a numerical Choi stack had the wrong sign at each.
+EB_EDGES = {
+    1e-12: [0.33333333333466664],
+    1e-9: [0.33333333466666665],
+    1e-3: [0.33466666666666667, 0.3346666666666667],
+}
+
 
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -159,8 +167,11 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
 
 def reference_sweep_row(lam, tol=1e-9):
     """One sweep row evaluated on its own, through ``werner``, ``apply_local``,
-    ``ppt_verdict`` and ``is_eb``, as the sweep ran before its rows were
-    stacked: the reference ``cli.sweep_rows`` must match byte for byte.
+    ``ppt_verdict`` and ``is_eb``: the engine's reference for
+    ``cli.sweep_rows``.  Every column but ``werner_min_eig`` must match byte
+    for byte.  That one is the engine's Werner eigenvalue here and the
+    closed form (1 - 3 lambda)/4 in the sweep, so the two agree only to
+    rounding.
     """
     from ealab.channels import apply_local, depolarizing
     from ealab.cli import SweepRow

@@ -43,10 +43,9 @@ def test_tracer_installs_and_records_spans(tmp_path, capsys):
     assert summary["linalg.hermitian_eigenvalues.calls"] > 0
 
 
-def test_traced_sweep_builds_no_channel_and_one_stack(tmp_path, capsys):
-    # a 41-row sweep is one chunk: no channel, and one stacked eigensolve
-    # in all (Werner), not through DensityOperator or the scalar
-    # ppt_min_eigenvalue; the verdicts are closed forms
+def test_traced_sweep_builds_no_channel_and_no_stack(tmp_path, capsys):
+    # every sweep column is a closed form: no channel, no state, no partial
+    # transpose and no eigensolve
     tracing = load_tracing()
     tracer = tracing.Tracer()
     out = tmp_path / "sweep.csv"
@@ -61,5 +60,5 @@ def test_traced_sweep_builds_no_channel_and_one_stack(tmp_path, capsys):
     assert summary["channels.Channel.calls"] == 0
     assert summary["states.DensityOperator.calls"] == 0
     assert summary["criteria.ppt_min_eigenvalue.calls"] == 0
-    assert summary["linalg.partial_transpose.calls"] == 1
-    assert summary["linalg.hermitian_eigenvalues.calls"] == 1
+    assert summary["linalg.partial_transpose.calls"] == 0
+    assert summary["linalg.hermitian_eigenvalues.calls"] == 0

@@ -15,6 +15,7 @@ import pytest
 import ealab.cli
 from ealab.channels import matrix_to_json
 from ealab.cli import CSV_HEADER, SWEEP_MAX_ROWS, build_parser, fmt, main, sweep_row
+from helpers import EB_EDGES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,13 +30,6 @@ THREE_LEA_EDGES = {
     0.05: [0.630483164182297],
     0.01: [0.5728310456958045],
     1e-3: [0.5583442936659618],
-}
-# Lambdas within rounding of the EB boundary (1 + 4 tol)/3, keyed by tol: a
-# verdict taken from a numerical Choi stack had the wrong sign at each.
-EB_EDGES = {
-    1e-12: [0.33333333333466664],
-    1e-9: [0.33333333466666665],
-    1e-3: [0.33466666666666667, 0.3346666666666667],
 }
 
 
@@ -159,6 +153,13 @@ class TestSweep:
     def test_row_in_eb_region(self):
         assert sweep_row(0.3).verdict_eb == "SeparableCertified"
 
+    def test_row_printing_eb_value_next_to_its_verdict(self):
+        # (1 - 3 * 0.4)/4 is -0.05 exactly; an eigensolved Werner value once
+        # printed -0.04999999999999993 here beside an Entangled verdict
+        row = sweep_row(0.4, 0.05)
+        assert row.verdict_eb == "Entangled"
+        assert row.werner_min_eig < -0.05
+
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3, 0.01, 0.05])
     def test_verdicts_consistent_with_values(self, tol):
         edges = [*THREE_LEA_EDGES.get(tol, []), *EB_EDGES.get(tol, [])]
@@ -169,13 +170,7 @@ class TestSweep:
             # the exact sign of the Werner minimum (1 - 3 lambda)/4
             eb_entangled = (1 - 3 * Fraction(float(lam))) / 4 < -Fraction(tol)
             assert (row.verdict_eb == "Entangled") == eb_entangled
-
-    def test_eb_verdict_consistent_with_werner_value(self):
-        # The EB verdict comes from the closed form, not from the printed
-        # Werner value; at tol 0.05 the two disagree at lambda = 0.4.
-        for lam in np.linspace(0.0, 1.0, 11):
-            row = sweep_row(lam)
-            assert (row.verdict_eb == "Entangled") == (row.werner_min_eig < -1e-9)
+            assert (row.verdict_eb == "Entangled") == (row.werner_min_eig < -tol)
 
 
 class TestFalsify:

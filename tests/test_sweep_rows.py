@@ -1,16 +1,16 @@
-"""The stacked sweep: ``cli.sweep_rows`` against a row-by-row reference."""
+"""The closed-form sweep: ``cli.sweep_rows`` against a row-by-row engine
+reference, and the exactness of its printed Werner minimum."""
 
 import tracemalloc
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ealab import cli
-from ealab.cli import SWEEP_CHUNK_ROWS, sweep_row, sweep_rows
-from helpers import reference_sweep_row
+from ealab.cli import sweep_row, sweep_rows
+from helpers import EB_EDGES, reference_sweep_row
 
 
 @st.composite
@@ -23,33 +23,41 @@ def grids(draw):
     return lams
 
 
-def csv_lines(rows):
-    return [row.csv() for row in rows]
+# The engine's Werner eigenvalue and the closed form (1 - 3 lambda)/4 differ
+# in their last bits (5.55e-17 against 1.39e-17 at fl(1/3)); the largest
+# difference seen on 20000 random lambdas was 1.7e-16.
+WERNER_ENGINE_ATOL = 1e-15
+
+
+def assert_rows_match_reference(rows, lams, tol):
+    """Every column but ``werner_min_eig`` byte for byte, and that one
+    within ``WERNER_ENGINE_ATOL`` of the engine's eigenvalue."""
+    assert len(rows) == len(lams)
+    for row, lam in zip(rows, lams):
+        ref = reference_sweep_row(lam, tol)
+        fields, ref_fields = row.csv().split(","), ref.csv().split(",")
+        del fields[3], ref_fields[3]
+        assert fields == ref_fields
+        assert abs(row.werner_min_eig - ref.werner_min_eig) <= WERNER_ENGINE_ATOL
 
 
 class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
-    @given(grids(), st.integers(1, 7), st.sampled_from([0.0, 1e-9, 0.05]))
-    def test_csv_bytes_equal_per_row_reference(self, lams, chunk, tol):
-        # a small chunk puts the grid across several chunks
-        with mock.patch.object(cli, "SWEEP_CHUNK_ROWS", chunk):
-            stacked = csv_lines(sweep_rows(lams, tol))
-        assert stacked == [reference_sweep_row(lam, tol).csv() for lam in lams]
+    @given(grids(), st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_csv_equal_per_row_reference(self, lams, tol):
+        assert_rows_match_reference(sweep_rows(lams, tol), lams, tol)
 
-    def test_grid_across_real_chunks(self):
-        # 0 and 1 sit on both sides of the first and second chunk boundaries
-        n = 2 * SWEEP_CHUNK_ROWS + 40
-        lams = list(np.linspace(0.0, 1.0, n))
-        for i in (SWEEP_CHUNK_ROWS - 1, SWEEP_CHUNK_ROWS, 2 * SWEEP_CHUNK_ROWS):
+    def test_long_grid_with_repeated_edges(self):
+        lams = [float(lam) for lam in np.linspace(0.0, 1.0, 1064)]
+        for i in (511, 512, 1024):
             lams[i] = 0.0
             lams[i + 1] = 1.0
-        stacked = csv_lines(sweep_rows(lams))
-        assert len(stacked) == n
-        assert stacked == [reference_sweep_row(float(lam)).csv() for lam in lams]
+        assert_rows_match_reference(sweep_rows(lams, 1e-9), lams, 1e-9)
 
     @pytest.mark.parametrize("lam", [0.0, 1 / 3, 0.5, 1 / np.sqrt(3), 0.5567, 1.0])
     def test_one_row_call(self, lam):
-        assert sweep_row(lam) == sweep_rows([lam])[0] == reference_sweep_row(lam)
+        assert sweep_row(lam) == sweep_rows([lam])[0]
+        assert_rows_match_reference([sweep_row(lam)], [lam], 1e-9)
 
     def test_empty_grid(self):
         assert sweep_rows([]) == []
@@ -70,17 +78,41 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# 2500 rows (five chunks) peak near 1.1 MiB in 512-row chunks, most of it
-# the rows themselves, and near 2.7 MiB as one stack.
+# 2500 rows peak near 0.6 MiB, all of it the rows themselves; the bound is
+# the one the sweep met (1.1 MiB) when it eigensolved a stack per 512 rows.
 SWEEP_PEAK_BOUND = 2 * 2**20
 
 
 class TestBoundedMemory:
     LAMS = list(np.linspace(0.0, 1.0, 2500))
 
-    def test_chunked_peak_is_bounded(self):
+    def test_peak_is_bounded(self):
         assert traced_peak(lambda: sweep_rows(self.LAMS)) < SWEEP_PEAK_BOUND
 
-    def test_one_stack_would_exceed_the_bound(self):
-        with mock.patch.object(cli, "SWEEP_CHUNK_ROWS", len(self.LAMS)):
-            assert traced_peak(lambda: sweep_rows(self.LAMS)) > SWEEP_PEAK_BOUND
+
+class TestWernerColumnExact:
+    """``werner_min_eig`` is (1 - 3 lambda)/4 evaluated as
+    ((1 - 2 lambda) - lambda)/4: on [1/4, 1] the first difference is exact
+    (Sterbenz), so the printed value is the exact value correctly rounded;
+    below 1/4 it is within 2**-55 of it (2.1e-17 at most on 120001 lambdas).
+    """
+
+    GRID = [
+        *np.random.default_rng(17).uniform(0.0, 1.0, 4000).tolist(),
+        *np.random.default_rng(18).uniform(0.0, 0.25, 1000).tolist(),
+        *(lam for edges in EB_EDGES.values() for lam in edges),
+        0.0, 0.25, 1 / 3, 0.5, 1.0,
+    ]
+
+    def exact_rows(self, on_sterbenz_range):
+        rows = [row for row in sweep_rows(self.GRID) if (row.lam >= 0.25) == on_sterbenz_range]
+        assert rows
+        return [(row, (1 - 3 * Fraction(row.lam)) / 4) for row in rows]
+
+    def test_printed_value_is_the_exact_minimum_from_a_quarter(self):
+        for row, exact in self.exact_rows(True):
+            assert row.werner_min_eig == float(exact), row.lam
+
+    def test_printed_value_is_near_the_exact_minimum_below_a_quarter(self):
+        for row, exact in self.exact_rows(False):
+            assert abs(Fraction(row.werner_min_eig) - exact) <= Fraction(2) ** -55, row.lam
