@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
+    _BLOCK_BYTES,
     _adjoint,
     _lowest_eigenvalues,
     _whole,
@@ -42,8 +43,6 @@ CHOI_RANK_TOL = 1e-12
 # complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
 # d holds d^2 + 1 operators of d x d: 252 MB at d = 63.
 TENSOR_POWER_MAX_BYTES = 2**28
-# Largest conjugated block of Kraus rows the trace-preservation check copies.
-_GRAM_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +54,14 @@ class Channel:
     out_dim: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
+        try:
+            empty = len(self.kraus) == 0
+        except TypeError:  # a number, None, or anything else without a length
+            raise ValueError(
+                f"Kraus operators must be a stack of matrices, got "
+                f"{type(self.kraus).__name__}"
+            ) from None
+        if empty:
             raise ValueError("a channel needs at least one Kraus operator")
         try:
             ops = _freeze(self.kraus)
@@ -67,7 +73,7 @@ class Channel:
         # sum K^dag K over blocks of the operators' stacked rows, so that the
         # conjugated copy is one block, not a second stack
         rows = ops.reshape(-1, in_dim)
-        step = max(1, _GRAM_BLOCK_BYTES // (16 * in_dim))
+        step = max(1, _BLOCK_BYTES // (16 * in_dim))
         gram = -np.eye(in_dim, dtype=complex)
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
@@ -183,6 +189,28 @@ def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     return DensityOperator(out, out_dims)
 
 
+@lru_cache(maxsize=None)
+def _contraction_perms(
+    n_axes: int, groups: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Axis permutations for contracting groups of a tensor's axes in turn.
+
+    Axes carry fixed labels ``0 .. n_axes - 1``.  Entry ``i`` moves the
+    labels of ``groups[i]`` to the front, followed by the others in label
+    order: the operand layout of ``np.tensordot`` on a tensor in label
+    order.  The contraction leaves its output axes at the front, where the
+    next permutation picks them up; the last entry restores label order.
+    """
+    order = list(range(n_axes))
+    perms = []
+    for group in groups:
+        front = list(group) + [a for a in range(n_axes) if a not in group]
+        perms.append(tuple(order.index(a) for a in front))
+        order = front
+    perms.append(tuple(order.index(a) for a in range(n_axes)))
+    return tuple(perms)
+
+
 def _apply_sites(kraus: np.ndarray, stack: np.ndarray, sites: int) -> np.ndarray:
     """Apply the map with Kraus stack ``kraus`` to each of ``sites`` factors
     of every operator in a stack.
@@ -190,31 +218,39 @@ def _apply_sites(kraus: np.ndarray, stack: np.ndarray, sites: int) -> np.ndarray
     ``kraus`` has shape ``(n, d_out, d_in)``; pass its conjugate transpose
     ``K^dag`` to apply the adjoint map.  ``stack`` has shape ``(B, D, D)``
     with ``D = d_in ** sites``; the result has shape ``(B, D', D')`` with
-    ``D' = d_out ** sites``.  Each site costs one contraction of the
-    reshaped stack with the superoperator
-    ``S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j])``, unless ``S`` would
-    be more than twice the size of the Kraus stack; then each Kraus operator
-    acts on the ket and bra index of the site in turn.
+    ``D' = d_out ** sites``.  Each site costs one ``np.dot`` of the
+    superoperator ``S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j])``, built
+    once per call, with the stack transposed so that the site's ket and bra
+    axes lead, unless ``S`` would be more than twice the size of the Kraus
+    stack; then each Kraus operator acts on the ket and bra index of the
+    site in turn.  The operands of every ``np.dot`` are those ``np.tensordot``
+    would pass, so the result is too, bit for bit; the stack is moved back
+    to factor order once, at the end.
     """
     n, d_out, d_in = kraus.shape
     batch = stack.shape[0]
     t = stack.reshape((batch,) + (d_in,) * (2 * sites))
+    site_axes = [(1 + s, 1 + sites + s) for s in range(sites)]  # ket, bra
     if d_in * d_out <= 2 * n:
-        sup = np.einsum("nai,nbj->abij", kraus, kraus.conj())
-        for s in range(sites):
-            ket, bra = 1 + s, 1 + sites + s
-            t = np.tensordot(sup, t, axes=([2, 3], [ket, bra]))
-            t = np.moveaxis(t, (0, 1), (ket, bra))
+        sup = np.einsum("nai,nbj->abij", kraus, kraus.conj()).reshape(d_out**2, d_in**2)
+        *perms, last = _contraction_perms(t.ndim, tuple(site_axes))
+        for perm in perms:
+            u = t.transpose(perm)
+            t = np.dot(sup, u.reshape(d_in**2, -1)).reshape((d_out, d_out) + u.shape[2:])
     else:
-        for s in range(sites):
-            ket, bra = 1 + s, 1 + sites + s
+        conj = kraus.conj()
+        groups = tuple((axis,) for pair in site_axes for axis in pair)
+        *perms, last = _contraction_perms(t.ndim, groups)
+        for ket, bra in zip(perms[0::2], perms[1::2]):
+            u = t.transpose(ket)
+            kets, rest = u.reshape(d_in, -1), u.shape[1:]  # one copy for every K
             acc = 0
-            for k in kraus:
-                x = np.moveaxis(np.tensordot(k, t, axes=([1], [ket])), 0, ket)
-                acc = acc + np.moveaxis(np.tensordot(k.conj(), x, axes=([1], [bra])), 0, bra)
+            for k, k_conj in zip(kraus, conj):
+                x = np.dot(k, kets).reshape((d_out,) + rest).transpose(bra)
+                acc = acc + np.dot(k_conj, x.reshape(d_in, -1)).reshape((d_out,) + x.shape[1:])
             t = acc
     d = d_out**sites
-    return t.reshape(batch, d, d)
+    return t.transpose(last).reshape(batch, d, d)
 
 
 def apply_local(single: Channel, state) -> DensityOperator:
@@ -384,6 +420,11 @@ def random_channel(
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """Complex matrix from nested rows of [re, im] pairs of finite numbers.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``; they are refused here,
+    before any check could trip over them.
+    """
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -392,6 +433,8 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ValueError(
             "matrices must be nested row-major arrays of [re, im] pairs"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite numbers, got NaN or an infinity")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

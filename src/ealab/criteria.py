@@ -33,8 +33,10 @@ from .channels import (
     tensor_power,  # unused here; bench/tracing.py wraps criteria.tensor_power
 )
 from .linalg import (
+    _BLOCK_BYTES,
     _adjoint,
     _lowest_eigenvalues,
+    _partial_transposes,
     _symmetrized_eigenvalues,
     _unit_interval,
     _whole,
@@ -46,7 +48,7 @@ from .states import (
     DensityOperator,
     PureState,
     _first_invalid_density,
-    _haar_amplitudes,
+    _haar_rows,
     ghz,
     haar_pure,
     w_state,
@@ -70,6 +72,8 @@ CUT_TIE_ATOL = 1e-12
 # Falsifier batches double from _FIRST_BATCH trials while a stack of their
 # density matrices stays within _STACK_BYTES; a composite too large for one
 # trial to fit is rejected, as are see-saw starts that do not fit together.
+# The partial transposes of a batch are screened as one stack over as many
+# cuts as fit in linalg._BLOCK_BYTES (at least one cut).
 _FIRST_BATCH = 4
 _STACK_BYTES = 2**24
 
@@ -352,12 +356,10 @@ def two_lea_verdict_heuristic(
         )
     dims = (2, 2)
     part = Partition((0,), (1,))
-    starts = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
-    starts += [
-        _haar_amplitudes(np.random.default_rng((seed, r)), 4) for r in range(restarts)
-    ]
+    probes = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
+    haar = _haar_rows([np.random.default_rng((seed, r)) for r in range(restarts)], 4)
     # Per start: current input, input at its lowest value, that value, still falling.
-    psi = np.stack(starts)
+    psi = np.concatenate([probes, haar])
     best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
     for _ in range(SEESAW_MAX_ITER):
         out = _apply_sites(single.kraus, _projectors(psi[live]), 2)
@@ -462,14 +464,16 @@ def _falsify(
 
     ``channel`` acts on each of ``sites`` equal tensor factors of the
     composite with factor dimensions ``dims`` (one site: the whole system).
-    Trials run in batches in index order.  Per batch there is one stacked
-    channel application and, per cut, one stacked partial transpose and one
-    ``linalg._lowest_eigenvalues`` above the running minimum, which
-    eigensolves only what a Cholesky cannot prove unable to change it.
-    Inputs are unit vectors (probes are ``PureState``s, Haar draws are
-    normalized), so their projectors go unchecked; each output batch passes
-    the density check of ``DensityOperator``, and a failure raises only when
-    no earlier trial is a counterexample, as in a trial-by-trial loop.
+    Trials run in batches in index order.  A batch is a few stacked calls:
+    one ``states._haar_rows`` for its Haar trials, one ``_apply_sites`` for
+    the channel, and one ``linalg._lowest_eigenvalues`` above the running
+    minimum over the stacked partial transposes of every cut, or of as many
+    cuts at a time as fit in ``linalg._BLOCK_BYTES``; it eigensolves only
+    what a Cholesky cannot prove unable to change the minimum.  Inputs are
+    unit vectors (probes are ``PureState``s, Haar rows are normalized), so
+    their projectors go unchecked; each output batch passes the density
+    check of ``DensityOperator``, and a failure raises only when no earlier
+    trial is a counterexample, as in a trial-by-trial loop.
     """
     _check_tol(tol)
     budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
@@ -480,22 +484,27 @@ def _falsify(
     n_trials = len(probes) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")
-
-    def amplitudes(t: int) -> np.ndarray:
-        if t < len(probes):
-            return probes[t][1].amplitudes
-        return _haar_amplitudes(np.random.default_rng((seed, t)), dim)
+    probe_amps = np.array([s.amplitudes for _, s in probes], dtype=complex).reshape(-1, dim)
+    flips = [p.second for p in parts]
 
     seen = math.inf
     for trials in _batches(n_trials, cap):
-        amps = np.stack([amplitudes(t) for t in trials])
+        haar = range(max(trials.start, len(probes)), trials.stop)
+        amps = np.concatenate([
+            probe_amps[trials.start : trials.stop],
+            _haar_rows([np.random.default_rng((seed, t)) for t in haar], dim),
+        ])
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
         n = len(trials) if failure is None else failure[0]
-        # Per-cut PT minima before the first failed check.  No earlier batch
-        # hit, so seen >= -tol, and a cut left at +inf cannot change the report.
-        pts = (partial_transpose(out[:n], dims, p.second) for p in parts)
-        lows = np.stack([_lowest_eigenvalues(pt, seen) for pt in pts], axis=1)
+        # PT minima per trial and cut before the first failed check.  No
+        # earlier batch hit, so seen >= -tol, and a cut left at +inf cannot
+        # change the report.
+        group = max(1, _BLOCK_BYTES // (16 * dim * dim * max(n, 1)))
+        lows = np.concatenate([
+            _lowest_eigenvalues(_partial_transposes(out[:n], dims, flips[i : i + group]), seen)
+            for i in range(0, len(flips), group)
+        ], axis=1)
         worst = lows.min(axis=1)
         hits = np.flatnonzero(worst < -tol)
         if hits.size:
@@ -570,14 +579,17 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized.  Per cut (2^(k-1) - 1 partial transposes) and per
-    output positivity check, ``linalg._lowest_eigenvalues`` eigensolves only
-    the matrices a batched Cholesky cannot prove above the running minimum
-    (or zero).  For qubits k up to 7 is practical: with single-threaded BLAS
-    on an x86 server core a no-counterexample trial takes about 0.035 ms at
-    k = 3, 0.07 ms at k = 4, 0.3-0.45 ms at k = 5, 3-6 ms at k = 6 (budget
-    100) and 40-55 ms at k = 7 (budget 30), where the Cholesky of 63 cuts of
-    128x128 matrices dominates.  Composites whose density matrix would
+    never materialized.  Per batch, the Haar rows are drawn as one stack,
+    the channel acts on all inputs in one contraction, and the partial
+    transposes of all 2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues``
+    as one stack (as several when they pass ``linalg._BLOCK_BYTES``), which,
+    like the output positivity check, eigensolves only the matrices a
+    batched Cholesky cannot prove above the running minimum (or zero).  For
+    qubits k up to 7 is practical: with single-threaded BLAS on a 2-vCPU x86
+    server a no-counterexample trial takes about 0.04 ms at k = 3, 0.11 ms
+    at k = 4, 0.7-0.8 ms at k = 5, 7 ms at k = 6 (budget 100) and 57 ms at
+    k = 7 (budget 30), where the Cholesky of 63 cuts of 128x128 matrices
+    dominates.  Composites whose density matrix would
     exceed the falsifier's memory bound (qubits past k = 10), and
     1-dimensional sites, are rejected after a few factors whatever k is,
     before any state is built.

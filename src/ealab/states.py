@@ -257,10 +257,24 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(checked(seed))
 
 
-def _haar_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = rng.standard_normal(2 * dim)  # real parts, then imaginary parts
-    v = x[:dim] + 1j * x[dim:]
-    return v / np.linalg.norm(v)
+def _haar_rows(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    """Haar-random unit vectors ``(len(rngs), dim)``, row ``i`` drawn from
+    ``rngs[i]``: real parts, then imaginary parts, of i.i.d. standard normals.
+
+    Each generator fills its row of one buffer in turn (one generator listed
+    twice draws two rows of its stream).  The rows are assembled and
+    normalized as one stack, with the arithmetic of ``np.linalg.norm`` on one
+    complex vector, ``sqrt(re.dot(re) + im.dot(im))``, which a stacked
+    ``matmul`` of the rows repeats bit for bit; so a row does not depend on
+    the stack it is drawn in.
+    """
+    x = np.empty((len(rngs), 2 * dim))
+    for rng, row in zip(rngs, x):
+        rng.standard_normal(out=row)
+    v = x[:, :dim] + 1j * x[:, dim:]
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
+    return v / norm[:, 0]
 
 
 def haar_pure(dims, seed) -> PureState:
@@ -270,8 +284,7 @@ def haar_pure(dims, seed) -> PureState:
     ``seed`` is a nonnegative integer or a nested tuple of them.
     """
     ds = _factor_dims(dims)
-    rng = _seeded_rng(seed)
-    return PureState(_haar_amplitudes(rng, dims_product(ds)), ds)
+    return PureState(_haar_rows([_seeded_rng(seed)], dims_product(ds))[0], ds)
 
 
 def random_density(dims, rank: int, seed) -> DensityOperator:
@@ -284,8 +297,7 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     m = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        v = _haar_amplitudes(rng, d)
+    for w, v in zip(weights, _haar_rows([rng] * rank, d)):
         m += w * np.outer(v, v.conj())
     return DensityOperator(m, ds)
 

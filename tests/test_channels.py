@@ -93,6 +93,27 @@ class TestChannelType:
         with pytest.raises(ValueError, match=message):
             Channel(kraus)
 
+    @pytest.mark.parametrize(
+        "kraus, name", [(5, "int"), (None, "NoneType"), (0.5, "float"), (np.array(1.0), "ndarray")]
+    )
+    def test_a_value_without_a_length_is_named(self, kraus, name):
+        with pytest.raises(
+            ValueError, match=f"^Kraus operators must be a stack of matrices, got {name}$"
+        ):
+            Channel(kraus)
+
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ((), "a channel needs at least one Kraus operator"),
+            ((np.eye(2), np.eye(3)), "Kraus operators must share one nonempty (out, in) shape"),
+        ],
+    )
+    def test_empty_and_ragged_messages_are_exact(self, kraus, message):
+        with pytest.raises(ValueError) as info:
+            Channel(kraus)
+        assert str(info.value) == message
+
     def test_trace_check_spans_several_blocks(self):
         # 901 operators of 30 x 30: the Gram sum runs over several row blocks
         kraus = depolarizing(0.5, 30).kraus

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,6 +243,30 @@ class TestFalsify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: invalid channel description")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare"])
+    def test_non_finite_entry_is_an_invalid_description(self, kind, value, tmp_path, capsys):
+        # json reads NaN, Infinity and -Infinity; each is refused by name,
+        # before any check of the matrix could warn about it
+        bad = matrix_to_json(np.eye(2))
+        bad[0][0][0] = value
+        choi = matrix_to_json(np.eye(4) / 4)
+        choi[3][3][1] = value
+        payload = {
+            "kraus": {"kind": "kraus", "ops": [bad]},
+            "choi": {"kind": "choi", "out_dim": 2, "in_dim": 2, "matrix": choi},
+            "measure_prepare": {"kind": "measure_prepare", "povm": [bad],
+                                "prepares": [HALF_I]},
+        }[kind]
+        spec = self.write_spec(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "falsify", "--spec", spec, "--budget", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid channel description")
+        assert "finite" in err and "Warning" not in err
 
     @pytest.mark.parametrize(
         "payload",

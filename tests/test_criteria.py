@@ -306,7 +306,7 @@ class TestSeesaw:
         def no_draw(*args):
             raise AssertionError("a start was drawn")
 
-        monkeypatch.setattr(ealab.criteria, "_haar_amplitudes", no_draw)
+        monkeypatch.setattr(ealab.criteria, "_haar_rows", no_draw)
         with pytest.raises(ValueError, match="restarts=65535 needs a stack"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=65535)
         with pytest.raises(ValueError, match="-byte bound"):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ealab.channels
+import ealab.criteria
 from ealab import (
     Channel,
     Partition,
@@ -35,11 +36,19 @@ from ealab import (
     random_channel,
     random_density,
     tensor_power,
+    two_lea_verdict_heuristic,
     w_state,
 )
+from ealab.channels import _apply_sites
 from ealab.cli import main
-from ealab.criteria import CUT_TIE_ATOL, VERDICT_TOL
-from helpers import apply_via_choi, random_hermitian
+from ealab.criteria import _STACK_BYTES, CUT_TIE_ATOL, VERDICT_TOL
+from ealab.linalg import _adjoint, _partial_transposes
+from helpers import (
+    apply_sites_tensordot,
+    apply_via_choi,
+    haar_amplitudes_two_draws,
+    random_hermitian,
+)
 
 channel_args = st.tuples(
     st.integers(1, 4),  # Kraus rank
@@ -109,6 +118,24 @@ class TestApplyLocal:
         assert np.array_equal(apply(power, psi).matrix, apply(power, rho).matrix)
 
 
+class TestSiteContraction:
+    @pytest.mark.parametrize(
+        "d_in, d_out, rank",
+        # rank 1 and (2, 3, 2) act Kraus by Kraus, the rest with the superoperator
+        [(2, 2, 1), (2, 2, 2), (2, 2, 4), (2, 2, 5), (3, 3, 1), (3, 3, 9), (2, 3, 2), (3, 2, 4)],
+    )
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_matches_tensordot_bit_for_bit(self, d_in, d_out, rank, sites):
+        single = random_channel(d_in, d_out, kraus_rank=rank, seed=rank + sites)
+        rng = np.random.default_rng((d_in, d_out, rank, sites))
+        # the map on its input stack, and its adjoint (a strided K^dag, as
+        # the heuristic passes it) on an output stack
+        for kraus, d in ((single.kraus, d_in), (_adjoint(single.kraus), d_out)):
+            stack = np.stack([random_hermitian(d**sites, rng) for _ in range(5)])
+            got = _apply_sites(kraus, stack, sites)
+            assert got.tobytes() == apply_sites_tensordot(kraus, stack, sites).tobytes()
+
+
 class TestTensorPowerBound:
     def test_six_fold_depolarizing_refused_before_allocating(self):
         # 5^6 operators of 64 x 64 complex entries: about 1 GB
@@ -157,6 +184,17 @@ class TestBatchedLinalg:
             single = partial_transpose(m, (2, 2, 2), (0, 2))
             assert np.array_equal(f, single)
             assert np.allclose(e, hermitian_eigenvalues(single), atol=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2)])
+    def test_partial_transposes_of_every_cut_stack_the_single_ones(self, dims):
+        d = math.prod(dims)
+        rng = np.random.default_rng(d)
+        stack = np.stack([random_hermitian(d, rng) for _ in range(3)])
+        flips = [p.second for p in bipartitions(len(dims))] + [(), (0,)]
+        got = _partial_transposes(stack, dims, flips)
+        assert got.shape == (3, len(flips), d, d)
+        for j, flipped in enumerate(flips):
+            assert np.array_equal(got[:, j], partial_transpose(stack, dims, flipped))
 
     def test_stack_with_one_non_hermitian_member_rejected(self):
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -250,6 +288,96 @@ class TestBatchedFalsifier:
         with pytest.raises(ValueError, match="unit trace") as info:
             k_lea_falsify(single, 2, budget=8, seed=fails_first, include_probes=False)
         assert str(info.value).startswith("trial 0: ")
+
+
+class TestBatchedDraw:
+    """Every Haar row the searches evaluate is the one-vector reference draw
+    from ``default_rng((seed, t))``, byte for byte, whatever batch holds it."""
+
+    @staticmethod
+    def evaluated_rows(monkeypatch):
+        """Every input stack the searches project, in call order."""
+        calls = []
+        original = ealab.criteria._projectors
+
+        def recording(amps):
+            calls.append(amps.copy())
+            return original(amps)
+
+        monkeypatch.setattr(ealab.criteria, "_projectors", recording)
+        return calls
+
+    @staticmethod
+    def assert_haar_rows(rows, first, seed, dim):
+        assert len(rows) > first
+        for t in range(first, len(rows)):
+            reference = haar_amplitudes_two_draws(np.random.default_rng((seed, t)), dim)
+            assert rows[t].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("k, budget", [(2, 40), (3, 40), (4, 30), (5, 12)])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_k_lea_falsify(self, k, budget, seed, monkeypatch):
+        calls = self.evaluated_rows(monkeypatch)
+        # entanglement-breaking sites: every trial of the budget is evaluated
+        report = k_lea_falsify(depolarizing(0.3, 2), k, budget=budget, seed=seed)
+        assert not report.found
+        rows = np.concatenate(calls)
+        assert len(rows) == report.trials_used
+        self.assert_haar_rows(rows, report.trials_used - budget, seed, 2**k)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_ea_falsify(self, dims, seed, monkeypatch):
+        d = math.prod(dims)
+        calls = self.evaluated_rows(monkeypatch)
+        # below 1/(d + 1) the depolarizing channel breaks entanglement
+        report = ea_falsify(depolarizing(0.5 / (d + 1), d), dims, budget=40, seed=seed)
+        assert not report.found
+        rows = np.concatenate(calls)
+        assert len(rows) == report.trials_used
+        self.assert_haar_rows(rows, report.trials_used - 40, seed, d)
+
+    @pytest.mark.parametrize("restarts, seed", [(1, 0), (6, 3), (40, 9)])
+    def test_heuristic_restarts(self, restarts, seed, monkeypatch):
+        calls = self.evaluated_rows(monkeypatch)
+        two_lea_verdict_heuristic(depolarizing(0.5, 2), restarts=restarts, seed=seed)
+        # the first round projects every start: GHZ, W, then the restarts
+        starts = calls[0]
+        assert len(starts) == 2 + restarts
+        for r in range(restarts):
+            reference = haar_amplitudes_two_draws(np.random.default_rng((seed, r)), 4)
+            assert starts[2 + r].tobytes() == reference.tobytes()
+
+
+class TestCutStacks:
+    def test_k7_stacks_stay_within_the_stack_bound(self, monkeypatch):
+        shapes = []
+        original = ealab.criteria._lowest_eigenvalues
+
+        def recording(a, above=math.inf):
+            shapes.append(a.shape)
+            assert a.nbytes <= _STACK_BYTES
+            return original(a, above)
+
+        monkeypatch.setattr(ealab.criteria, "_lowest_eigenvalues", recording)
+        report = k_lea_falsify(depolarizing(0.3, 2), 7, budget=4, seed=0, include_probes=False)
+        assert not report.found
+        # every cut of every trial went to the screen exactly once
+        assert sum(math.prod(s[:2]) for s in shapes) == 4 * 63
+        assert all(len(s) == 4 and s[0] == 4 and s[2:] == (128, 128) for s in shapes)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_small_batches_screen_every_cut_in_one_call(self, k, monkeypatch):
+        shapes = []
+        original = ealab.criteria._lowest_eigenvalues
+
+        def recording(a, above=math.inf):
+            shapes.append(a.shape)
+            return original(a, above)
+
+        monkeypatch.setattr(ealab.criteria, "_lowest_eigenvalues", recording)
+        k_lea_falsify(depolarizing(0.3, 2), k, budget=4, seed=0, include_probes=False)
+        assert shapes == [(4, 2 ** (k - 1) - 1, 2**k, 2**k)]
 
 
 class TestFalsifierBoundary:

@@ -220,12 +220,12 @@ class TestHermiticityCheckedOnce:
         assert defect_calls == [(2, 4, 4)]
 
     def test_falsifier_batch(self, defect_calls):
-        # one validation of the output stack, then one check per cut's
-        # partial transpose inside hermitian_eigenvalues
+        # one validation of the output stack, then one check of the stacked
+        # partial transposes of all three cuts inside hermitian_eigenvalues
         single = depolarizing(0.2, 2)
         report = k_lea_falsify(single, 3, budget=4, seed=0, include_probes=False)
         assert not report.found
-        assert defect_calls == [(4, 8, 8)] * 4
+        assert defect_calls == [(4, 8, 8), (4, 3, 8, 8)]
 
     def test_ea_mixing_channel(self, defect_calls):
         bell = max_entangled(2).density()
