@@ -22,6 +22,7 @@ from .linalg import (
     _BLOCK_BYTES,
     _adjoint,
     _lowest_eigenvalues,
+    _projectors,
     _whole,
     as_operator,
     hermitian_eigenvalues,  # unused here; bench/tracing.py wraps it
@@ -77,7 +78,7 @@ class Channel:
         gram = -np.eye(in_dim, dtype=complex)
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
-            gram += block.conj().T @ block
+            gram += _adjoint(block) @ block
         defect = np.max(np.abs(gram))
         if not defect <= MATRIX_ATOL:
             raise ValueError(
@@ -167,7 +168,7 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
 def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:
     """Matrix and factor dims of a state; a unit vector's projector needs no check."""
     if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj()), state.dims
+        return _projectors(state.amplitudes), state.dims
     return state.matrix, state.dims
 
 
@@ -341,7 +342,7 @@ def kraus_from_choi(omega: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
     numerically stable.  ``omega`` itself is not checked.
     """
     m = as_operator(omega)
-    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    evals, vecs = np.linalg.eigh((m + _adjoint(m)) / 2)
     keep = evals > CHOI_RANK_TOL
     ops = np.sqrt(in_dim * evals[keep]) * vecs[:, keep]
     return ops.T.reshape(-1, out_dim, in_dim)

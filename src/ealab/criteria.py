@@ -14,7 +14,6 @@ to be sufficient; everywhere else the verdict is Inconclusive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +36,7 @@ from .linalg import (
     _adjoint,
     _lowest_eigenvalues,
     _partial_transposes,
+    _projectors,
     _symmetrized_eigenvalues,
     _unit_interval,
     _whole,
@@ -99,8 +99,8 @@ class Partition:
     second: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted({_whole(i, "partition index") for i in self.first}))
-        b = tuple(sorted({_whole(i, "partition index") for i in self.second}))
+        a = tuple(sorted({_whole(i, "partition index", 0) for i in self.first}))
+        b = tuple(sorted({_whole(i, "partition index", 0) for i in self.second}))
         if not a or not b:
             raise ValueError("both partition blocks must be nonempty")
         if set(a) & set(b):
@@ -121,10 +121,16 @@ class Partition:
         )
 
     def block_dims(self, dims: Sequence[int]) -> tuple[int, int]:
-        return (
-            dims_product([dims[i] for i in self.first]),
-            dims_product([dims[i] for i in self.second]),
-        )
+        # caught, not tested for: the sweep calls this three times per row
+        try:
+            return (
+                dims_product([dims[i] for i in self.first]),
+                dims_product([dims[i] for i in self.second]),
+            )
+        except IndexError:
+            raise ValueError(
+                f"partition {self.label()} names a factor outside dims {tuple(dims)}"
+            ) from None
 
 
 def bipartitions(n: int) -> tuple[Partition, ...]:
@@ -190,15 +196,8 @@ def _check_tol(tol: float) -> None:
 
 def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     """Smallest eigenvalue of the partial transpose over the second block."""
-    return float(ppt_min_eigenvalues(rho.matrix, rho.dims, part))
-
-
-def ppt_min_eigenvalues(stack: np.ndarray, dims: Sequence[int], part: Partition) -> np.ndarray:
-    """``ppt_min_eigenvalue`` of each operator of a stack ``(..., D, D)`` of
-    valid density matrices with factor dimensions ``dims``: one partial
-    transpose and one batched eigensolve for the whole stack."""
-    part.validate_for(len(dims))
-    return _lowest_eigenvalues(partial_transpose(stack, dims, part.second))
+    part.validate_for(len(rho.dims))
+    return float(_lowest_eigenvalues(partial_transpose(rho.matrix, rho.dims, part.second)))
 
 
 def ppt_status(
@@ -382,17 +381,6 @@ def two_lea_verdict_heuristic(
 # ---------------------------------------------------------------------------
 
 
-def _projectors(amps: np.ndarray) -> np.ndarray:
-    """Projectors onto each row of a stack of unit vectors, ``(S, D, D)``."""
-    return amps[:, :, None] * amps.conj()[:, None, :]
-
-
-def _permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Vector whose factor ``perm[k]`` was at position ``k`` of the input."""
-    inv = np.argsort(perm)
-    return vec.reshape([dims[p] for p in perm]).transpose(inv).reshape(-1)
-
-
 def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     """Maximally entangled state across one bipartition of a composite.
 
@@ -405,8 +393,10 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     m = min(d_a, d_b)
     mat = np.zeros((d_a, d_b), dtype=complex)
     mat[np.arange(m), np.arange(m)] = 1.0 / np.sqrt(m)
+    # the blocks' factors, first block then second, back in factor order
     perm = part.first + part.second
-    return PureState(_permute_vector(mat.reshape(-1), ds, perm), ds)
+    amp = mat.reshape([ds[p] for p in perm]).transpose(np.argsort(perm)).reshape(-1)
+    return PureState(amp, ds)
 
 
 def _falsifier_probes(
@@ -597,7 +587,7 @@ def k_lea_falsify(
     k = _whole(k, "k", 2)
     if single.in_dim != single.out_dim:
         raise ValueError("k-local analysis expects an endomorphic channel")
-    _composite_dim(itertools.repeat(single.in_dim, k))  # before k factors are listed
+    _composite_dim(single.in_dim for _ in range(k))
     return _falsify(single, k, (single.in_dim,) * k, budget, seed, tol, include_probes)
 
 

@@ -44,23 +44,28 @@ _BLOCK_BYTES = 2**17
 def as_operator(m) -> np.ndarray:
     """Coerce input to a square complex matrix."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _as_stack(a, "a square matrix")
 
 
-def _as_stack(m) -> np.ndarray:
-    """Coerce input to a complex square matrix or a stack of them."""
+def _as_stack(m, expected: str = "a square matrix or a stack of them") -> np.ndarray:
+    """Coerce input to a complex square matrix or a stack of them: the one
+    square-shape test; ``expected`` names the input in its error."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(
-            f"expected a square matrix or a stack of them, got shape {a.shape}"
-        )
+        raise ValueError(f"expected {expected}, got shape {a.shape}")
     return a
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """Projector onto each unit vector of a stack ``(..., D)``, as ``(..., D, D)``;
+    one vector ``(D,)`` gives one matrix."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
 
 
 def _whole(x, name: str, least: int | None = None) -> int:

@@ -17,8 +17,10 @@ from .linalg import (
     _factor_dims,
     _factor_subset,
     _lowest_eigenvalues,
+    _projectors,
     _unit_interval,
     _whole,
+    as_operator,
     dims_product,
     hermiticity_defect,
     partial_trace,
@@ -69,8 +71,7 @@ class PureState:
 
     def density(self) -> "DensityOperator":
         """Rank-one projector onto this state."""
-        m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(m, self.dims)
+        return DensityOperator(_projectors(self.amplitudes), self.dims)
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -84,9 +85,7 @@ class DensityOperator:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = as_operator(self.matrix)
         ds = _factor_dims(self.dims, m.shape[0])
         failure = _first_invalid_density(m[None])
         if failure is not None:
@@ -168,13 +167,13 @@ def max_entangled(d: int) -> PureState:
 
 def max_entangled_projector(d: int) -> np.ndarray:
     """Projector matrix onto the maximally entangled state."""
-    amp = max_entangled(d).amplitudes
-    return np.outer(amp, amp.conj())
+    return _projectors(max_entangled(d).amplitudes)
 
 
 def werner(lam: float, d: int = 2) -> DensityOperator:
     """Werner state ``lam * P_+  +  (1 - lam) * (I/d) ox (I/d)``."""
     lam = _unit_interval(lam, "mixing parameter")
+    d = _whole(d, "local dimension", 2)
     return DensityOperator(_werner_matrix(lam, d), (d, d))
 
 
@@ -298,7 +297,7 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     weights = rng.dirichlet(np.ones(rank))
     m = np.zeros((d, d), dtype=complex)
     for w, v in zip(weights, _haar_rows([rng] * rank, d)):
-        m += w * np.outer(v, v.conj())
+        m += w * _projectors(v)
     return DensityOperator(m, ds)
 
 

@@ -572,6 +572,10 @@ class TestChoi:
             out = apply(e, rho)
             assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
+    def test_rejects_choi_without_two_factors(self):
+        with pytest.raises(ValueError, match=r"^Choi operator needs dims \(out, in\), got \(2, 2, 2\)$"):
+            channel_from_choi(DensityOperator(np.eye(8) / 8, (2, 2, 2)))
+
     def test_rejects_non_channel_choi(self):
         # valid state, but its output marginal is not maximally mixed
         skew = DensityOperator(np.diag([0.7, 0.1, 0.1, 0.1]), (2, 2))
@@ -636,6 +640,26 @@ class TestMeasurePrepare:
         for seed in range(3):
             rho = random_density((2, 2), rank=3, seed=(20, seed))
             assert np.max(np.abs(apply(e, rho).matrix - target.matrix)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "povm, prepares, message",
+        [
+            ((np.eye(2),), (), "need matching nonempty POVM and prepare lists"),
+            ((), (), "need matching nonempty POVM and prepare lists"),
+            ((np.eye(2), np.eye(3)), ("half", "half"), "POVM effects must share one dimension"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), ("half", "third"),
+             "prepared states must share one dimension"),
+        ],
+        ids=["unmatched", "empty", "effect-sizes", "prepare-sizes"],
+    )
+    def test_shape_messages(self, povm, prepares, message):
+        states = {
+            "half": DensityOperator(np.eye(2) / 2, (2,)),
+            "third": DensityOperator(np.eye(3) / 3, (3,)),
+        }
+        with pytest.raises(ValueError) as exc:
+            MeasurePrepare(povm, tuple(states[p] for p in prepares))
+        assert str(exc.value) == message
 
     def test_povm_must_sum_to_identity(self):
         with pytest.raises(ValueError, match="sum to the identity"):
@@ -716,6 +740,30 @@ class TestJsonSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
             channel_from_spec({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([{"kind": "depolarizing"}], "channel description must be an object with a 'kind' field"),
+            ({"lambda": 0.5}, "channel description must be an object with a 'kind' field"),
+            ({"kind": "depolarizing", "d": 2}, "depolarizing description needs a 'lambda' field"),
+            ({"kind": "kraus", "ops": []}, "kraus description needs a nonempty 'ops' list"),
+            ({"kind": "kraus"}, "kraus description needs a nonempty 'ops' list"),
+            ({"kind": "choi", "out_dim": 2, "in_dim": 2}, "choi description needs a 'matrix' field"),
+            ({"kind": "choi", "in_dim": 2, "matrix": matrix_to_json(np.eye(4) / 4)},
+             "choi description needs a 'out_dim' field"),
+            ({"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))]},
+             "measure_prepare description needs 'povm' and 'prepares' lists"),
+            ({"kind": "measure_prepare", "povm": [], "prepares": [matrix_to_json(np.eye(2) / 2)]},
+             "measure_prepare description needs 'povm' and 'prepares' lists"),
+        ],
+        ids=["not-an-object", "no-kind", "no-lambda", "empty-ops", "no-ops", "choi-no-matrix",
+             "choi-no-out_dim", "no-prepares", "empty-povm"],
+    )
+    def test_incomplete_description_is_named(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            channel_from_spec(spec)
+        assert str(exc.value) == message
 
     def test_non_tp_kraus_rejected(self):
         spec = {"kind": "kraus", "ops": [matrix_to_json(np.eye(2) * 0.5)]}

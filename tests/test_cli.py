@@ -322,6 +322,10 @@ class TestFalsify:
             ({"kind": "depolarizing", "lambda": 0.6}, "100000", "bytes"),
             ({"kind": "depolarizing", "lambda": 0.6}, "3000000", "bytes"),
             ({"kind": "depolarizing", "lambda": 0.6}, str(10**9), "bytes"),
+            # past a C ssize_t: the pre-check lists a bounded number of factors
+            ({"kind": "depolarizing", "lambda": 0.6}, str(2**63), "bytes"),
+            ({"kind": "depolarizing", "lambda": 0.6}, str(10**30), "bytes"),
+            ({"kind": "kraus", "ops": [[[[1, 0]]]]}, str(10**30), "dimension >= 2"),
         ],
     )
     def test_k_is_bounded_before_any_work(self, payload, k, message, tmp_path, capsys):
@@ -360,6 +364,18 @@ class TestFalsify:
         assert code == 2
         assert out == ""
         assert err == "error: seed must be nonnegative, got -1\n"
+
+    def test_non_integer_env_seed_warns_and_falls_back_to_zero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.3})
+        argv = ["falsify", "--spec", spec, "--k", "3", "--budget", "6"]
+        _, explicit, _ = run_cli(capsys, *argv, "--seed", "0")
+        monkeypatch.setenv("EA_LAB_SEED", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == "warning: ignoring non-integer EA_LAB_SEED='abc'\n"
+        assert out == explicit and json.loads(out)["seed"] == 0
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.6, "d": 2})

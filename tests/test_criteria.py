@@ -50,6 +50,7 @@ from ealab.criteria import (
     BISECTION_TOL,
     SEESAW_MAX_ITER,
     VERDICT_TOL,
+    ThresholdResult,
     eb_min_eig_depolarizing,
 )
 from helpers import (
@@ -73,6 +74,13 @@ class TestPartition:
     def test_coverage_check(self):
         with pytest.raises(ValueError, match="cover"):
             ppt_min_eigenvalue(random_density((2, 2, 2), 2, seed=0), SPLIT_12)
+
+    @pytest.mark.parametrize("part", [Partition((0,), (3,)), Partition((2,), (0, 1))])
+    def test_block_dims_outside_the_factors(self, part):
+        with pytest.raises(
+            ValueError, match=rf"^partition {part.label()} names a factor outside dims \(2, 2\)$"
+        ):
+            part.block_dims((2, 2))
 
     def test_bipartitions_count(self):
         assert len(bipartitions(2)) == 1
@@ -297,6 +305,10 @@ class TestSeesaw:
         assert v.status is Verdict.ENTANGLED
         assert v.witness_min_eig == pytest.approx(two_lea_min_eig_depolarizing(0.8), abs=1e-12)
 
+    def test_non_qubit_channel_rejected(self):
+        with pytest.raises(ValueError, match="^heuristic search expects a qubit-to-qubit channel$"):
+            two_lea_verdict_heuristic(depolarizing(0.5, 3), restarts=0)
+
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=-1)
@@ -410,6 +422,18 @@ class TestBisection:
         with pytest.raises(ValueError, match="same sign"):
             bisect_threshold(lambda x: x + 1.0, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bracket", [(0.5, 0.5), (0.6, 0.5)])
+    def test_empty_bracket_rejected(self, bracket):
+        with pytest.raises(
+            ValueError, match=rf"^bracket must satisfy lo < hi, got \({bracket[0]}, {bracket[1]}\)$"
+        ):
+            bisect_threshold(lambda x: x - 0.55, bracket)
+
+    @pytest.mark.parametrize("root", [0.25, 0.75])
+    def test_zero_at_an_endpoint_is_a_degenerate_bracket(self, root):
+        res = bisect_threshold(lambda x: x - root, (0.25, 0.75), tol=1e-6, criterion_id="edge")
+        assert res == ThresholdResult(root, (root, root), 1e-6, "edge", degenerate_bracket=True)
+
     def test_nan_criterion_rejected(self):
         def crit(x):
             return x - 0.7 if x <= 0.5 else math.nan
@@ -498,6 +522,10 @@ class TestEaMixingChannel:
     def test_effect_above_threshold_rejected(self):
         with pytest.raises(ValueError, match="mixing threshold"):
             ea_mixing_channel(0.4 * np.eye(4), max_entangled(2).density())
+
+    def test_omega_must_be_two_qubit(self):
+        with pytest.raises(ValueError, match="^the prepared state must be a two-qubit state$"):
+            ea_mixing_channel(np.zeros((4, 4)), werner(0.5, 3))
 
     def test_effect_must_be_positive(self):
         with pytest.raises(ValueError, match="positive semidefinite"):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ealab.criteria
 from ealab import (
     Partition,
     apply,
@@ -15,6 +16,7 @@ from ealab import (
     identity_channel,
     k_lea_falsify,
     ppt_min_eigenvalue,
+    random_channel,
     tensor_power,
 )
 
@@ -132,3 +134,30 @@ class TestFalsifier:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             k_lea_falsify(depolarizing(0.5, 2), 1, budget=1, seed=0)
+
+    @pytest.mark.parametrize("k", [2**63, 10**30])
+    def test_huge_k_is_refused_before_any_state(self, k, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(ealab.criteria, "_falsify", no_search)
+        with pytest.raises(ValueError, match="above the falsifier's 16777216-byte bound"):
+            k_lea_falsify(depolarizing(0.5, 2), k)
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            (lambda: ea_falsify(random_channel(4, 2, seed=0), (2, 2)),
+             "entanglement annihilation concerns channels from a composite system to "
+             "itself; got a dimension-changing channel"),
+            (lambda: ea_falsify(identity_channel(4), (4,)),
+             "falsification needs a composite system (>= 2 factors)"),
+            (lambda: k_lea_falsify(random_channel(2, 3, seed=0), 2),
+             "k-local analysis expects an endomorphic channel"),
+        ],
+        ids=["dimension-changing", "single-factor", "non-endomorphic"],
+    )
+    def test_unfit_channel_or_system_is_named(self, search, message):
+        with pytest.raises(ValueError) as exc:
+            search()
+        assert str(exc.value) == message

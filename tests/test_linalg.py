@@ -60,6 +60,28 @@ def test_kron_rejects_non_matrices(bad):
         kron(np.eye(2), bad)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ealab.linalg.as_operator(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: ealab.linalg.as_operator(np.ones((1, 2, 2))),
+         "expected a square matrix, got shape (1, 2, 2)"),
+        (lambda: ealab.linalg.as_operator(np.ones((0, 0))), "expected a square matrix, got shape (0, 0)"),
+        (lambda: hermitian_eigenvalues(np.ones((3, 2, 3))),
+         "expected a square matrix or a stack of them, got shape (3, 2, 3)"),
+        (lambda: partial_transpose(np.ones(4), (2, 2), (1,)),
+         "expected a square matrix or a stack of them, got shape (4,)"),
+        (lambda: kron_all([]), "kron_all needs at least one operator"),
+    ],
+    ids=["operator-rectangular", "operator-stack", "operator-empty", "stack-rectangular",
+         "stack-vector", "kron_all-empty"],
+)
+def test_shape_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_kron_all_matches_pairwise():
     rng = np.random.default_rng(4)
     ops = [rng.standard_normal((2, 2)) for _ in range(3)]
@@ -217,9 +239,10 @@ def _whole_cases():
         "random_channel d_out": ("d_out", 2, 1, lambda x: ealab.random_channel(2, x)),
         "kraus_rank": ("kraus_rank", 2, 1, lambda x: ealab.random_channel(2, kraus_rank=x)),
         "constant_channel": ("in_dim", 2, 1, lambda x: ealab.constant_channel(rho, x)),
-        "Partition": ("partition index", 0, None, lambda x: ealab.Partition((x,), (1,))),
+        "Partition": ("partition index", 0, 0, lambda x: ealab.Partition((x,), (1,))),
         "bipartitions": ("factor count", 2, 2, ealab.bipartitions),
         "max_entangled": ("local dimension", 2, 2, ealab.max_entangled),
+        "werner": ("local dimension", 2, 2, lambda x: ealab.werner(0.3, x)),
         "ghz": ("qubit count", 2, 2, ealab.ghz),
         "random_density": ("rank", 2, 1, lambda x: ealab.random_density((2,), x, 0)),
         "haar_pure": ("factor dimension", 2, 1, lambda x: ealab.haar_pure((x, 2), 0)),

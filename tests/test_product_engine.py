@@ -256,6 +256,16 @@ class TestBatchedFalsifier:
         assert max(lows) - min(lows) < CUT_TIE_ATOL
         assert report.min_eig_seen == pytest.approx(min(lows), abs=1e-15)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_the_lowest_cut_is_named_not_the_first_negative_one(self, seed):
+        # noiseless sites, no probes: Haar trial 0 is entangled across every
+        # cut, and at these seeds its lowest cut is not the first
+        report = k_lea_falsify(identity_channel(2), 3, budget=1, seed=seed, include_probes=False)
+        parts = bipartitions(3)
+        lows = [ppt_min_eigenvalue(report.counterexample.density(), p) for p in parts]
+        assert max(lows) < -VERDICT_TOL and lows[0] > min(lows) + CUT_TIE_ATOL
+        assert report.counterexample_partition == parts[int(np.argmin(lows))]
+
     @pytest.mark.parametrize("k, budget", [(5, 6), (6, 2)])
     @pytest.mark.parametrize("lam", [0.2, 1 / 3])
     def test_entanglement_breaking_sites_never_entangle(self, k, budget, lam):

@@ -95,6 +95,12 @@ def test_scalar_dimension_is_one_factor(dims):
         (lambda: schmidt(ghz(3), (0, 3)), "left block (0, 3) out of range for 3 factors"),
         (lambda: ghz(1), "need at least 2 qubits, got 1"),
         (lambda: w_state(0), "need at least 2 qubits, got 0"),
+        (lambda: SchmidtDecomposition([0.8, 0.5], np.eye(2), np.eye(2)),
+         "squared coefficients must sum to one"),
+        (lambda: DensityOperator(np.ones((2, 3)) / 2, (2,)),
+         "expected a square matrix, got shape (2, 3)"),
+        (lambda: DensityOperator(np.eye(2)[None] / 2, (2,)),
+         "expected a square matrix, got shape (1, 2, 2)"),
     ],
 )
 def test_range_and_index_messages(build, message):

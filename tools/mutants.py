@@ -1,0 +1,178 @@
+"""Mutation gate: every mutant in the table must be killed by its tests.
+
+Each mutant is an exact text substitution in one file under ``src/ealab``,
+listed with the tests that must kill it (test files, or pytest node ids
+where a file holds a slow test the mutant does not need).  The gate copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory, runs
+the listed tests once unmutated, then applies each mutant in turn and runs
+its tests with ``pytest -x``.  The gate fails, and prints the mutant's diff,
+when a pattern does not occur exactly once (the table has rotted) or when a
+mutant's tests all pass (a test is missing).  Never make a mutant die by
+editing a test's assertion: a survivor means a test to add.  List tests that
+kill a mutant on every run: a hypothesis search draws new examples each time,
+so it may find a mutant once and miss it the next time.
+
+Usage, from the repository root::
+
+    python3 tools/mutants.py
+
+Exit status 0 when every mutant is killed, 1 otherwise.  The file
+name keeps it out of pytest collection: it is not a tier-1 test.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "screen-margin-sign",
+        "src/ealab/linalg.py",
+        "else ~_screen_above(a, above + CHOLESKY_MARGIN)",
+        "else ~_screen_above(a, above - CHOLESKY_MARGIN)",
+        (
+            "tests/test_screen.py::TestScreenIsExact::"
+            "test_every_skipped_cut_lies_above_the_running_minimum",
+            "tests/test_screen.py::TestPositivityScreen",
+        ),
+    ),
+    Mutant(
+        "cut-tie-rule-dropped",
+        "src/ealab/criteria.py",
+        "if low < -tol and low <= worst[h] + CUT_TIE_ATOL",
+        "if low < -tol",
+        (
+            "tests/test_product_engine.py::TestBatchedFalsifier::"
+            "test_the_lowest_cut_is_named_not_the_first_negative_one",
+        ),
+    ),
+    Mutant(
+        "eb-min-eig-one-minus-three-lambda",
+        "src/ealab/criteria.py",
+        "return ((1.0 - 2.0 * lam) - lam) / 4.0",
+        "return (1.0 - 3.0 * lam) / 4.0",
+        ("tests/test_criteria.py::TestEbMinEig",),
+    ),
+    Mutant(
+        "seesaw-second-partial-transpose-dropped",
+        "src/ealab/criteria.py",
+        "flip = partial_transpose(_projectors(vecs[falls, :, 0]), dims, (1,))",
+        "flip = _projectors(vecs[falls, :, 0])",
+        ("tests/test_criteria.py::TestSeesaw",),
+    ),
+    Mutant(
+        "projectors-without-conj",
+        "src/ealab/linalg.py",
+        "amps[..., :, None] * amps.conj()[..., None, :]",
+        "amps[..., :, None] * amps[..., None, :]",
+        ("tests/test_states.py",),
+    ),
+    Mutant(
+        "as-stack-accepts-non-square",
+        "src/ealab/linalg.py",
+        "if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:",
+        "if a.ndim < 2 or a.shape[-1] < 1:",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "ppt-min-eigenvalue-unvalidated-partition",
+        "src/ealab/criteria.py",
+        "    part.validate_for(len(rho.dims))\n"
+        "    return float(_lowest_eigenvalues(",
+        "    return float(_lowest_eigenvalues(",
+        ("tests/test_criteria.py::TestPartition",),
+    ),
+)
+
+
+def _pytest(work: Path, tests, env) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+
+
+def _diff(m: Mutant, before: str, after: str) -> str:
+    lines = difflib.unified_diff(
+        before.splitlines(keepends=True), after.splitlines(keepends=True),
+        f"a/{m.path}", f"b/{m.path}", n=1,
+    )
+    return "".join(lines)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="ealab-mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        # the copy, not an installed ealab, must be the one the tests import
+        where = subprocess.run(
+            [sys.executable, "-c", "import ealab; print(ealab.__file__)"],
+            cwd=work, env=env, capture_output=True, text=True,
+        ).stdout.strip()
+        if not Path(where).resolve().is_relative_to(work.resolve()):
+            print(f"FAIL: the tests import ealab from {where!r}, not from the copy")
+            return 1
+
+        start = time.perf_counter()
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        base = _pytest(work, tests, env)
+        if base.returncode != 0:
+            print("FAIL: the listed tests do not pass unmutated\n" + base.stdout[-4000:])
+            return 1
+        print(f"unmutated: {len(tests)} test selections pass ({time.perf_counter() - start:.1f} s)")
+
+        failed = []
+        for m in MUTANTS:
+            path = work / m.path
+            before = path.read_text()
+            count = before.count(m.old)
+            if count != 1:
+                print(f"FAIL {m.name}: pattern occurs {count} times in {m.path}, not once")
+                print(_diff(m, m.old, m.new), end="")
+                failed.append(m.name)
+                continue
+            after = before.replace(m.old, m.new)
+            path.write_text(after)
+            t0 = time.perf_counter()
+            try:
+                run = _pytest(work, m.tests, env)
+            finally:
+                path.write_text(before)
+            elapsed = time.perf_counter() - t0
+            if run.returncode == 1:  # pytest's code for failed tests
+                print(f"killed   {m.name} ({elapsed:.1f} s)")
+            else:
+                why = "survived" if run.returncode == 0 else f"pytest exited {run.returncode}"
+                print(f"FAIL {m.name}: {why} ({elapsed:.1f} s)\n{_diff(m, before, after)}")
+                if run.returncode != 0:
+                    print(run.stdout[-2000:] + run.stderr[-2000:])
+                failed.append(m.name)
+
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed in {total:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
