@@ -305,9 +305,7 @@ def tensor_power(e: Channel, k: int) -> Channel:
     if len(e.kraus) * e.out_dim * e.in_dim == 1:
         return e
     nbytes = 16
-    # every factor left has more than one entry and at least doubles the
-    # size, so the bound is passed within its bit length of factors, or never
-    for j in range(1, min(k, TENSOR_POWER_MAX_BYTES.bit_length()) + 1):
+    for j in range(1, k + 1):
         nbytes *= len(e.kraus) * e.out_dim * e.in_dim
         if nbytes > TENSOR_POWER_MAX_BYTES:
             raise ValueError(

@@ -49,11 +49,6 @@ DEFAULT_BUDGET = 1000
 SEED_ENV_VAR = "EA_LAB_SEED"
 # Most rows one sweep may plan: the grid 0..1 at step 1e-5.
 SWEEP_MAX_ROWS = 100_001
-# The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
-# depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ state
-# against the other two.
-_PAIR_CUT = Partition((0,), (1,))
-_GHZ_CUT = Partition((0,), (1, 2))
 
 CSV_HEADER = (
     "lambda,min_mu_2lea,ghz_mu_3lea,werner_min_eig,"
@@ -104,15 +99,18 @@ def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
     for lam in lams:
         mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
         eb = eb_min_eig_depolarizing(lam)
+        # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
+        # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
+        # state against the other two, with block dimensions 2x2 and 2x4.
         rows.append(
             SweepRow(
                 lam=lam,
                 min_mu_2lea=mu2,
                 ghz_mu_3lea=mu3,
                 werner_min_eig=eb,
-                verdict_2lea=ppt_status(mu2, _PAIR_CUT, (2, 2), tol).value,
-                verdict_eb=ppt_status(eb, _PAIR_CUT, (2, 2), tol).value,
-                verdict_3lea_ppt=ppt_status(mu3, _GHZ_CUT, (2, 2, 2), tol).value,
+                verdict_2lea=ppt_status(mu2, (2, 2), tol).value,
+                verdict_eb=ppt_status(eb, (2, 2), tol).value,
+                verdict_3lea_ppt=ppt_status(mu3, (2, 4), tol).value,
             )
         )
     return rows

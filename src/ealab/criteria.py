@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +33,10 @@ from .channels import (
 )
 from .linalg import (
     _BLOCK_BYTES,
+    _STACK_BYTES,
     _adjoint,
+    _composite_dim,
+    _factor_dims,
     _lowest_eigenvalues,
     _partial_transposes,
     _projectors,
@@ -70,12 +73,10 @@ SEESAW_MAX_ITER = 200
 # rounding in the last digits cannot change the reported partition.
 CUT_TIE_ATOL = 1e-12
 # Falsifier batches double from _FIRST_BATCH trials while a stack of their
-# density matrices stays within _STACK_BYTES; a composite too large for one
-# trial to fit is rejected, as are see-saw starts that do not fit together.
-# The partial transposes of a batch are screened as one stack over as many
-# cuts as fit in linalg._BLOCK_BYTES (at least one cut).
+# density matrices stays within linalg._STACK_BYTES, as must the see-saw's
+# starts.  The partial transposes of a batch are screened as one stack over
+# as many cuts as fit in linalg._BLOCK_BYTES (at least one cut).
 _FIRST_BATCH = 4
-_STACK_BYTES = 2**24
 
 # Block-dimension pairs where a positive partial transpose certifies
 # separability (Peres-Horodecki is exact there and nowhere else).
@@ -121,7 +122,7 @@ class Partition:
         )
 
     def block_dims(self, dims: Sequence[int]) -> tuple[int, int]:
-        # caught, not tested for: the sweep calls this three times per row
+        # caught, not tested for: the library's callers validate the partition first
         try:
             return (
                 dims_product([dims[i] for i in self.first]),
@@ -138,6 +139,7 @@ def bipartitions(n: int) -> tuple[Partition, ...]:
     n = _whole(n, "factor count")
     if n < 2:
         raise ValueError(f"need at least 2 factors, got {n}")
+    _composite_dim(2 for _ in range(n))  # the bound of n qubits: n <= 10
     parts = []
     for mask in range(1, 2 ** (n - 1)):
         second = tuple(i for i in range(1, n) if (mask >> (i - 1)) & 1)
@@ -200,16 +202,14 @@ def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     return float(_lowest_eigenvalues(partial_transpose(rho.matrix, rho.dims, part.second)))
 
 
-def ppt_status(
-    low: float, part: Partition, dims: Sequence[int], tol: float
-) -> Verdict:
-    """Peres-Horodecki status of a partial-transpose minimum ``low`` across
-    ``part``: Entangled below ``-tol``, else SeparableCertified where PPT is
-    exact for the cut's block dimensions, else Inconclusive.  ``tol`` must
-    already have passed the tolerance check."""
+def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
+    """Peres-Horodecki status of a partial-transpose minimum ``low`` across a
+    cut whose two blocks have dimensions ``blocks``: Entangled below ``-tol``,
+    else SeparableCertified where PPT is exact for those dimensions, else
+    Inconclusive.  ``tol`` must already have passed the tolerance check."""
     if low < -tol:
         return Verdict.ENTANGLED
-    if tuple(sorted(part.block_dims(dims))) in _PPT_EXACT_BLOCKS:
+    if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:
         return Verdict.SEPARABLE_CERTIFIED
     return Verdict.INCONCLUSIVE
 
@@ -228,7 +228,7 @@ def ppt_verdict(
     """Three-valued Peres-Horodecki verdict across one partition."""
     _check_tol(tol)
     low = ppt_min_eigenvalue(rho, part)
-    return SeparabilityVerdict(ppt_status(low, part, rho.dims, tol), low, part)
+    return SeparabilityVerdict(ppt_status(low, part.block_dims(rho.dims), tol), low, part)
 
 
 def is_eb(e: Channel, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
@@ -314,8 +314,7 @@ def two_lea_verdict_depolarizing(
     """
     _check_tol(tol)
     low = two_lea_min_eig_depolarizing(lam)
-    part = Partition((0,), (1,))
-    return SeparabilityVerdict(ppt_status(low, part, (2, 2), tol), low, part)
+    return SeparabilityVerdict(ppt_status(low, (2, 2), tol), low, Partition((0,), (1,)))
 
 
 def two_lea_verdict_heuristic(
@@ -387,7 +386,7 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     Pairs the computational bases of the two blocks up to the smaller block
     dimension, then restores the original factor order.
     """
-    ds = tuple(_whole(d, "factor dimension") for d in dims)
+    ds = _factor_dims(dims)
     part.validate_for(len(ds))
     d_a, d_b = part.block_dims(ds)
     m = min(d_a, d_b)
@@ -418,27 +417,6 @@ def _batches(n_trials: int, cap: int) -> Iterator[range]:
         yield range(start, min(start + size, n_trials))
         start += size
         size = min(2 * size, cap)
-
-
-def _composite_dim(dims: Iterable[int]) -> int:
-    """Dimension of a composite whose density matrix the falsifier can hold.
-
-    Multiplies the factors in turn, so that a composite past the
-    ``_STACK_BYTES`` bound is rejected after a few factors whatever their
-    number.  A factor of dimension below 2 carries no entanglement and is
-    rejected too.
-    """
-    dim = 1
-    for d in dims:
-        if d < 2:
-            raise ValueError(f"every factor needs dimension >= 2, got {d}")
-        dim *= d
-        if 16 * dim * dim > _STACK_BYTES:
-            raise ValueError(
-                f"a density matrix of dimension {dim} or more needs at least "
-                f"{16 * dim * dim} bytes, above the falsifier's {_STACK_BYTES}-byte bound"
-            )
-    return dim
 
 
 def _falsify(
@@ -541,8 +519,8 @@ def ea_falsify(
     lowest; ``min_eig_seen`` is the lowest partial-transpose eigenvalue over
     all trials used.
     """
-    ds = tuple(_whole(d, "factor dimension") for d in dims)
-    total = dims_product(ds)
+    ds = _factor_dims(dims)
+    total = math.prod(ds)
     if e.in_dim != total:
         raise ValueError(
             f"channel expects input dimension {e.in_dim}, dims {ds} give {total}"

@@ -40,6 +40,11 @@ CHOLESKY_MARGIN = 1e-12
 # than one cut per call, and groups of 128 KiB made none slower.
 _BLOCK_BYTES = 2**17
 
+# Largest stack of density matrices the falsifier and the see-saw hold at
+# once.  ``_composite_dim`` rejects a composite whose single density matrix
+# passes it: qubits past 10, for the falsifier, GHZ, W and bipartitions.
+_STACK_BYTES = 2**24
+
 
 def as_operator(m) -> np.ndarray:
     """Coerce input to a square complex matrix."""
@@ -109,6 +114,26 @@ def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     if d is not None and dims_product(ds) != d:
         raise ValueError(f"factor dimensions {ds} do not match dimension {d}")
     return ds
+
+
+def _composite_dim(dims: Iterable[int]) -> int:
+    """Dimension of a composite whose density matrix fits in ``_STACK_BYTES``.
+
+    Multiplies the factors in turn, so that a composite past the bound is
+    rejected after a few factors whatever their number.  A factor of
+    dimension below 2 carries no entanglement and is rejected too.
+    """
+    dim = 1
+    for d in dims:
+        if d < 2:
+            raise ValueError(f"every factor needs dimension >= 2, got {d}")
+        dim *= d
+        if 16 * dim * dim > _STACK_BYTES:
+            raise ValueError(
+                f"a density matrix of dimension {dim} or more needs at least "
+                f"{16 * dim * dim} bytes, above the falsifier's {_STACK_BYTES}-byte bound"
+            )
+    return dim
 
 
 def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -235,9 +260,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     (or is NaN); accepted inputs are symmetrized before the eigensolve.
     """
     a = _as_stack(m)
-    defect = hermiticity_defect(a)
-    if a.ndim > 2:
-        defect = float(defect.max(initial=0.0))
+    defect = np.max(hermiticity_defect(a), initial=0.0)
     if not defect <= MATRIX_ATOL:
         raise ValueError(
             f"matrix is not Hermitian within {MATRIX_ATOL:g} (max deviation {defect:.3e})"

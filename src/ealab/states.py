@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
+    _composite_dim,
     _factor_dims,
     _factor_subset,
     _lowest_eigenvalues,
@@ -184,10 +185,12 @@ def _werner_matrix(lam, d: int) -> np.ndarray:
 
 
 def _qubit_count(n: int) -> int:
-    """``n`` as an int, rejected below the two qubits of a composite."""
+    """``n`` as an int, rejected below the two qubits of a composite and past
+    the ten that ``linalg._composite_dim`` bounds, before any allocation."""
     n = _whole(n, "qubit count")
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
+    _composite_dim(2 for _ in range(n))
     return n
 
 

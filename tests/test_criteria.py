@@ -133,8 +133,9 @@ class TestPptVerdict:
         rho = DensityOperator(np.eye(9) / 9, (3, 3))
         assert ppt_verdict(rho, SPLIT_12).status is Verdict.INCONCLUSIVE
 
-    def test_qubit_qutrit_positive_is_certified(self):
-        rho = DensityOperator(np.eye(6) / 6, (2, 3))
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_qubit_qutrit_positive_is_certified(self, dims):
+        rho = DensityOperator(np.eye(6) / 6, dims)
         assert ppt_verdict(rho, SPLIT_12).status is Verdict.SEPARABLE_CERTIFIED
 
 

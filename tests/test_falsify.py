@@ -152,10 +152,15 @@ class TestFalsifier:
              "itself; got a dimension-changing channel"),
             (lambda: ea_falsify(identity_channel(4), (4,)),
              "falsification needs a composite system (>= 2 factors)"),
+            (lambda: ea_falsify(identity_channel(4), 4),
+             "falsification needs a composite system (>= 2 factors)"),
+            (lambda: embedded_max_entangled(4, Partition((0,), (1,))),
+             "partition 0|1 does not cover all 1 factors"),
             (lambda: k_lea_falsify(random_channel(2, 3, seed=0), 2),
              "k-local analysis expects an endomorphic channel"),
         ],
-        ids=["dimension-changing", "single-factor", "non-endomorphic"],
+        ids=["dimension-changing", "single-factor", "scalar-dims", "embedded-scalar-dims",
+             "non-endomorphic"],
     )
     def test_unfit_channel_or_system_is_named(self, search, message):
         with pytest.raises(ValueError) as exc:

@@ -1,5 +1,7 @@
 """Tests for state constructors and samplers."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -12,13 +14,18 @@ import ealab.states
 from ealab import (
     DensityOperator,
     MeasurePrepare,
+    Partition,
     PureState,
     SchmidtDecomposition,
+    bipartitions,
     classically_correlated_pair,
     depolarizing,
+    ea_falsify,
     ea_mixing_channel,
+    embedded_max_entangled,
     ghz,
     haar_pure,
+    identity_channel,
     k_lea_falsify,
     max_entangled,
     min_eigenvalue,
@@ -95,6 +102,10 @@ def test_scalar_dimension_is_one_factor(dims):
         (lambda: schmidt(ghz(3), (0, 3)), "left block (0, 3) out of range for 3 factors"),
         (lambda: ghz(1), "need at least 2 qubits, got 1"),
         (lambda: w_state(0), "need at least 2 qubits, got 0"),
+        (lambda: ea_falsify(identity_channel(4), (2, -2)),
+         "factor dimensions must be positive, got (2, -2)"),
+        (lambda: embedded_max_entangled((2, -2), Partition((0,), (1,))),
+         "factor dimensions must be positive, got (2, -2)"),
         (lambda: SchmidtDecomposition([0.8, 0.5], np.eye(2), np.eye(2)),
          "squared coefficients must sum to one"),
         (lambda: DensityOperator(np.ones((2, 3)) / 2, (2,)),
@@ -107,6 +118,32 @@ def test_range_and_index_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# n qubits, or n factors of bipartitions, within the falsifier's composite bound
+_QUBIT_BUILDERS = pytest.mark.parametrize(
+    "build", [ghz, w_state, bipartitions], ids=["ghz", "w_state", "bipartitions"]
+)
+
+
+@_QUBIT_BUILDERS
+def test_ten_qubits_are_the_bound(build):
+    build(10)
+    with pytest.raises(ValueError) as exc:
+        build(11)
+    assert str(exc.value) == (
+        "a density matrix of dimension 2048 or more needs at least 67108864 bytes, "
+        "above the falsifier's 16777216-byte bound"
+    )
+
+
+@_QUBIT_BUILDERS
+@pytest.mark.parametrize("n", [10**30, 2**63])
+def test_huge_qubit_counts_are_refused_at_once(build, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the falsifier's 16777216-byte bound"):
+        build(n)
+    assert time.perf_counter() - start < 1.0
 
 
 class TestInvariants:

@@ -102,6 +102,83 @@ MUTANTS = (
         "    return float(_lowest_eigenvalues(",
         ("tests/test_criteria.py::TestPartition",),
     ),
+    Mutant(
+        "ppt-status-unsorted-blocks",
+        "src/ealab/criteria.py",
+        "if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:",
+        "if tuple(blocks) in _PPT_EXACT_BLOCKS:",
+        ("tests/test_criteria.py::TestPptVerdict",),
+    ),
+    Mutant(
+        "sweep-ghz-blocks-two-by-two",
+        "src/ealab/cli.py",
+        "ppt_status(mu3, (2, 4), tol)",
+        "ppt_status(mu3, (2, 2), tol)",
+        ("tests/test_cli.py::TestGoldenOutputs",),
+    ),
+    Mutant(
+        "qubit-count-unbounded",
+        "src/ealab/states.py",
+        "    _composite_dim(2 for _ in range(n))\n    return n\n",
+        "    return n\n",
+        # never the huge counts: unbounded, they would not return
+        ("tests/test_states.py::test_ten_qubits_are_the_bound",),
+    ),
+    Mutant(
+        "embedded-max-entangled-unchecked-dims",
+        "src/ealab/criteria.py",
+        "    ds = _factor_dims(dims)\n    part.validate_for(len(ds))",
+        "    ds = tuple(dims)\n    part.validate_for(len(ds))",
+        (
+            "tests/test_falsify.py::TestFalsifier::test_unfit_channel_or_system_is_named",
+            "tests/test_states.py::test_range_and_index_messages",
+        ),
+    ),
+    Mutant(
+        "apply-sites-superoperator-without-conj",
+        "src/ealab/channels.py",
+        'np.einsum("nai,nbj->abij", kraus, kraus.conj())',
+        'np.einsum("nai,nbj->abij", kraus, kraus)',
+        ("tests/test_product_engine.py::TestSiteContraction",),
+    ),
+    Mutant(
+        "seesaw-adjoint-is-k",
+        "src/ealab/criteria.py",
+        "np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))",
+        "np.linalg.eigh(_apply_sites(single.kraus, flip, 2))",
+        ("tests/test_criteria.py::TestSeesaw::test_best_input_is_a_fixed_point",),
+    ),
+    Mutant(
+        "falsify-ignores-failed-density-check",
+        "src/ealab/criteria.py",
+        "failure = _first_invalid_density(out)",
+        "failure = None",
+        (
+            "tests/test_product_engine.py::TestBatchedFalsifier::"
+            "test_batch_failures_after_the_first_hit_do_not_raise",
+        ),
+    ),
+    Mutant(
+        "haar-norm-without-imaginary-part",
+        "src/ealab/states.py",
+        "norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))",
+        "norm = np.sqrt(re @ re.swapaxes(1, 2))",
+        ("tests/test_states.py::TestHaar",),
+    ),
+    Mutant(
+        "density-trace-check-dropped",
+        "src/ealab/states.py",
+        "ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL",
+        "ok = defect <= MATRIX_ATOL",
+        ("tests/test_states.py::TestInvariants",),
+    ),
+    Mutant(
+        "cmd-falsify-exit-0-on-counterexample",
+        "src/ealab/cli.py",
+        "return 1 if report.found else 0",
+        "return 0",
+        ("tests/test_cli.py::TestFalsify::test_counterexample_exits_1",),
+    ),
 )
 
 
