@@ -52,6 +52,7 @@ from .states import (
     PureState,
     _first_invalid_density,
     _haar_rows,
+    _keyed_rngs,
     ghz,
     haar_pure,
     w_state,
@@ -331,11 +332,12 @@ def two_lea_verdict_heuristic(
     lowest eigenvector of (E ox E)^dag(|phi><phi|^Gamma).  Neither step can
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
     stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
-    starts, run as one stack, are GHZ, W and ``restarts`` Haar states drawn
-    from ``default_rng((seed, r))``, so ``seed`` must be nonnegative; Haar
-    starts alone can stall at the product-state fixed point near the
-    threshold.  ``restarts`` is rejected, before any start is drawn, when
-    the stack of the starts' density matrices would pass ``_STACK_BYTES``.
+    starts, run as one stack, are GHZ, W and ``restarts`` Haar states, start
+    r drawn from a generator in the state of ``default_rng((seed, r))``
+    (``states._keyed_rngs``), so ``seed`` must be nonnegative; Haar starts
+    alone can stall at the product-state fixed point near the threshold.
+    ``restarts`` is rejected, before any start is drawn, when the stack of
+    the starts' density matrices would pass ``_STACK_BYTES``.
 
     The witness is the PT eigenvalue of the best input, recomputed through
     ``apply_local`` and ``ppt_min_eigenvalue``.  A negative witness proves
@@ -355,7 +357,7 @@ def two_lea_verdict_heuristic(
     dims = (2, 2)
     part = Partition((0,), (1,))
     probes = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
-    haar = _haar_rows([np.random.default_rng((seed, r)) for r in range(restarts)], 4)
+    haar = _haar_rows(_keyed_rngs(seed, range(restarts)), 4)
     # Per start: current input, input at its lowest value, that value, still falling.
     psi = np.concatenate([probes, haar])
     best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
@@ -437,7 +439,9 @@ def _falsify(
     the channel, and one ``linalg._lowest_eigenvalues`` above the running
     minimum over the stacked partial transposes of every cut, or of as many
     cuts at a time as fit in ``linalg._BLOCK_BYTES``; it eigensolves only
-    what a Cholesky cannot prove unable to change the minimum.  Inputs are
+    what a Cholesky cannot prove unable to change the minimum.  Haar trial t
+    draws from the ``states._keyed_rngs`` generator of key t, which starts
+    where ``default_rng((seed, t))`` does.  Inputs are
     unit vectors (probes are ``PureState``s, Haar rows are normalized), so
     their projectors go unchecked; each output batch passes the density
     check of ``DensityOperator``, and a failure raises only when no earlier
@@ -460,7 +464,7 @@ def _falsify(
         haar = range(max(trials.start, len(probes)), trials.stop)
         amps = np.concatenate([
             probe_amps[trials.start : trials.stop],
-            _haar_rows([np.random.default_rng((seed, t)) for t in haar], dim),
+            _haar_rows(_keyed_rngs(seed, haar), dim),
         ])
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
@@ -511,7 +515,8 @@ def ea_falsify(
 
     ``budget`` counts the Haar trials; a negative budget or seed, or a
     search with no trials at all, is rejected before any trial.  Each trial
-    derives its own random stream from ``(seed, trial_index)`` and the
+    draws from its own random stream, the one
+    ``numpy.random.default_rng((seed, trial_index))`` starts, and the
     reported counterexample is the one with the smallest trial index, so the
     report depends only on the arguments.  Of the partitions across which
     the counterexample is entangled, the report names the first in
@@ -548,17 +553,19 @@ def k_lea_falsify(
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
     never materialized.  Per batch, the Haar rows are drawn as one stack,
-    the channel acts on all inputs in one contraction, and the partial
+    each from its trial's ``default_rng((seed, t))`` stream, seeded from
+    numpy's ``SeedSequence`` pool without a ``default_rng`` call, the
+    channel acts on all inputs in one contraction, and the partial
     transposes of all 2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues``
     as one stack (as several when they pass ``linalg._BLOCK_BYTES``), which,
     like the output positivity check, eigensolves only the matrices a
     batched Cholesky cannot prove above the running minimum (or zero).  For
-    qubits k up to 7 is practical: with single-threaded BLAS on a 2-vCPU x86
-    server a no-counterexample trial takes about 0.04 ms at k = 3, 0.11 ms
-    at k = 4, 0.7-0.8 ms at k = 5, 7 ms at k = 6 (budget 100) and 57 ms at
-    k = 7 (budget 30), where the Cholesky of 63 cuts of 128x128 matrices
-    dominates.  Composites whose density matrix would
-    exceed the falsifier's memory bound (qubits past k = 10), and
+    qubits k up to 7 is practical: with single-threaded BLAS on a contended
+    2-vCPU x86 server a no-counterexample trial takes about 0.02 ms at
+    k = 3, 0.06-0.07 ms at k = 4, 0.35-0.45 ms at k = 5, 5-6 ms at k = 6
+    (budget 100) and 26-48 ms at k = 7 (budget 30), where the Cholesky of
+    63 cuts of 128x128 matrices dominates.  Composites whose density
+    matrix would exceed the falsifier's memory bound (qubits past k = 10), and
     1-dimensional sites, are rejected after a few factors whatever k is,
     before any state is built.
     """

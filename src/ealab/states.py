@@ -7,8 +7,9 @@ and seeded Haar-random sampling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -257,6 +258,86 @@ def _seeded_rng(seed) -> np.random.Generator:
         return n
 
     return np.random.default_rng(checked(seed))
+
+
+# numpy.random.SeedSequence.generate_state hashes pool word i % 4 into
+# output word i: xor with the i-th of these constants, multiply by the next,
+# xorshift by 16, all modulo 2**32.  The constants are 0x8B51F9DD times
+# 0x58F38DED**i.
+_MASK32 = 0xFFFFFFFF
+_SEED_HASH = tuple(0x8B51F9DD * 0x58F38DED**i & _MASK32 for i in range(9))
+# Per uint64 word j of PCG64's seed: the pool words and the three constants
+# of output words 2j (its low half) and 2j + 1 (its high half).
+_PCG64_STEPS = tuple(
+    (2 * j % 4, (2 * j + 1) % 4, *_SEED_HASH[2 * j : 2 * j + 3]) for j in range(4)
+)
+
+
+def _words32(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that numpy's seed
+    sequences read from a nonnegative int: ``[0]`` for zero."""
+    if n <= _MASK32:
+        return [n]
+    return [n >> s & _MASK32 for s in range(0, n.bit_length(), 32)]
+
+
+def _pcg64_seed(pool: list[int]) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` from the sequence's mixed
+    pool of four uint32 words, in Python ints: eight hashed words, packed
+    little-endian into four uint64."""
+    state = []
+    for lo, hi, a, b, c in _PCG64_STEPS:
+        v = (pool[lo] ^ a) * b & _MASK32 | ((pool[hi] ^ b) * c & _MASK32) << 32
+        state.append(v ^ v >> 16 & 0x0000FFFF0000FFFF)  # both halves' xorshift
+    return np.array(state, np.uint64)
+
+
+@functools.cache
+def _given_state_type() -> type:
+    """A ``numpy.random.bit_generator.ISeedSequence`` that hands PCG64 the
+    state words it holds.
+
+    Built on first use: numpy 2 loads ``numpy.random`` lazily, and loading
+    it would add to every ``import ealab``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
+                raise ValueError(f"holds PCG64's 4 uint64 words, not {n_words} of {dtype}")
+            return self.words
+
+    return GivenState
+
+
+def _keyed_rngs(seed: int, keys: Iterable[int]) -> list[np.random.Generator]:
+    """``[numpy.random.default_rng((seed, key)) for key in keys]`` for a
+    nonnegative int ``seed`` and keys, at about two thirds of the cost.
+
+    ``default_rng((seed, key))`` seeds PCG64 from ``SeedSequence((seed, key))``,
+    which mixes the 32-bit words of ``seed``, then those of ``key``, into a
+    pool of four words and hashes the pool into PCG64's state with
+    ``generate_state(4, np.uint64)``.  Here numpy's ``SeedSequence`` mixes
+    the words given as one uint32 array, which skips its coercion of the
+    tuple; ``_pcg64_seed`` hashes the pool; and PCG64's own seeding reads
+    the result through the ``ISeedSequence`` interface.  Each generator
+    starts in the state of ``default_rng((seed, key))``, and none is shared
+    between calls.
+    """
+    seed_seq, pcg64, generator = (
+        np.random.SeedSequence, np.random.PCG64, np.random.Generator
+    )
+    given, head = _given_state_type(), _words32(seed)
+    return [
+        generator(pcg64(given(_pcg64_seed(
+            seed_seq(np.array(head + _words32(key), np.uint32)).pool.tolist()
+        ))))
+        for key in keys
+    ]
 
 
 def _haar_rows(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:

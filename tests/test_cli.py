@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import ealab.cli
-from ealab.channels import matrix_to_json
+import ealab.criteria
+from ealab.channels import matrix_to_json, random_channel
 from ealab.cli import CSV_HEADER, SWEEP_MAX_ROWS, build_parser, fmt, main, sweep_row
 from helpers import EB_EDGES
 
@@ -383,6 +384,23 @@ class TestFalsify:
             main(["falsify", "--spec", spec, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_multi_word_seed_report_is_default_rngs(self, tmp_path, capsys, monkeypatch):
+        # a channel whose lowest PT eigenvalue comes from a Haar row, so the
+        # report pins the rows drawn from the two-word seed 2**32
+        ops = [matrix_to_json(k) for k in random_channel(2, seed=0).kraus]
+        spec = self.write_spec(tmp_path, {"kind": "kraus", "ops": ops})
+        argv = ("falsify", "--spec", spec, "--k", "3", "--seed", "4294967296")
+        code, probes_only, _ = run_cli(capsys, *argv, "--budget", "0")
+        assert code == 0
+        keyed = run_cli(capsys, *argv, "--budget", "40")
+        assert keyed[0] == 0
+        assert json.loads(keyed[1])["min_eig_seen"] < json.loads(probes_only)["min_eig_seen"]
+        monkeypatch.setattr(
+            ealab.criteria, "_keyed_rngs",
+            lambda seed, keys: [np.random.default_rng((seed, key)) for key in keys],
+        )
+        assert run_cli(capsys, *argv, "--budget", "40") == keyed
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -319,6 +319,9 @@ class TestSeesaw:
         def no_draw(*args):
             raise AssertionError("a start was drawn")
 
+        # the keyed streams come first, so a check after the draw fails at
+        # once instead of building 10**18 generators
+        monkeypatch.setattr(ealab.criteria, "_keyed_rngs", no_draw)
         monkeypatch.setattr(ealab.criteria, "_haar_rows", no_draw)
         with pytest.raises(ValueError, match="restarts=65535 needs a stack"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=65535)

@@ -33,3 +33,15 @@ def test_cli_import_loads_no_scipy():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy 2 loads numpy.random on first use; older numpy loads it with
+    # numpy itself, so the baseline is what a bare ``import numpy`` loads
+    code = (
+        "import sys, {}; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    bare, cli = (run_python("-c", code.format(module)) for module in ("numpy", "ealab.cli"))
+    assert bare.returncode == cli.returncode == 0, bare.stderr + cli.stderr
+    assert cli.stdout == bare.stdout

@@ -325,7 +325,7 @@ class TestBatchedDraw:
             assert rows[t].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("k, budget", [(2, 40), (3, 40), (4, 30), (5, 12)])
-    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("seed", [0, 17, 2**32, 2**64 + 3])
     def test_k_lea_falsify(self, k, budget, seed, monkeypatch):
         calls = self.evaluated_rows(monkeypatch)
         # entanglement-breaking sites: every trial of the budget is evaluated
@@ -336,7 +336,7 @@ class TestBatchedDraw:
         self.assert_haar_rows(rows, report.trials_used - budget, seed, 2**k)
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
-    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("seed", [0, 17, 2**32, 2**64 + 3])
     def test_ea_falsify(self, dims, seed, monkeypatch):
         d = math.prod(dims)
         calls = self.evaluated_rows(monkeypatch)
@@ -347,7 +347,9 @@ class TestBatchedDraw:
         assert len(rows) == report.trials_used
         self.assert_haar_rows(rows, report.trials_used - 40, seed, d)
 
-    @pytest.mark.parametrize("restarts, seed", [(1, 0), (6, 3), (40, 9)])
+    @pytest.mark.parametrize(
+        "restarts, seed", [(1, 0), (6, 3), (40, 9), (6, 2**32), (40, 2**64 + 3)]
+    )
     def test_heuristic_restarts(self, restarts, seed, monkeypatch):
         calls = self.evaluated_rows(monkeypatch)
         two_lea_verdict_heuristic(depolarizing(0.5, 2), restarts=restarts, seed=seed)

@@ -37,7 +37,7 @@ from ealab import (
     w_state,
     werner,
 )
-from ealab.states import NORM_ATOL, _first_invalid_density
+from ealab.states import NORM_ATOL, _first_invalid_density, _keyed_rngs
 from helpers import haar_amplitudes_two_draws, random_density_two_draws
 
 
@@ -448,6 +448,43 @@ class TestHaar:
         for i in range(n):
             total += abs(haar_pure((4,), (123, i)).amplitudes[0]) ** 2
         assert abs(total / n - 0.25) < 0.01
+
+
+
+class TestKeyedRngs:
+    """``_keyed_rngs(seed, keys)`` starts each generator where
+    ``default_rng((seed, key))`` does, across the 32-bit word boundaries of
+    the seed and the key: the seed's words come first, then the key's."""
+
+    @staticmethod
+    def assert_default_rng(seed, keys):
+        rngs = _keyed_rngs(seed, keys)
+        assert len(rngs) == len(keys)
+        for rng, key in zip(rngs, keys):
+            reference = np.random.default_rng((seed, key))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            draws = rng.standard_normal(8)
+            assert draws.tobytes() == reference.standard_normal(8).tobytes()
+
+    @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**70])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1])
+    def test_state_and_first_draws_match_default_rng(self, seed, key):
+        self.assert_default_rng(seed, [key])
+
+    @given(st.integers(0, 2**96 - 1), st.lists(st.integers(0, 2**40 - 1), max_size=4))
+    def test_any_seed_and_keys_match_default_rng(self, seed, keys):
+        self.assert_default_rng(seed, keys)
+
+    def test_a_repeated_key_gives_independent_generators(self):
+        a, b = _keyed_rngs(5, [3, 3])
+        first = a.standard_normal(4)
+        assert b.standard_normal(4).tobytes() == first.tobytes()
+
+    def test_only_pcg64s_request_is_answered(self):
+        given = ealab.states._given_state_type()(np.zeros(4, np.uint64))
+        assert given.generate_state(4, np.dtype(np.uint64)) is given.words
+        with pytest.raises(ValueError, match="^holds PCG64's 4 uint64 words, not 8 of"):
+            given.generate_state(8)
 
 
 class TestRandomDensity:

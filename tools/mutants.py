@@ -166,6 +166,20 @@ MUTANTS = (
         ("tests/test_states.py::TestHaar",),
     ),
     Mutant(
+        "seed-hash-xorshift-dropped",
+        "src/ealab/states.py",
+        "state.append(v ^ v >> 16 & 0x0000FFFF0000FFFF)",
+        "state.append(v)",
+        ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
+    ),
+    Mutant(
+        "keyed-entropy-key-words-first",
+        "src/ealab/states.py",
+        "np.array(head + _words32(key), np.uint32)",
+        "np.array(_words32(key) + head, np.uint32)",
+        ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
+    ),
+    Mutant(
         "density-trace-check-dropped",
         "src/ealab/states.py",
         "ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL",
