@@ -14,6 +14,7 @@ to be sufficient; everywhere else the verdict is Inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,11 +52,11 @@ from .states import (
     DensityOperator,
     PureState,
     _first_invalid_density,
+    _ghz_row,
     _haar_rows,
     _keyed_rngs,
-    ghz,
+    _w_row,
     haar_pure,
-    w_state,
 )
 
 # Verdicts tolerate this much numerical negativity before declaring
@@ -136,11 +137,20 @@ class Partition:
 
 
 def bipartitions(n: int) -> tuple[Partition, ...]:
-    """All unordered 2-block partitions of ``n`` factors (factor 0 first)."""
+    """All unordered 2-block partitions of ``n`` factors (factor 0 first).
+
+    The same tuple on every call with the same ``n``."""
     n = _whole(n, "factor count")
     if n < 2:
         raise ValueError(f"need at least 2 factors, got {n}")
     _composite_dim(2 for _ in range(n))  # the bound of n qubits: n <= 10
+    return _bipartitions(n)
+
+
+@functools.cache
+def _bipartitions(n: int) -> tuple[Partition, ...]:
+    """``bipartitions(n)`` for an ``n`` it has checked: only ints in [2, 10]
+    reach this cache."""
     parts = []
     for mask in range(1, 2 ** (n - 1)):
         second = tuple(i for i in range(1, n) if (mask >> (i - 1)) & 1)
@@ -332,10 +342,11 @@ def two_lea_verdict_heuristic(
     lowest eigenvector of (E ox E)^dag(|phi><phi|^Gamma).  Neither step can
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
     stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
-    starts, run as one stack, are GHZ, W and ``restarts`` Haar states, start
-    r drawn from a generator in the state of ``default_rng((seed, r))``
-    (``states._keyed_rngs``), so ``seed`` must be nonnegative; Haar starts
-    alone can stall at the product-state fixed point near the threshold.
+    starts, run as one stack, are the falsifier's GHZ and W probe rows and
+    ``restarts`` Haar states, start r drawn from a generator in the state of
+    ``default_rng((seed, r))``, all seeded in one ``states._keyed_rngs``
+    pass, so ``seed`` must be nonnegative; Haar starts alone can stall at
+    the product-state fixed point near the threshold.
     ``restarts`` is rejected, before any start is drawn, when the stack of
     the starts' density matrices would pass ``_STACK_BYTES``.
 
@@ -356,10 +367,9 @@ def two_lea_verdict_heuristic(
         )
     dims = (2, 2)
     part = Partition((0,), (1,))
-    probes = [state.amplitudes for _, state in _falsifier_probes(dims, ())]
     haar = _haar_rows(_keyed_rngs(seed, range(restarts)), 4)
     # Per start: current input, input at its lowest value, that value, still falling.
-    psi = np.concatenate([probes, haar])
+    psi = np.vstack([_ghz_row(2), _w_row(2), haar])
     best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
     for _ in range(SEESAW_MAX_ITER):
         out = _apply_sites(single.kraus, _projectors(psi[live]), 2)
@@ -390,27 +400,32 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     """
     ds = _factor_dims(dims)
     part.validate_for(len(ds))
-    d_a, d_b = part.block_dims(ds)
+    return PureState(_bell_row(ds, part), ds)
+
+
+def _bell_row(ds: tuple[int, ...], part: Partition) -> np.ndarray:
+    """Amplitudes of ``embedded_max_entangled(ds, part)``, for factor
+    dimensions and a partition of them already checked: 1/sqrt(m) at the
+    basis states whose two blocks both hold index j < m, m the smaller
+    block dimension."""
+    first, second = _block_offsets(ds, part.first), _block_offsets(ds, part.second)
+    d_a, d_b = len(first), len(second)
     m = min(d_a, d_b)
-    mat = np.zeros((d_a, d_b), dtype=complex)
-    mat[np.arange(m), np.arange(m)] = 1.0 / np.sqrt(m)
-    # the blocks' factors, first block then second, back in factor order
-    perm = part.first + part.second
-    amp = mat.reshape([ds[p] for p in perm]).transpose(np.argsort(perm)).reshape(-1)
-    return PureState(amp, ds)
+    amp, value = np.zeros(math.prod(ds), dtype=complex), 1.0 / math.sqrt(m)
+    for j in range(m):
+        amp[first[j] + second[j]] = value
+    return amp
 
 
-def _falsifier_probes(
-    dims: tuple[int, ...], parts: tuple[Partition, ...]
-) -> list[tuple[str, PureState]]:
-    probes: list[tuple[str, PureState]] = []
-    n = len(dims)
-    if n >= 2 and all(d == 2 for d in dims):
-        probes.append(("probe:GHZ", ghz(n)))
-        probes.append(("probe:W", w_state(n)))
-    for part in parts:
-        probes.append((f"probe:psi+:{part.label()}", embedded_max_entangled(dims, part)))
-    return probes
+def _block_offsets(ds: tuple[int, ...], block: tuple[int, ...]) -> list[int]:
+    """Offsets in an amplitude vector on factors ``ds`` of the basis states
+    of the block's factors, in the block's index order (its first factor
+    most significant), the other factors at 0."""
+    offsets = [0]
+    for f in block:
+        stride = math.prod(ds[f + 1 :])
+        offsets = [o + x * stride for o in offsets for x in range(ds[f])]
+    return offsets
 
 
 def _batches(n_trials: int, cap: int) -> Iterator[range]:
@@ -434,36 +449,45 @@ def _falsify(
 
     ``channel`` acts on each of ``sites`` equal tensor factors of the
     composite with factor dimensions ``dims`` (one site: the whole system).
-    Trials run in batches in index order.  A batch is a few stacked calls:
-    one ``states._haar_rows`` for its Haar trials, one ``_apply_sites`` for
-    the channel, and one ``linalg._lowest_eigenvalues`` above the running
-    minimum over the stacked partial transposes of every cut, or of as many
-    cuts at a time as fit in ``linalg._BLOCK_BYTES``; it eigensolves only
-    what a Cholesky cannot prove unable to change the minimum.  Haar trial t
-    draws from the ``states._keyed_rngs`` generator of key t, which starts
-    where ``default_rng((seed, t))`` does.  Inputs are
-    unit vectors (probes are ``PureState``s, Haar rows are normalized), so
-    their projectors go unchecked; each output batch passes the density
-    check of ``DensityOperator``, and a failure raises only when no earlier
-    trial is a counterexample, as in a trial-by-trial loop.
+    The probes are one ``(P, D)`` array whose rows come from the helpers
+    of ``ghz``, ``w_state`` and ``embedded_max_entangled``; only a probe a
+    report names becomes a ``PureState``.  Trials run in batches in index
+    order.  A batch is a few stacked calls: one ``states._keyed_rngs``
+    seeding pass and one ``states._haar_rows`` for its Haar trials, one
+    ``_apply_sites`` for the channel, and one ``linalg._lowest_eigenvalues``
+    above the running minimum over the stacked partial transposes of every
+    cut, or of as many cuts at a time as fit in ``linalg._BLOCK_BYTES``; it
+    eigensolves only what a Cholesky cannot prove unable to change the
+    minimum.  Haar trial t draws from the ``states._keyed_rngs`` generator
+    of key t, which starts where ``default_rng((seed, t))`` does.  Inputs
+    are unit vectors (the probe rows by construction, Haar rows
+    normalized), so their projectors go unchecked; each output batch passes
+    the density check of ``DensityOperator``, and a failure raises only
+    when no earlier trial is a counterexample, as in a trial-by-trial loop.
     """
     _check_tol(tol)
     budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
     parts = bipartitions(len(dims))
-    probes = _falsifier_probes(dims, parts) if include_probes else []
-    n_trials = len(probes) + budget
+    labels, rows = [], []
+    if include_probes:
+        if all(d == 2 for d in dims):
+            labels += ["probe:GHZ", "probe:W"]
+            rows += [_ghz_row(len(dims)), _w_row(len(dims))]
+        labels += [f"probe:psi+:{part.label()}" for part in parts]
+        rows += [_bell_row(dims, part) for part in parts]
+    n_trials = len(rows) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")
-    probe_amps = np.array([s.amplitudes for _, s in probes], dtype=complex).reshape(-1, dim)
+    probes = np.array(rows, dtype=complex).reshape(-1, dim)
     flips = [p.second for p in parts]
 
     seen = math.inf
     for trials in _batches(n_trials, cap):
         haar = range(max(trials.start, len(probes)), trials.stop)
         amps = np.concatenate([
-            probe_amps[trials.start : trials.stop],
+            probes[trials.start : trials.stop],
             _haar_rows(_keyed_rngs(seed, haar), dim),
         ])
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
@@ -488,7 +512,7 @@ def _falsify(
             )
             t = trials.start + h
             if t < len(probes):
-                label, state = probes[t]
+                label, state = labels[t], PureState(probes[t], dims)
             else:
                 label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
             return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
@@ -509,9 +533,10 @@ def ea_falsify(
     """Search for an input whose output stays entangled across some split.
 
     Convexity reduces the entanglement-annihilating property to pure inputs,
-    so the search draws Haar-random pure states (preceded by GHZ, W and
-    embedded maximally entangled probes unless ``include_probes`` is off) and
-    checks the PPT spectrum of every 2-block partition of the output.
+    so the search draws Haar-random pure states and checks the PPT spectrum
+    of every 2-block partition of the output.  Unless ``include_probes`` is
+    off, probes come first: GHZ and W when every factor is a qubit, then
+    the embedded maximally entangled state of each partition.
 
     ``budget`` counts the Haar trials; a negative budget or seed, or a
     search with no trials at all, is rejected before any trial.  Each trial
@@ -553,18 +578,19 @@ def k_lea_falsify(
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
     never materialized.  Per batch, the Haar rows are drawn as one stack,
-    each from its trial's ``default_rng((seed, t))`` stream, seeded from
-    numpy's ``SeedSequence`` pool without a ``default_rng`` call, the
-    channel acts on all inputs in one contraction, and the partial
-    transposes of all 2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues``
-    as one stack (as several when they pass ``linalg._BLOCK_BYTES``), which,
-    like the output positivity check, eigensolves only the matrices a
-    batched Cholesky cannot prove above the running minimum (or zero).  For
+    each from its trial's ``default_rng((seed, t))`` stream, all of them
+    seeded by one pass of numpy's ``SeedSequence`` arithmetic on the
+    batch's keys packed into the lanes of Python ints; the channel acts on
+    all inputs in one contraction, and the partial transposes of all
+    2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues`` as one stack (as
+    several when they pass ``linalg._BLOCK_BYTES``), which, like the output
+    positivity check, eigensolves only the matrices a batched Cholesky
+    cannot prove above the running minimum (or zero).  For
     qubits k up to 7 is practical: with single-threaded BLAS on a contended
-    2-vCPU x86 server a no-counterexample trial takes about 0.02 ms at
-    k = 3, 0.06-0.07 ms at k = 4, 0.35-0.45 ms at k = 5, 5-6 ms at k = 6
-    (budget 100) and 26-48 ms at k = 7 (budget 30), where the Cholesky of
-    63 cuts of 128x128 matrices dominates.  Composites whose density
+    2-vCPU x86 server a no-counterexample trial takes about 0.02-0.04 ms at
+    k = 3, 0.07-0.10 ms at k = 4 (budget 400), 0.4-0.6 ms at k = 5, 6-7 ms
+    at k = 6 (budget 100) and 53-59 ms at k = 7 (budget 30), where the
+    Cholesky of 63 cuts of 128x128 matrices dominates.  Composites whose density
     matrix would exceed the falsifier's memory bound (qubits past k = 10), and
     1-dimensional sites, are rejected after a few factors whatever k is,
     before any state is built.

@@ -8,6 +8,7 @@ and seeded Haar-random sampling.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -195,21 +196,32 @@ def _qubit_count(n: int) -> int:
     return n
 
 
+def _ghz_row(n: int) -> np.ndarray:
+    """Amplitudes of ``ghz(n)``, for a qubit count ``n`` already checked."""
+    amp = np.zeros(2**n, dtype=complex)
+    amp[0] = amp[-1] = 1.0 / math.sqrt(2)
+    return amp
+
+
+def _w_row(n: int) -> np.ndarray:
+    """Amplitudes of ``w_state(n)``, for a qubit count ``n`` already checked."""
+    amp = np.zeros(2**n, dtype=complex)
+    value = 1.0 / math.sqrt(n)
+    for j in range(n):
+        amp[1 << j] = value
+    return amp
+
+
 def ghz(n: int = 3) -> PureState:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
     n = _qubit_count(n)
-    amp = np.zeros(2**n, dtype=complex)
-    amp[0] = amp[-1] = 1.0 / np.sqrt(2)
-    return PureState(amp, (2,) * n)
+    return PureState(_ghz_row(n), (2,) * n)
 
 
 def w_state(n: int = 3) -> PureState:
     """Uniform single-excitation superposition on n qubits."""
     n = _qubit_count(n)
-    amp = np.zeros(2**n, dtype=complex)
-    for j in range(n):
-        amp[1 << j] = 1.0 / np.sqrt(n)
-    return PureState(amp, (2,) * n)
+    return PureState(_w_row(n), (2,) * n)
 
 
 def classically_correlated_pair() -> DensityOperator:
@@ -260,17 +272,18 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(checked(seed))
 
 
-# numpy.random.SeedSequence.generate_state hashes pool word i % 4 into
-# output word i: xor with the i-th of these constants, multiply by the next,
-# xorshift by 16, all modulo 2**32.  The constants are 0x8B51F9DD times
-# 0x58F38DED**i.
+# numpy.random.SeedSequence is O'Neill's seed_seq_fe.  Its mix_entropy
+# hashes the entropy words into a pool of four uint32 words: the k-th hash
+# call xors with _MIX_INIT * _MIX_MULT**k, multiplies by the next power and
+# xorshifts by 16, and the mix of two words is _MIX_LEFT * x - _MIX_RIGHT * y,
+# xorshifted by 16.  Its generate_state then hashes pool word i % 4 into
+# output word i: xor with the i-th of the _SEED_HASH constants, multiply by
+# the next, xorshift by 16.  All arithmetic is modulo 2**32.
 _MASK32 = 0xFFFFFFFF
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
 _SEED_HASH = tuple(0x8B51F9DD * 0x58F38DED**i & _MASK32 for i in range(9))
-# Per uint64 word j of PCG64's seed: the pool words and the three constants
-# of output words 2j (its low half) and 2j + 1 (its high half).
-_PCG64_STEPS = tuple(
-    (2 * j % 4, (2 * j + 1) % 4, *_SEED_HASH[2 * j : 2 * j + 3]) for j in range(4)
-)
+_LANE_ONE = (1).to_bytes(8, "little")
 
 
 def _words32(n: int) -> list[int]:
@@ -281,15 +294,50 @@ def _words32(n: int) -> list[int]:
     return [n >> s & _MASK32 for s in range(0, n.bit_length(), 32)]
 
 
-def _pcg64_seed(pool: list[int]) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` from the sequence's mixed
-    pool of four uint32 words, in Python ints: eight hashed words, packed
-    little-endian into four uint64."""
-    state = []
-    for lo, hi, a, b, c in _PCG64_STEPS:
-        v = (pool[lo] ^ a) * b & _MASK32 | ((pool[hi] ^ b) * c & _MASK32) << 32
-        state.append(v ^ v >> 16 & 0x0000FFFF0000FFFF)  # both halves' xorshift
-    return np.array(state, np.uint64)
+def _lane_states(entropy: list[int], ones: int) -> list[int]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for many word
+    lists of one length at once, in Python ints.
+
+    Each list is one 64-bit lane of the ints, lane 0 least significant:
+    ``entropy[i]`` holds word i of every list, and ``ones`` holds 1 in every
+    lane.  Returns the four state words, packed the same way.  A lane holds a
+    32-bit value between steps.  The product of two such values fits in its
+    lane and is masked back to 32 bits (the mix masks one product before it
+    adds the other, so the sum fits too); ``-R * y`` is ``(2**32 - R) * y``,
+    so no lane borrows from the next; and an xorshift masks the shifted
+    value, which carries the next lane's low 16 bits into this lane's top.
+    """
+    mask = _MASK32 * ones
+    const = _MIX_INIT
+
+    def hashmix(v: int) -> int:
+        nonlocal const
+        v ^= const * ones
+        const = const * _MIX_MULT & _MASK32
+        v = v * const & mask
+        return v ^ v >> 16 & mask
+
+    def mix(x: int, y: int) -> int:
+        v = (x * _MIX_LEFT & mask) + y * (2**32 - _MIX_RIGHT) & mask
+        return v ^ v >> 16 & mask
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # uint64 word j is output words 2j (low half) and 2j + 1 (high half),
+    # both xorshifted at once
+    halves, words = 0x0000FFFF0000FFFF * ones, []
+    for j in range(4):
+        a, b, c = _SEED_HASH[2 * j : 2 * j + 3]
+        lo = (pool[2 * j % 4] ^ a * ones) * b & mask
+        v = lo | ((pool[(2 * j + 1) % 4] ^ b * ones) * c & mask) << 32
+        words.append(v ^ v >> 16 & halves)
+    return words
 
 
 @functools.cache
@@ -316,28 +364,37 @@ def _given_state_type() -> type:
 
 def _keyed_rngs(seed: int, keys: Iterable[int]) -> list[np.random.Generator]:
     """``[numpy.random.default_rng((seed, key)) for key in keys]`` for a
-    nonnegative int ``seed`` and keys, at about two thirds of the cost.
+    nonnegative int ``seed`` and keys, with one seeding pass per batch.
 
     ``default_rng((seed, key))`` seeds PCG64 from ``SeedSequence((seed, key))``,
     which mixes the 32-bit words of ``seed``, then those of ``key``, into a
     pool of four words and hashes the pool into PCG64's state with
-    ``generate_state(4, np.uint64)``.  Here numpy's ``SeedSequence`` mixes
-    the words given as one uint32 array, which skips its coercion of the
-    tuple; ``_pcg64_seed`` hashes the pool; and PCG64's own seeding reads
-    the result through the ``ISeedSequence`` interface.  Each generator
-    starts in the state of ``default_rng((seed, key))``, and none is shared
-    between calls.
+    ``generate_state(4, np.uint64)``.  Here the keys are grouped by their
+    number of words, and ``_lane_states`` does both steps for a whole group
+    at once, one key per 64-bit lane of a Python int; PCG64's own seeding
+    reads each key's state through the ``ISeedSequence`` interface.  Each
+    generator starts in the state of ``default_rng((seed, key))``, and none
+    is shared between calls.  On a contended 2-vCPU x86 server 40 keys take
+    about 190 µs where one ``SeedSequence`` per key took about 470; at 4
+    keys the two are about even, and a lone key takes about 40 µs instead
+    of 14.
     """
-    seed_seq, pcg64, generator = (
-        np.random.SeedSequence, np.random.PCG64, np.random.Generator
-    )
-    given, head = _given_state_type(), _words32(seed)
-    return [
-        generator(pcg64(given(_pcg64_seed(
-            seed_seq(np.array(head + _words32(key), np.uint32)).pool.tolist()
-        ))))
-        for key in keys
-    ]
+    keys = list(keys)
+    head, sizes = _words32(seed), [len(_words32(key)) for key in keys]
+    states = np.empty((len(keys), 4), np.uint64)  # PCG64 reads a row's words in place
+    for size in set(sizes):
+        rows = [i for i, s in enumerate(sizes) if s == size]
+        group = [keys[i] for i in rows]
+        ones = int.from_bytes(_LANE_ONE * len(group), "little")
+        lanes = [
+            int.from_bytes(np.array([k >> s & _MASK32 for k in group], "<u8").tobytes(), "little")
+            for s in range(0, 32 * size, 32)
+        ]
+        words = _lane_states([w * ones for w in head] + lanes, ones)
+        packed = b"".join(v.to_bytes(8 * len(group), "little") for v in words)
+        states[rows] = np.frombuffer(packed, "<u8").reshape(4, len(group)).T
+    pcg64, generator, given = np.random.PCG64, np.random.Generator, _given_state_type()
+    return [generator(pcg64(given(state))) for state in states]
 
 
 def _haar_rows(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:

@@ -156,15 +156,16 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
         PureState,
         SeparabilityVerdict,
         Verdict,
-        _falsifier_probes,
+        embedded_max_entangled,
         partial_transpose,
         ppt_min_eigenvalue,
     )
+    from ealab.states import ghz, w_state
 
     dims = (2, 2)
     part = Partition((0,), (1,))
     adjoint = single.kraus.conj().transpose(0, 2, 1)
-    starts = [state.amplitudes for _, state in _falsifier_probes(dims, (part,))]
+    starts = [s.amplitudes for s in (ghz(2), w_state(2), embedded_max_entangled(dims, part))]
     starts += [
         haar_amplitudes_two_draws(np.random.default_rng((int(seed), r)), 4)
         for r in range(restarts)

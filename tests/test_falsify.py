@@ -1,5 +1,6 @@
 """Tests for the randomized entanglement-annihilation falsifier."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,16 @@ from ealab import (
     depolarizing,
     ea_falsify,
     embedded_max_entangled,
+    ghz,
     identity_channel,
     k_lea_falsify,
     ppt_min_eigenvalue,
     random_channel,
     tensor_power,
+    w_state,
 )
+from ealab.criteria import _bell_row
+from ealab.states import NORM_ATOL, _ghz_row, _w_row
 
 
 def reverify(report, channel, dims):
@@ -165,4 +170,92 @@ class TestFalsifier:
     def test_unfit_channel_or_system_is_named(self, search, message):
         with pytest.raises(ValueError) as exc:
             search()
+        assert str(exc.value) == message
+
+
+def bell_reference(dims, part):
+    """``embedded_max_entangled`` amplitudes built as a block matrix with
+    1/sqrt(m) on its diagonal, its factors moved back into factor order."""
+    d_a, d_b = part.block_dims(dims)
+    m = min(d_a, d_b)
+    mat = np.zeros((d_a, d_b), dtype=complex)
+    mat[np.arange(m), np.arange(m)] = 1.0 / np.sqrt(m)
+    perm = part.first + part.second
+    return mat.reshape([dims[p] for p in perm]).transpose(np.argsort(perm)).reshape(-1)
+
+
+def probe_rows(dims):
+    """(row, public state, reference amplitudes) per falsifier probe of dims."""
+    cases = []
+    if all(d == 2 for d in dims):
+        n = len(dims)
+        ghz_ref = np.zeros(2**n, dtype=complex)
+        ghz_ref[[0, -1]] = 1.0 / np.sqrt(2)
+        w_ref = np.zeros(2**n, dtype=complex)
+        w_ref[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
+        cases += [(_ghz_row(n), ghz(n), ghz_ref), (_w_row(n), w_state(n), w_ref)]
+    for part in bipartitions(len(dims)):
+        public = embedded_max_entangled(dims, part)
+        cases.append((_bell_row(dims, part), public, bell_reference(dims, part)))
+    return cases
+
+
+PROBE_DIMS = pytest.mark.parametrize(
+    "dims", [(2,) * k for k in range(2, 11)] + [(2, 3), (3, 2, 2), (2, 3, 2)],
+    ids=lambda ds: "x".join(map(str, ds)),
+)
+
+
+class TestProbeRows:
+    """The falsifier's probes are plain amplitude rows, never checked as
+    ``PureState``s on the way in: each must be its public state, bit for bit,
+    and a unit vector."""
+
+    @PROBE_DIMS
+    def test_each_row_is_its_public_state(self, dims):
+        for row, public, reference in probe_rows(dims):
+            assert row.dtype == complex and row.shape == (math.prod(dims),)
+            assert row.tobytes() == public.amplitudes.tobytes() == reference.tobytes()
+            assert public.dims == dims
+
+    @PROBE_DIMS
+    def test_each_row_has_unit_norm(self, dims):
+        for row, _, _ in probe_rows(dims):
+            assert abs(np.linalg.norm(row) - 1.0) <= NORM_ATOL
+
+    def test_a_ghz_probe_counterexample_is_ghz(self):
+        report = k_lea_falsify(identity_channel(2), 3, budget=0)
+        assert report.counterexample_label == "probe:GHZ"
+        state = report.counterexample
+        assert state.dims == (2, 2, 2)
+        assert state.amplitudes.tobytes() == ghz(3).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2)])
+    def test_a_cut_probe_counterexample_is_its_embedded_state(self, dims):
+        report = ea_falsify(identity_channel(math.prod(dims)), dims, budget=0)
+        part = bipartitions(len(dims))[0]
+        assert report.counterexample_label == f"probe:psi+:{part.label()}"
+        state = report.counterexample
+        assert state.dims == dims
+        assert state.amplitudes.tobytes() == embedded_max_entangled(dims, part).amplitudes.tobytes()
+
+
+class TestBipartitionsCache:
+    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    def test_repeated_calls_return_the_same_tuple(self, n):
+        assert bipartitions(n) is bipartitions(n)
+        assert bipartitions(np.int64(n)) is bipartitions(n)
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "need at least 2 factors, got 1"),
+        (11, "a density matrix of dimension 2048 or more needs at least 67108864 "
+             "bytes, above the falsifier's 16777216-byte bound"),
+        (2.5, "factor count must be an integer, got 2.5"),
+        (math.nan, "factor count must be an integer, got nan"),
+        ("3", "factor count must be an integer, got '3'"),
+        ([3], "factor count must be an integer, got [3]"),
+    ])
+    def test_refused_counts_keep_their_messages(self, n, message):
+        with pytest.raises(ValueError) as exc:
+            bipartitions(n)
         assert str(exc.value) == message

@@ -487,6 +487,19 @@ class TestKeyedRngs:
             given.generate_state(8)
 
 
+class TestKeyedRngBatches:
+    """One ``_keyed_rngs`` call packs its keys into the lanes of one seeding
+    pass per word count; every lane must still be ``default_rng((seed, key))``."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**130 + 1])
+    def test_one_two_and_three_word_keys_in_one_batch(self, seed):
+        keys = [2**70, 7, 2**40, 8, 2**64 + 1, 2**32 - 1, 2**40 + 9, 0]
+        TestKeyedRngs.assert_default_rng(seed, keys)
+
+    def test_a_batch_of_600_keys(self):
+        TestKeyedRngs.assert_default_rng(2**32 + 5, list(range(600)))
+
+
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
         rho = random_density((2, 2), rank=1, seed=5)

@@ -168,16 +168,33 @@ MUTANTS = (
     Mutant(
         "seed-hash-xorshift-dropped",
         "src/ealab/states.py",
-        "state.append(v ^ v >> 16 & 0x0000FFFF0000FFFF)",
-        "state.append(v)",
+        "words.append(v ^ v >> 16 & halves)",
+        "words.append(v)",
         ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
     ),
     Mutant(
         "keyed-entropy-key-words-first",
         "src/ealab/states.py",
-        "np.array(head + _words32(key), np.uint32)",
-        "np.array(_words32(key) + head, np.uint32)",
+        "_lane_states([w * ones for w in head] + lanes, ones)",
+        "_lane_states(lanes + [w * ones for w in head], ones)",
         ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
+    ),
+    Mutant(
+        "lane-mask-dropped-after-mix-sum",
+        "src/ealab/states.py",
+        "y * (2**32 - _MIX_RIGHT) & mask",
+        "y * (2**32 - _MIX_RIGHT)",
+        (
+            "tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",
+            "tests/test_states.py::TestKeyedRngBatches",
+        ),
+    ),
+    Mutant(
+        "bell-row-over-sqrt-first-block",
+        "src/ealab/criteria.py",
+        "1.0 / math.sqrt(m)",
+        "1.0 / math.sqrt(d_a)",
+        ("tests/test_falsify.py::TestProbeRows::test_each_row_has_unit_norm",),
     ),
     Mutant(
         "density-trace-check-dropped",
