@@ -414,24 +414,34 @@ def random_channel(
 #   {"kind": "measure_prepare", "povm": [<matrix>, ...],
 #    "prepares": [<matrix>, ...], "prepare_dims": [2, 2]}
 # where <matrix> is a row-major nested array whose entries are [re, im] pairs.
-# "lambda" must be a JSON number and every dimension a JSON integer: a bool,
-# a string, or a float dimension such as 2.9 is refused, never coerced.
+# "lambda", re and im must be JSON numbers and every dimension a JSON integer:
+# a bool, a string, or a float dimension such as 2.9 is refused, never
+# coerced.  Only a missing, null or empty "prepare_dims" means one factor per
+# prepared state; false, 0, "" and {} are refused.
 
 
 def matrix_from_json(rows) -> np.ndarray:
     """Complex matrix from nested rows of [re, im] pairs of finite numbers.
 
+    Each re and im must pass ``_json_real``: a string or a bool is refused.
     Python's ``json`` reads ``NaN`` and ``Infinity``; they are refused here,
     before any check could trip over them.
     """
     try:
         arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(
             "matrices must be nested row-major arrays of [re, im] pairs"
         )
+    try:
+        for row in rows:
+            for pair in row:
+                for x in pair:
+                    _json_real(x)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix entry: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite numbers, got NaN or an infinity")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
@@ -470,6 +480,13 @@ def _json_real(value) -> float:
     return float(value)
 
 
+def _json_dims(value) -> tuple[int, ...]:
+    """A JSON list of integers, or null, as a tuple; else ``TypeError``."""
+    if value is not None and not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(_json_int(x) for x in value or ())
+
+
 def channel_from_spec(spec: dict) -> Channel:
     """Build a channel from its JSON description (see module comment)."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -499,10 +516,7 @@ def channel_from_spec(spec: dict) -> Channel:
                 "measure_prepare description needs 'povm' and 'prepares' lists"
             )
         prep_mats = [matrix_from_json(p) for p in preps]
-        # a missing, null or empty prepare_dims means one factor per state
-        pdims = _spec_field(
-            spec, "prepare_dims", lambda v: tuple(_json_int(x) for x in v or ())
-        )
+        pdims = _spec_field(spec, "prepare_dims", _json_dims, ())
         prepares = tuple(DensityOperator(p, pdims or (p.shape[0],)) for p in prep_mats)
         mp = MeasurePrepare(tuple(matrix_from_json(f) for f in povm), prepares)
         return measure_prepare_channel(mp)

@@ -24,6 +24,7 @@ from .channels import (
     choi_of,
     depolarizing,
     load_channel_spec,
+    matrix_to_json,
     tensor_power,
 )
 from .criteria import (
@@ -183,10 +184,7 @@ def _report_to_json(report) -> dict:
         payload["counterexample"] = {
             "label": report.counterexample_label,
             "partition": report.counterexample_partition.label(),
-            "state": [
-                [float(a.real), float(a.imag)]
-                for a in report.counterexample.amplitudes
-            ],
+            "state": matrix_to_json([report.counterexample.amplitudes])[0],
             "dims": list(report.counterexample.dims),
         }
     return payload

@@ -44,13 +44,13 @@ from .linalg import (
     _symmetrized_eigenvalues,
     _unit_interval,
     _whole,
-    dims_product,
     hermitian_eigenvalues,
     partial_transpose,
 )
 from .states import (
     DensityOperator,
     PureState,
+    _bell_row,
     _first_invalid_density,
     _ghz_row,
     _haar_rows,
@@ -124,16 +124,10 @@ class Partition:
         )
 
     def block_dims(self, dims: Sequence[int]) -> tuple[int, int]:
-        # caught, not tested for: the library's callers validate the partition first
-        try:
-            return (
-                dims_product([dims[i] for i in self.first]),
-                dims_product([dims[i] for i in self.second]),
-            )
-        except IndexError:
-            raise ValueError(
-                f"partition {self.label()} names a factor outside dims {tuple(dims)}"
-            ) from None
+        ds = _factor_dims(dims)
+        if max(self.first + self.second) >= len(ds):
+            raise ValueError(f"partition {self.label()} names a factor outside dims {ds}")
+        return math.prod(ds[i] for i in self.first), math.prod(ds[i] for i in self.second)
 
 
 def bipartitions(n: int) -> tuple[Partition, ...]:
@@ -400,32 +394,7 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     """
     ds = _factor_dims(dims)
     part.validate_for(len(ds))
-    return PureState(_bell_row(ds, part), ds)
-
-
-def _bell_row(ds: tuple[int, ...], part: Partition) -> np.ndarray:
-    """Amplitudes of ``embedded_max_entangled(ds, part)``, for factor
-    dimensions and a partition of them already checked: 1/sqrt(m) at the
-    basis states whose two blocks both hold index j < m, m the smaller
-    block dimension."""
-    first, second = _block_offsets(ds, part.first), _block_offsets(ds, part.second)
-    d_a, d_b = len(first), len(second)
-    m = min(d_a, d_b)
-    amp, value = np.zeros(math.prod(ds), dtype=complex), 1.0 / math.sqrt(m)
-    for j in range(m):
-        amp[first[j] + second[j]] = value
-    return amp
-
-
-def _block_offsets(ds: tuple[int, ...], block: tuple[int, ...]) -> list[int]:
-    """Offsets in an amplitude vector on factors ``ds`` of the basis states
-    of the block's factors, in the block's index order (its first factor
-    most significant), the other factors at 0."""
-    offsets = [0]
-    for f in block:
-        stride = math.prod(ds[f + 1 :])
-        offsets = [o + x * stride for o in offsets for x in range(ds[f])]
-    return offsets
+    return PureState(_bell_row(ds, part.first, part.second), ds)
 
 
 def _batches(n_trials: int, cap: int) -> Iterator[range]:
@@ -476,7 +445,7 @@ def _falsify(
             labels += ["probe:GHZ", "probe:W"]
             rows += [_ghz_row(len(dims)), _w_row(len(dims))]
         labels += [f"probe:psi+:{part.label()}" for part in parts]
-        rows += [_bell_row(dims, part) for part in parts]
+        rows += [_bell_row(dims, part.first, part.second) for part in parts]
     n_trials = len(rows) + budget
     if n_trials == 0:
         raise ValueError("the search has no trials: no probes and a zero budget")

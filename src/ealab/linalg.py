@@ -92,13 +92,6 @@ def _whole(x, name: str, least: int | None = None) -> int:
     return n
 
 
-def dims_product(dims: Sequence[int]) -> int:
-    p = 1
-    for d in dims:
-        p *= _whole(d, "factor dimension")
-    return p
-
-
 def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     """Factor dimensions as a tuple of positive ints (a scalar is one factor).
 
@@ -111,7 +104,7 @@ def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     ds = tuple(_whole(x, "factor dimension") for x in dims)
     if not ds or any(x < 1 for x in ds):
         raise ValueError(f"factor dimensions must be positive, got {ds}")
-    if d is not None and dims_product(ds) != d:
+    if d is not None and math.prod(ds) != d:
         raise ValueError(f"factor dimensions {ds} do not match dimension {d}")
     return ds
 
@@ -192,7 +185,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     bra = list(range(n))
     ket = [i + n if i in kept else i for i in range(n)]
     out = [i for i in kept] + [i + n for i in kept]
-    d_keep = dims_product([ds[i] for i in kept])
+    d_keep = math.prod(ds[i] for i in kept)
     return np.einsum(t, bra + ket, out).reshape(d_keep, d_keep)
 
 

@@ -24,7 +24,6 @@ from .linalg import (
     _unit_interval,
     _whole,
     as_operator,
-    dims_product,
     hermiticity_defect,
     partial_trace,
 )
@@ -102,7 +101,7 @@ class DensityOperator:
 
     def marginal(self, keep: Sequence[int]) -> "DensityOperator":
         """Reduced state on the kept factors."""
-        kept = tuple(sorted({_whole(i, "keep index") for i in keep}))
+        kept = _factor_subset(keep, len(self.dims), "keep")
         m = partial_trace(self.matrix, self.dims, kept)
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
 
@@ -163,9 +162,7 @@ class SchmidtDecomposition:
 def max_entangled(d: int) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> on dims (d, d)."""
     d = _whole(d, "local dimension", 2)
-    amp = np.zeros(d * d, dtype=complex)
-    amp[:: d + 1] = 1.0 / np.sqrt(d)
-    return PureState(amp, (d, d))
+    return PureState(_bell_row((d, d), (0,), (1,)), (d, d))
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
@@ -212,6 +209,32 @@ def _w_row(n: int) -> np.ndarray:
     return amp
 
 
+def _bell_row(ds: tuple[int, ...], first: tuple[int, ...], second: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes of the maximally entangled state across the blocks
+    ``first | second`` of factors ``ds``, all already checked: 1/sqrt(m) at
+    the basis states whose two blocks both hold index j < m, m the smaller
+    block dimension.  ``max_entangled`` and ``embedded_max_entangled`` use it."""
+    amp = np.zeros(math.prod(ds), dtype=complex)  # before the offsets: a huge d fails at once
+    at_a, at_b = _block_offsets(ds, first), _block_offsets(ds, second)
+    d_a, d_b = len(at_a), len(at_b)
+    m = min(d_a, d_b)
+    value = 1.0 / math.sqrt(m)
+    for j in range(m):
+        amp[at_a[j] + at_b[j]] = value
+    return amp
+
+
+def _block_offsets(ds: tuple[int, ...], block: tuple[int, ...]) -> list[int]:
+    """Offsets in an amplitude vector on factors ``ds`` of the basis states
+    of the block's factors, in the block's index order (its first factor
+    most significant), the other factors at 0."""
+    offsets = [0]
+    for f in block:
+        stride = math.prod(ds[f + 1 :])
+        offsets = [o + x * stride for o in offsets for x in range(ds[f])]
+    return offsets
+
+
 def ghz(n: int = 3) -> PureState:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
     n = _qubit_count(n)
@@ -252,8 +275,8 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
         raise ValueError("partition must split the factors into two nonempty blocks")
     perm = left_idx + right_idx
     tens = psi.amplitudes.reshape(psi.dims).transpose(perm)
-    d_left = dims_product([psi.dims[i] for i in left_idx])
-    d_right = dims_product([psi.dims[i] for i in right_idx])
+    d_left = math.prod(psi.dims[i] for i in left_idx)
+    d_right = math.prod(psi.dims[i] for i in right_idx)
     u, s, vh = np.linalg.svd(tens.reshape(d_left, d_right), full_matrices=False)
     return SchmidtDecomposition(s, u, vh.T)
 
@@ -379,20 +402,19 @@ def _keyed_rngs(seed: int, keys: Iterable[int]) -> list[np.random.Generator]:
     keys the two are about even, and a lone key takes about 40 µs instead
     of 14.
     """
-    keys = list(keys)
-    head, sizes = _words32(seed), [len(_words32(key)) for key in keys]
-    states = np.empty((len(keys), 4), np.uint64)  # PCG64 reads a row's words in place
+    head, key_words = _words32(seed), [_words32(key) for key in keys]
+    sizes = [len(words) for words in key_words]
+    states = np.empty((len(key_words), 4), np.uint64)  # PCG64 reads a row's words in place
     for size in set(sizes):
         rows = [i for i, s in enumerate(sizes) if s == size]
-        group = [keys[i] for i in rows]
-        ones = int.from_bytes(_LANE_ONE * len(group), "little")
+        ones = int.from_bytes(_LANE_ONE * len(rows), "little")
         lanes = [
-            int.from_bytes(np.array([k >> s & _MASK32 for k in group], "<u8").tobytes(), "little")
-            for s in range(0, 32 * size, 32)
+            int.from_bytes(np.array([key_words[i][j] for i in rows], "<u8").tobytes(), "little")
+            for j in range(size)
         ]
         words = _lane_states([w * ones for w in head] + lanes, ones)
-        packed = b"".join(v.to_bytes(8 * len(group), "little") for v in words)
-        states[rows] = np.frombuffer(packed, "<u8").reshape(4, len(group)).T
+        packed = b"".join(v.to_bytes(8 * len(rows), "little") for v in words)
+        states[rows] = np.frombuffer(packed, "<u8").reshape(4, len(rows)).T
     pcg64, generator, given = np.random.PCG64, np.random.Generator, _given_state_type()
     return [generator(pcg64(given(state))) for state in states]
 
@@ -424,13 +446,13 @@ def haar_pure(dims, seed) -> PureState:
     ``seed`` is a nonnegative integer or a nested tuple of them.
     """
     ds = _factor_dims(dims)
-    return PureState(_haar_rows([_seeded_rng(seed)], dims_product(ds))[0], ds)
+    return PureState(_haar_rows([_seeded_rng(seed)], math.prod(ds))[0], ds)
 
 
 def random_density(dims, rank: int, seed) -> DensityOperator:
     """Random mixture of ``rank`` Haar pure states with Dirichlet weights."""
     ds = _factor_dims(dims)
-    d = dims_product(ds)
+    d = math.prod(ds)
     rank = _whole(rank, "rank")
     if rank < 1 or rank > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")

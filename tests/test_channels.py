@@ -737,6 +737,12 @@ class TestJsonSpecs:
         }
         assert channels_equal(channel_from_spec(spec), depolarizing(0.0, 2))
 
+    @pytest.mark.parametrize("extra", [{}, {"prepare_dims": None}, {"prepare_dims": []}])
+    def test_absent_prepare_dims_is_one_factor_per_state(self, extra):
+        spec = {"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))],
+                "prepares": [matrix_to_json(np.eye(4) / 4)], **extra}
+        assert channel_from_spec(spec).out_dim == 4
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
             channel_from_spec({"kind": "mystery"})
@@ -756,9 +762,37 @@ class TestJsonSpecs:
              "measure_prepare description needs 'povm' and 'prepares' lists"),
             ({"kind": "measure_prepare", "povm": [], "prepares": [matrix_to_json(np.eye(2) / 2)]},
              "measure_prepare description needs 'povm' and 'prepares' lists"),
+            # matrix entries are JSON numbers: no string or bool is coerced
+            ({"kind": "kraus", "ops": [[[["1", "0"], ["0", "0"]], [["0", "0"], [True, False]]]]},
+             "malformed matrix entry: expected a number, got '1'"),
+            ({"kind": "kraus", "ops": [[[[1, 0], [0, 0]], [[0, 0], [True, False]]]]},
+             "malformed matrix entry: expected a number, got True"),
+            ({"kind": "choi", "out_dim": 2, "in_dim": 2,
+              "matrix": [[[x, "0"] for x in row] for row in np.eye(4) / 4]},
+             "malformed matrix entry: expected a number, got '0'"),
+            ({"kind": "measure_prepare", "povm": [[[[1, 0], [0, 0]], [[0, 0], [1, False]]]],
+              "prepares": [matrix_to_json(np.eye(2) / 2)]},
+             "malformed matrix entry: expected a number, got False"),
+            ({"kind": "kraus", "ops": [[[[10**400, 0]]]]},
+             "malformed matrix entry: int too large to convert to float"),
+            # the shape and finiteness messages stand as they were
+            ({"kind": "kraus", "ops": [[["1", "0"], ["0", "1"]]]},
+             "matrices must be nested row-major arrays of [re, im] pairs"),
+            ({"kind": "kraus", "ops": [[[[float("nan"), 0]]]]},
+             "matrix entries must be finite numbers, got NaN or an infinity"),
+        ] + [
+            # only a missing, null or empty prepare_dims means one factor per state
+            ({"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))],
+              "prepares": [matrix_to_json(np.eye(2) / 2)], "prepare_dims": dims},
+             f"field 'prepare_dims' has the wrong type or value: "
+             f"expected a list of integers, got {dims!r}")
+            for dims in (False, 0, "", {}, "2")
         ],
         ids=["not-an-object", "no-kind", "no-lambda", "empty-ops", "no-ops", "choi-no-matrix",
-             "choi-no-out_dim", "no-prepares", "empty-povm"],
+             "choi-no-out_dim", "no-prepares", "empty-povm", "kraus-string-entries",
+             "kraus-bool-entry", "choi-string-entries", "povm-bool-entry", "entry-past-float",
+             "pairs-of-strings-unnested", "nan-entry", "prepare-dims-false", "prepare-dims-0",
+             "prepare-dims-empty-string", "prepare-dims-object", "prepare-dims-string"],
     )
     def test_incomplete_description_is_named(self, spec, message):
         with pytest.raises(ValueError) as exc:

@@ -295,6 +295,12 @@ class TestFalsify:
              "prepare_dims": [2.5]},
             # a JSON integer past the float range
             {"kind": "depolarizing", "lambda": 10**400},
+            {"kind": "kraus", "ops": [[[[10**400, 0]]]]},
+            # matrix entries are JSON numbers: these strings and bools would
+            # read as the identity channel if coerced
+            {"kind": "kraus", "ops": [[[["1", "0"], ["0", "0"]], [["0", "0"], [True, False]]]]},
+            {"kind": "measure_prepare", "povm": [IDENTITY], "prepares": [HALF_I],
+             "prepare_dims": False},
         ],
     )
     def test_malformed_spec_is_an_invalid_description(self, payload, tmp_path, capsys):

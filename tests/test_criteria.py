@@ -82,6 +82,15 @@ class TestPartition:
         ):
             part.block_dims((2, 2))
 
+    @pytest.mark.parametrize("dims, message", [
+        ((2, 2.5), "factor dimension must be an integer, got 2.5"),
+        ((2, 0), "factor dimensions must be positive, got (2, 0)"),
+    ])
+    def test_block_dims_are_checked_factor_dims(self, dims, message):
+        with pytest.raises(ValueError) as exc:
+            SPLIT_12.block_dims(dims)
+        assert str(exc.value) == message
+
     def test_bipartitions_count(self):
         assert len(bipartitions(2)) == 1
         assert len(bipartitions(3)) == 3

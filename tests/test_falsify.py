@@ -22,8 +22,7 @@ from ealab import (
     tensor_power,
     w_state,
 )
-from ealab.criteria import _bell_row
-from ealab.states import NORM_ATOL, _ghz_row, _w_row
+from ealab.states import NORM_ATOL, _bell_row, _ghz_row, _w_row
 
 
 def reverify(report, channel, dims):
@@ -196,7 +195,7 @@ def probe_rows(dims):
         cases += [(_ghz_row(n), ghz(n), ghz_ref), (_w_row(n), w_state(n), w_ref)]
     for part in bipartitions(len(dims)):
         public = embedded_max_entangled(dims, part)
-        cases.append((_bell_row(dims, part), public, bell_reference(dims, part)))
+        cases.append((_bell_row(dims, part.first, part.second), public, bell_reference(dims, part)))
     return cases
 
 

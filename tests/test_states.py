@@ -298,6 +298,13 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             max_entangled(1)
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_amplitudes_are_the_diagonal_construction(self, d):
+        # reference: the stride-(d + 1) diagonal, written out by hand
+        amp = np.zeros(d * d, dtype=complex)
+        amp[:: d + 1] = 1.0 / np.sqrt(d)
+        assert max_entangled(d).amplitudes.tobytes() == amp.tobytes()
+
 
 class TestWerner:
     def test_fully_mixed_end(self):

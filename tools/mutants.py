@@ -191,10 +191,38 @@ MUTANTS = (
     ),
     Mutant(
         "bell-row-over-sqrt-first-block",
-        "src/ealab/criteria.py",
+        "src/ealab/states.py",
         "1.0 / math.sqrt(m)",
         "1.0 / math.sqrt(d_a)",
         ("tests/test_falsify.py::TestProbeRows::test_each_row_has_unit_norm",),
+    ),
+    Mutant(
+        "keyed-seeding-first-word-lane-only",
+        "src/ealab/states.py",
+        "for j in range(size)",
+        "for j in range(1)",
+        ("tests/test_states.py::TestKeyedRngBatches",),
+    ),
+    Mutant(
+        "block-dims-unchecked-factors",
+        "src/ealab/criteria.py",
+        "        ds = _factor_dims(dims)\n        if max(self.first",
+        "        ds = tuple(dims)\n        if max(self.first",
+        ("tests/test_criteria.py::TestPartition",),
+    ),
+    Mutant(
+        "json-matrix-leaf-check-dropped",
+        "src/ealab/channels.py",
+        "                for x in pair:\n                    _json_real(x)\n",
+        "                for x in ():\n                    _json_real(x)\n",
+        ("tests/test_channels.py::TestJsonSpecs",),
+    ),
+    Mutant(
+        "json-prepare-dims-falsy-read-as-absent",
+        "src/ealab/channels.py",
+        "if value is not None and not isinstance(value, list):",
+        "if value and not isinstance(value, list):",
+        ("tests/test_channels.py::TestJsonSpecs",),
     ),
     Mutant(
         "density-trace-check-dropped",
