@@ -416,8 +416,10 @@ def random_channel(
 # where <matrix> is a row-major nested array whose entries are [re, im] pairs.
 # "lambda", re and im must be JSON numbers and every dimension a JSON integer:
 # a bool, a string, or a float dimension such as 2.9 is refused, never
-# coerced.  Only a missing, null or empty "prepare_dims" means one factor per
-# prepared state; false, 0, "" and {} are refused.
+# coerced.  "ops", "povm" and "prepares" must be JSON arrays: a string or an
+# object is refused, not read as its characters or keys.  Only a missing,
+# null or empty "prepare_dims" means one factor per prepared state; false, 0,
+# "" and {} are refused.
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -480,6 +482,13 @@ def _json_real(value) -> float:
     return float(value)
 
 
+def _json_list(value) -> list:
+    """A JSON array; a string, object, number, bool or null raises ``TypeError``."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def _json_dims(value) -> tuple[int, ...]:
     """A JSON list of integers, or null, as a tuple; else ``TypeError``."""
     if value is not None and not isinstance(value, list):
@@ -498,7 +507,7 @@ def channel_from_spec(spec: dict) -> Channel:
         lam = _spec_field(spec, "lambda", _json_real)
         return depolarizing(lam, _spec_field(spec, "d", _json_int, 2))
     if kind == "kraus":
-        ops = _spec_field(spec, "ops", list)
+        ops = _spec_field(spec, "ops", _json_list)
         if not ops:
             raise ValueError("kraus description needs a nonempty 'ops' list")
         return Channel(tuple(matrix_from_json(k) for k in ops))
@@ -509,8 +518,8 @@ def channel_from_spec(spec: dict) -> Channel:
         dims = tuple(_spec_field(spec, key, _json_int) for key in ("out_dim", "in_dim"))
         return channel_from_choi(DensityOperator(matrix_from_json(spec["matrix"]), dims))
     if kind == "measure_prepare":
-        povm = _spec_field(spec, "povm", list)
-        preps = _spec_field(spec, "prepares", list)
+        povm = _spec_field(spec, "povm", _json_list)
+        preps = _spec_field(spec, "prepares", _json_list)
         if not povm or not preps:
             raise ValueError(
                 "measure_prepare description needs 'povm' and 'prepares' lists"

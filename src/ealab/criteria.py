@@ -74,10 +74,12 @@ SEESAW_MAX_ITER = 200
 # a counterexample names the first of them in bipartitions order, so that
 # rounding in the last digits cannot change the reported partition.
 CUT_TIE_ATOL = 1e-12
-# Falsifier batches double from _FIRST_BATCH trials while a stack of their
-# density matrices stays within linalg._STACK_BYTES, as must the see-saw's
-# starts.  The partial transposes of a batch are screened as one stack over
-# as many cuts as fit in linalg._BLOCK_BYTES (at least one cut).
+# The falsifier screens its trials in batches that double from _FIRST_BATCH
+# while a stack of their density matrices stays within linalg._STACK_BYTES,
+# as must the see-saw's starts.  The partial transposes of a batch are
+# screened as one stack over as many cuts as fit in linalg._BLOCK_BYTES (at
+# least one cut).  Outputs are made for runs of batches (``_runs``): the
+# first batch alone, so that a probe hit costs only its trials.
 _FIRST_BATCH = 4
 
 # Block-dimension pairs where a positive partial transpose certifies
@@ -405,6 +407,24 @@ def _batches(n_trials: int, cap: int) -> Iterator[range]:
         size = min(2 * size, cap)
 
 
+def _runs(n_trials: int, cap: int, least: int) -> Iterator[list[range]]:
+    """The ``_batches`` ranges, grouped into runs of consecutive ranges whose
+    outputs are made together: the first range alone, then whole ranges
+    until a run holds at least ``least`` trials, never more than ``cap``.
+    ``n_trials`` must be positive."""
+    batches = _batches(n_trials, cap)
+    yield [next(batches)]
+    run, size = [], 0
+    for trials in batches:
+        if run and (size >= least or size + len(trials) > cap):
+            yield run
+            run, size = [], 0
+        run.append(trials)
+        size += len(trials)
+    if run:
+        yield run
+
+
 def _falsify(
     channel: Channel,
     sites: int,
@@ -420,19 +440,26 @@ def _falsify(
     composite with factor dimensions ``dims`` (one site: the whole system).
     The probes are one ``(P, D)`` array whose rows come from the helpers
     of ``ghz``, ``w_state`` and ``embedded_max_entangled``; only a probe a
-    report names becomes a ``PureState``.  Trials run in batches in index
-    order.  A batch is a few stacked calls: one ``states._keyed_rngs``
-    seeding pass and one ``states._haar_rows`` for its Haar trials, one
-    ``_apply_sites`` for the channel, and one ``linalg._lowest_eigenvalues``
-    above the running minimum over the stacked partial transposes of every
-    cut, or of as many cuts at a time as fit in ``linalg._BLOCK_BYTES``; it
-    eigensolves only what a Cholesky cannot prove unable to change the
-    minimum.  Haar trial t draws from the ``states._keyed_rngs`` generator
-    of key t, which starts where ``default_rng((seed, t))`` does.  Inputs
-    are unit vectors (the probe rows by construction, Haar rows
-    normalized), so their projectors go unchecked; each output batch passes
-    the density check of ``DensityOperator``, and a failure raises only
-    when no earlier trial is a counterexample, as in a trial-by-trial loop.
+    report names becomes a ``PureState``.  Trials run in index order and
+    are screened batch by batch, over ``_batches``; their outputs are made
+    for runs of consecutive batches, over ``_runs``.  A run is a few
+    stacked calls: one ``states._keyed_rngs`` seeding pass and one
+    ``states._haar_rows`` for its Haar trials (none for a run of probes
+    alone), one ``_apply_sites`` for the channel and one density check.
+    After the first batch, a run takes whole batches until it holds as many
+    trials as fit in ``linalg._BLOCK_BYTES`` over every cut: at budget 40
+    that makes two runs at k = 2 and 3, and from k = 4 up every run is one
+    batch.  A batch is one ``linalg._lowest_eigenvalues`` above the running
+    minimum over the stacked partial transposes of every cut, or of as many
+    cuts at a time as fit in ``linalg._BLOCK_BYTES``; it eigensolves only
+    what a Cholesky cannot prove unable to change the minimum.  Haar trial
+    t draws from the ``states._keyed_rngs`` generator of key t, which
+    starts where ``default_rng((seed, t))`` does.  Inputs are unit vectors
+    (the probe rows by construction, Haar rows normalized), so their
+    projectors go unchecked; each run of outputs passes the density check
+    of ``DensityOperator``, and a failure raises only when no earlier trial
+    is a counterexample, as in a trial-by-trial loop: the batches of a run
+    before the failed output are screened first.
     """
     _check_tol(tol)
     budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
@@ -453,41 +480,46 @@ def _falsify(
     flips = [p.second for p in parts]
 
     seen = math.inf
-    for trials in _batches(n_trials, cap):
-        haar = range(max(trials.start, len(probes)), trials.stop)
-        amps = np.concatenate([
-            probes[trials.start : trials.stop],
-            _haar_rows(_keyed_rngs(seed, haar), dim),
-        ])
+    least = _BLOCK_BYTES // (16 * dim * dim * len(flips))
+    for run in _runs(n_trials, cap, least):
+        start, stop = run[0].start, run[-1].stop
+        amps = probes[start:stop]
+        if stop > len(probes):
+            haar = range(max(start, len(probes)), stop)
+            amps = np.concatenate([amps, _haar_rows(_keyed_rngs(seed, haar), dim)])
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
-        n = len(trials) if failure is None else failure[0]
-        # PT minima per trial and cut before the first failed check.  No
-        # earlier batch hit, so seen >= -tol, and a cut left at +inf cannot
-        # change the report.
-        group = max(1, _BLOCK_BYTES // (16 * dim * dim * max(n, 1)))
-        lows = np.concatenate([
-            _lowest_eigenvalues(_partial_transposes(out[:n], dims, flips[i : i + group]), seen)
-            for i in range(0, len(flips), group)
-        ], axis=1)
-        worst = lows.min(axis=1)
-        hits = np.flatnonzero(worst < -tol)
-        if hits.size:
-            h = int(hits[0])
-            seen = min(seen, float(worst[: h + 1].min()))
-            cut = next(
-                i for i, low in enumerate(lows[h])
-                if low < -tol and low <= worst[h] + CUT_TIE_ATOL
-            )
-            t = trials.start + h
-            if t < len(probes):
-                label, state = labels[t], PureState(probes[t], dims)
-            else:
-                label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
-            return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
-        if failure is not None:
-            raise ValueError(f"trial {trials.start + n}: {failure[1]}")
-        seen = min(seen, float(worst.min()))
+        valid = stop if failure is None else start + failure[0]  # trials before it pass the check
+        for trials in run:
+            n = min(trials.stop, valid) - trials.start
+            # PT minima per trial and cut of this batch.  No earlier batch
+            # hit, so seen >= -tol, and a cut left at +inf cannot change the
+            # report.
+            first = trials.start - start
+            batch = out[first : first + n]
+            group = max(1, _BLOCK_BYTES // (16 * dim * dim * max(n, 1)))
+            lows = np.concatenate([
+                _lowest_eigenvalues(_partial_transposes(batch, dims, flips[i : i + group]), seen)
+                for i in range(0, len(flips), group)
+            ], axis=1)
+            worst = lows.min(axis=1)
+            hits = np.flatnonzero(worst < -tol)
+            if hits.size:
+                h = int(hits[0])
+                seen = min(seen, float(worst[: h + 1].min()))
+                cut = next(
+                    i for i, low in enumerate(lows[h])
+                    if low < -tol and low <= worst[h] + CUT_TIE_ATOL
+                )
+                t = trials.start + h
+                if t < len(probes):
+                    label, state = labels[t], PureState(probes[t], dims)
+                else:
+                    label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
+                return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
+            if n < len(trials):
+                raise ValueError(f"trial {valid}: {failure[1]}")
+            seen = min(seen, float(worst.min()))
     return FalsifierReport(None, None, None, n_trials, seen, seed, parts)
 
 
@@ -546,18 +578,20 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized.  Per batch, the Haar rows are drawn as one stack,
-    each from its trial's ``default_rng((seed, t))`` stream, all of them
-    seeded by one pass of numpy's ``SeedSequence`` arithmetic on the
-    batch's keys packed into the lanes of Python ints; the channel acts on
-    all inputs in one contraction, and the partial transposes of all
-    2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues`` as one stack (as
-    several when they pass ``linalg._BLOCK_BYTES``), which, like the output
-    positivity check, eigensolves only the matrices a batched Cholesky
-    cannot prove above the running minimum (or zero).  For
-    qubits k up to 7 is practical: with single-threaded BLAS on a contended
-    2-vCPU x86 server a no-counterexample trial takes about 0.02-0.04 ms at
-    k = 3, 0.07-0.10 ms at k = 4 (budget 400), 0.4-0.6 ms at k = 5, 6-7 ms
+    never materialized.  Per run of batches (see ``_falsify``), the Haar
+    rows are drawn as one stack, each from its trial's
+    ``default_rng((seed, t))`` stream, all of them seeded by one pass of
+    numpy's ``SeedSequence`` arithmetic on the run's keys packed into the
+    lanes of Python ints, and the channel acts on all inputs in one
+    contraction; per batch, the partial transposes of all 2^(k-1) - 1 cuts
+    go to ``linalg._lowest_eigenvalues`` as one stack (as several when
+    they pass ``linalg._BLOCK_BYTES``), which, like the output positivity
+    check, eigensolves only the matrices a batched Cholesky cannot prove
+    above the running minimum (or zero).  For qubits k up to 7 is
+    practical: with single-threaded BLAS on a contended 2-vCPU x86 server
+    a no-counterexample trial takes about 0.015-0.018 ms at k = 2 and
+    0.021-0.025 ms at k = 3 (budget 40; about 0.008 and 0.015 ms at budget
+    400), 0.07-0.10 ms at k = 4 (budget 400), 0.4-0.6 ms at k = 5, 6-7 ms
     at k = 6 (budget 100) and 53-59 ms at k = 7 (budget 30), where the
     Cholesky of 63 cuts of 128x128 matrices dominates.  Composites whose density
     matrix would exceed the falsifier's memory bound (qubits past k = 10), and

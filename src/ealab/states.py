@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    _STACK_BYTES,
     MATRIX_ATOL,
     _composite_dim,
     _factor_dims,
@@ -160,8 +161,16 @@ class SchmidtDecomposition:
 
 
 def max_entangled(d: int) -> PureState:
-    """Maximally entangled state (1/sqrt(d)) sum_j |jj> on dims (d, d)."""
+    """Maximally entangled state (1/sqrt(d)) sum_j |jj> on dims (d, d).
+
+    A ``d`` whose d^2 amplitudes would pass ``linalg._STACK_BYTES``
+    (d > 1024) is rejected before any allocation."""
     d = _whole(d, "local dimension", 2)
+    if 16 * d * d > _STACK_BYTES:
+        raise ValueError(
+            f"a maximally entangled state of local dimension {d} needs {16 * d * d} "
+            f"bytes of amplitudes, above the {_STACK_BYTES}-byte bound"
+        )
     return PureState(_bell_row((d, d), (0,), (1,)), (d, d))
 
 

@@ -787,12 +787,28 @@ class TestJsonSpecs:
              f"field 'prepare_dims' has the wrong type or value: "
              f"expected a list of integers, got {dims!r}")
             for dims in (False, 0, "", {}, "2")
+        ] + [
+            # the matrix lists are JSON arrays: no string or object is
+            # read as a list of its characters or keys
+            ({"kind": "kraus", "ops": "ab"},
+             "field 'ops' has the wrong type or value: expected a list, got 'ab'"),
+            ({"kind": "kraus", "ops": {}},
+             "field 'ops' has the wrong type or value: expected a list, got {}"),
+            ({"kind": "kraus", "ops": 3},
+             "field 'ops' has the wrong type or value: expected a list, got 3"),
+            ({"kind": "measure_prepare", "povm": "ab",
+              "prepares": [matrix_to_json(np.eye(2) / 2)]},
+             "field 'povm' has the wrong type or value: expected a list, got 'ab'"),
+            ({"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))],
+              "prepares": {"a": 1}},
+             "field 'prepares' has the wrong type or value: expected a list, got {'a': 1}"),
         ],
         ids=["not-an-object", "no-kind", "no-lambda", "empty-ops", "no-ops", "choi-no-matrix",
              "choi-no-out_dim", "no-prepares", "empty-povm", "kraus-string-entries",
              "kraus-bool-entry", "choi-string-entries", "povm-bool-entry", "entry-past-float",
              "pairs-of-strings-unnested", "nan-entry", "prepare-dims-false", "prepare-dims-0",
-             "prepare-dims-empty-string", "prepare-dims-object", "prepare-dims-string"],
+             "prepare-dims-empty-string", "prepare-dims-object", "prepare-dims-string",
+             "ops-string", "ops-object", "ops-number", "povm-string", "prepares-object"],
     )
     def test_incomplete_description_is_named(self, spec, message):
         with pytest.raises(ValueError) as exc:

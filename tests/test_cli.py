@@ -301,6 +301,9 @@ class TestFalsify:
             {"kind": "kraus", "ops": [[[["1", "0"], ["0", "0"]], [["0", "0"], [True, False]]]]},
             {"kind": "measure_prepare", "povm": [IDENTITY], "prepares": [HALF_I],
              "prepare_dims": False},
+            # the matrix lists are JSON arrays, not strings or objects
+            {"kind": "kraus", "ops": "ab"},
+            {"kind": "measure_prepare", "povm": {}, "prepares": [HALF_I]},
         ],
     )
     def test_malformed_spec_is_an_invalid_description(self, payload, tmp_path, capsys):

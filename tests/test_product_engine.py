@@ -23,6 +23,7 @@ from ealab import (
     apply_local,
     bipartitions,
     choi_of,
+    compose,
     depolarizing,
     ea_falsify,
     embedded_max_entangled,
@@ -390,6 +391,138 @@ class TestCutStacks:
         monkeypatch.setattr(ealab.criteria, "_lowest_eigenvalues", recording)
         k_lea_falsify(depolarizing(0.3, 2), k, budget=4, seed=0, include_probes=False)
         assert shapes == [(4, 2 ** (k - 1) - 1, 2**k, 2**k)]
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``ealab.criteria.<name>``; return the list of its argument tuples."""
+    calls = []
+    original = getattr(ealab.criteria, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ealab.criteria, name, recording)
+    return calls
+
+
+def trace_failing(eps):
+    """A qubit map with sum K^dag K = diag(1 + eps, 1): it passes the channel
+    check, and two sites add ``trace_error(eps, seed, t)`` to the trace of
+    the output of Haar trial t."""
+    return Channel((np.diag([np.sqrt(1 + eps), 1.0]),))
+
+
+def trace_error(eps, seed, t):
+    a = haar_pure((2, 2), (seed, t)).amplitudes
+    return eps * (1 + abs(a[0]) ** 2 - abs(a[3]) ** 2)
+
+
+class TestOutputRuns:
+    """Outputs are made for runs of consecutive batches: one seeding pass,
+    one Haar draw, one contraction and one density check per run.  The
+    screen still works batch by batch, with the floors of a batch-by-batch
+    search."""
+
+    @pytest.mark.parametrize(
+        "k, probes, sizes",
+        [
+            (2, True, [4, 8, 16, 15]),
+            (2, False, [4, 8, 16, 12]),
+            (3, True, [4, 8, 16, 17]),
+            (3, False, [4, 8, 16, 12]),
+            (4, True, [4, 8, 16, 21]),
+            (4, False, [4, 8, 16, 12]),
+        ],
+    )
+    def test_screen_batches_and_floors_are_the_doubling_batches(
+        self, k, probes, sizes, monkeypatch
+    ):
+        single, budget, seed = depolarizing(0.45, 2), 40, 4
+        dims, parts = (2,) * k, bipartitions(k)
+        calls = recorded(monkeypatch, "_lowest_eigenvalues")
+        report = k_lea_falsify(single, k, budget=budget, seed=seed, include_probes=probes)
+        assert not report.found
+        # one entry per batch: its size and floor, over its groups of cuts
+        batches, cuts = [], 0
+        for pt, above in calls:
+            if cuts == 0:
+                batches.append((len(pt), above))
+            assert (len(pt), above) == batches[-1]
+            cuts = (cuts + pt.shape[1]) % len(parts)
+        assert cuts == 0
+        assert [size for size, _ in batches] == sizes
+        # each floor is the lowest PT eigenvalue of every earlier trial
+        power = tensor_power(single, k)
+        inputs = [ghz(k), w_state(k)] + [embedded_max_entangled(dims, p) for p in parts]
+        inputs = inputs if probes else []
+        inputs += [haar_pure(dims, (seed, t)) for t in range(len(inputs), len(inputs) + budget)]
+        worst = [
+            min(ppt_min_eigenvalue(apply(power, psi, out_dims=dims), p) for p in parts)
+            for psi in inputs
+        ]
+        starts = np.cumsum([0] + sizes[:-1])
+        assert batches[0][1] == math.inf
+        for (_, above), start in zip(batches[1:], starts[1:]):
+            assert above == pytest.approx(min(worst[:start]), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_two_runs_per_search_at_small_k(self, k, monkeypatch):
+        contracted = recorded(monkeypatch, "_apply_sites")
+        checked = recorded(monkeypatch, "_first_invalid_density")
+        seeded = recorded(monkeypatch, "_keyed_rngs")
+        report = k_lea_falsify(depolarizing(0.3, 2), k, budget=40, seed=0)
+        assert not report.found
+        # the first batch alone, then the rest of the search in one run
+        assert [len(stack) for _, stack, _ in contracted] == [4, report.trials_used - 4]
+        assert [len(stack) for (stack,) in checked] == [4, report.trials_used - 4]
+        # at k = 2 the first batch holds 3 probes and Haar trial 3
+        assert len(seeded) == 1 + (k == 2)
+
+    @pytest.mark.parametrize(
+        "k, budget, keys",
+        [
+            # 5 probes: the first batch holds only probes
+            (3, 40, [range(5, 45)]),
+            # 9 probes: probes 4-8 share the second batch with Haar trials 9-11
+            (4, 3, [range(9, 12)]),
+            (3, 0, []),
+        ],
+    )
+    def test_a_run_of_probes_alone_seeds_nothing(self, k, budget, keys, monkeypatch):
+        seeded = recorded(monkeypatch, "_keyed_rngs")
+        drawn = recorded(monkeypatch, "_haar_rows")
+        report = k_lea_falsify(depolarizing(0.3, 2), k, budget=budget, seed=0)
+        assert not report.found
+        assert [(seed, list(key_range)) for seed, key_range in seeded] == [
+            (0, list(r)) for r in keys
+        ]
+        assert len(drawn) == len(keys)
+
+    # at this seed and eps the first 40 Haar inputs are clear of the
+    # unit-trace bound 1e-10, and trial 27, the last of batch 12-28 in the
+    # run of trials 4-39, is the first to fail it
+    EPS, SEED = 0.7e-10, 184
+
+    def assert_first_failure_is_trial_27(self):
+        errors = [trace_error(self.EPS, self.SEED, t) for t in range(40)]
+        assert max(errors[:27]) < 0.95e-10 < 1.05e-10 < errors[27]
+
+    def test_a_hit_beats_a_failed_check_later_in_its_run(self):
+        # Haar trial 6 (batch 4-12) is entangled
+        self.assert_first_failure_is_trial_27()
+        single = compose(depolarizing(0.6, 2), trace_failing(self.EPS))
+        report = k_lea_falsify(single, 2, budget=40, seed=self.SEED, include_probes=False)
+        assert report.counterexample_label == "haar:6"
+        assert report.trials_used == 7
+
+    def test_a_failed_check_with_no_earlier_hit_names_its_trial(self):
+        # entanglement-breaking sites: no trial is a counterexample
+        self.assert_first_failure_is_trial_27()
+        single = compose(depolarizing(0.3, 2), trace_failing(self.EPS))
+        with pytest.raises(ValueError) as info:
+            k_lea_falsify(single, 2, budget=40, seed=self.SEED, include_probes=False)
+        assert str(info.value).startswith("trial 27: matrix does not have unit trace")
 
 
 class TestFalsifierBoundary:

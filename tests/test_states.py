@@ -298,6 +298,18 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             max_entangled(1)
 
+    def test_amplitudes_past_the_stack_bound_are_refused(self):
+        # 1024^2 amplitudes fill the 16 MiB bound; d = 10^8 would need 142 PiB
+        assert max_entangled(1024).dim == 1024**2
+        with pytest.raises(ValueError) as exc:
+            max_entangled(1025)
+        assert str(exc.value) == (
+            "a maximally entangled state of local dimension 1025 needs 16810000 "
+            "bytes of amplitudes, above the 16777216-byte bound"
+        )
+        with pytest.raises(ValueError, match="above the 16777216-byte bound"):
+            max_entangled(10**8)
+
     @pytest.mark.parametrize("d", range(2, 10))
     def test_amplitudes_are_the_diagonal_construction(self, d):
         # reference: the stride-(d + 1) diagonal, written out by hand

@@ -225,6 +225,32 @@ MUTANTS = (
         ("tests/test_channels.py::TestJsonSpecs",),
     ),
     Mutant(
+        "max-entangled-unbounded",
+        "src/ealab/states.py",
+        "if 16 * d * d > _STACK_BYTES:",
+        "if False:",
+        ("tests/test_states.py::TestMaxEntangled",),
+    ),
+    Mutant(
+        "json-list-accepts-any-iterable",
+        "src/ealab/channels.py",
+        "    if not isinstance(value, list):\n        raise TypeError(f\"expected a list, got",
+        "    if not hasattr(value, \"__iter__\"):\n        raise TypeError(f\"expected a list, got",
+        ("tests/test_channels.py::TestJsonSpecs",),
+    ),
+    Mutant(
+        "falsify-run-failure-raised-before-screening",
+        "src/ealab/criteria.py",
+        "        failure = _first_invalid_density(out)\n",
+        "        failure = _first_invalid_density(out)\n"
+        "        if failure is not None:\n"
+        "            raise ValueError(f\"trial {start + failure[0]}: {failure[1]}\")\n",
+        (
+            "tests/test_product_engine.py::TestOutputRuns::"
+            "test_a_hit_beats_a_failed_check_later_in_its_run",
+        ),
+    ),
+    Mutant(
         "density-trace-check-dropped",
         "src/ealab/states.py",
         "ok = np.maximum(defect, np.abs(trace - 1.0)) <= MATRIX_ATOL",
