@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
+    TENSOR_POWER_MAX_BYTES,
     _BLOCK_BYTES,
     _adjoint,
     _lowest_eigenvalues,
@@ -39,11 +40,6 @@ from .states import (
 )
 
 CHOI_RANK_TOL = 1e-12
-# Largest Kraus stack tensor_power or depolarizing materializes, in bytes.
-# The k-fold power of a depolarized qubit holds 5^k operators of 2^k x 2^k
-# complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
-# d holds d^2 + 1 operators of d x d: 252 MB at d = 63.
-TENSOR_POWER_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True, eq=False)

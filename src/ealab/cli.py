@@ -18,6 +18,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import (
     apply,  # unused here; bench/tracing.py wraps cli.apply
     apply_local,
@@ -32,6 +34,10 @@ from .criteria import (
     VERDICT_TOL,
     Partition,
     _check_tol,
+    _eb_min,
+    _entangled,
+    _ghz_min,
+    _two_lea_min,
     bisect_threshold,
     eb_min_eig_depolarizing,
     ghz_three_lea_min_eig,
@@ -62,6 +68,11 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+# One sweep row of CSV: the four reals as ``fmt`` renders them (``%.12g``
+# gives the same bytes), then the three verdicts.
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s"
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One lambda grid point of the sweep table."""
@@ -75,9 +86,10 @@ class SweepRow:
     verdict_3lea_ppt: str
 
     def csv(self) -> str:
-        reals = (self.lam, self.min_mu_2lea, self.ghz_mu_3lea, self.werner_min_eig)
-        verdicts = (self.verdict_2lea, self.verdict_eb, self.verdict_3lea_ppt)
-        return ",".join([*map(fmt, reals), *verdicts])
+        return _CSV_ROW % (
+            self.lam, self.min_mu_2lea, self.ghz_mu_3lea, self.werner_min_eig,
+            self.verdict_2lea, self.verdict_eb, self.verdict_3lea_ppt,
+        )
 
 
 def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
@@ -88,33 +100,44 @@ def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
 def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
     """Evaluate every sweep column at each lambda of ``lams``, in order.
 
-    Every lambda is checked before any row is built.  Each column is a
-    closed form: ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``,
-    the Werner minimum (1 - 3 lambda)/4 of ``eb_min_eig_depolarizing``.
-    Each verdict is ``ppt_status`` of the value its row prints, so a
-    verdict and its value always agree against ``-tol``.
+    Every lambda is checked before any column is computed.  Each real
+    column is one closed form of ``criteria`` evaluated over the whole grid
+    at once: ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``, the
+    Werner minimum (1 - 3 lambda)/4 of ``eb_min_eig_depolarizing``, each
+    bit for bit the value of its scalar function.  Each verdict is
+    ``ppt_status`` of the value its row prints, so a verdict and its value
+    always agree against ``-tol``.
     """
+    return [SweepRow(*row) for row in zip(*_sweep_columns(lams, tol))]
+
+
+def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
+    """The seven columns of ``sweep_rows``, in CSV order, as lists of Python
+    floats and verdict strings."""
     _check_tol(tol)
     lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
-    rows = []
-    for lam in lams:
-        mu2, mu3 = two_lea_min_eig_depolarizing(lam), ghz_three_lea_min_eig(lam)
-        eb = eb_min_eig_depolarizing(lam)
-        # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
-        # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
-        # state against the other two, with block dimensions 2x2 and 2x4.
-        rows.append(
-            SweepRow(
-                lam=lam,
-                min_mu_2lea=mu2,
-                ghz_mu_3lea=mu3,
-                werner_min_eig=eb,
-                verdict_2lea=ppt_status(mu2, (2, 2), tol).value,
-                verdict_eb=ppt_status(eb, (2, 2), tol).value,
-                verdict_3lea_ppt=ppt_status(mu3, (2, 4), tol).value,
-            )
-        )
-    return rows
+    x = np.array(lams, dtype=float)
+    mu2, eb = _two_lea_min(x), _eb_min(x)
+    # each cube by Python's ** (libm pow), as ghz_three_lea_min_eig takes it
+    mu3 = _ghz_min(x, np.array([lam**3 for lam in lams], dtype=float))
+    # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
+    # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
+    # state against the other two, with block dimensions 2x2 and 2x4.
+    verdicts = [
+        _verdict_column(low, blocks, tol)
+        for low, blocks in ((mu2, (2, 2)), (eb, (2, 2)), (mu3, (2, 4)))
+    ]
+    return (lams, mu2.tolist(), mu3.tolist(), eb.tolist(), *verdicts)
+
+
+def _verdict_column(lows: np.ndarray, blocks: tuple[int, int], tol: float) -> list[str]:
+    """``ppt_status(low, blocks, tol).value`` for each of ``lows``.
+
+    ``ppt_status`` gives the column's two verdicts once, at minus and plus
+    infinity, and each row picks one by ``_entangled``, the test
+    ``ppt_status`` itself applies."""
+    pick = [ppt_status(low, blocks, tol).value for low in (math.inf, -math.inf)]
+    return [pick[hit] for hit in _entangled(lows, tol).tolist()]
 
 
 def compute_thresholds(tol: float = BISECTION_TOL):
@@ -160,15 +183,15 @@ def cmd_sweep(args) -> int:
             f"{SWEEP_MAX_ROWS} rows a sweep may write"
         )
     # rounding can push the last grid point past hi
-    rows = sweep_rows([min(lo + i * step, hi) for i in range(int(steps) + 1)], tol=args.tol)
+    lams = [min(lo + i * step, hi) for i in range(int(steps) + 1)]
+    rows = map((_CSV_ROW + "\n").__mod__, zip(*_sweep_columns(lams, args.tol)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row.csv() + "\n")
+            fh.writelines(rows)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(lams)} rows to {args.out}")
     return 0
 
 

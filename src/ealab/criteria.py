@@ -209,12 +209,18 @@ def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     return float(_lowest_eigenvalues(partial_transpose(rho.matrix, rho.dims, part.second)))
 
 
+def _entangled(low, tol: float):
+    """``ppt_status``'s test for Entangled, ``low < -tol``, elementwise on an
+    array of minima."""
+    return low < -tol
+
+
 def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
     """Peres-Horodecki status of a partial-transpose minimum ``low`` across a
     cut whose two blocks have dimensions ``blocks``: Entangled below ``-tol``,
     else SeparableCertified where PPT is exact for those dimensions, else
     Inconclusive.  ``tol`` must already have passed the tolerance check."""
-    if low < -tol:
+    if _entangled(low, tol):
         return Verdict.ENTANGLED
     if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:
         return Verdict.SEPARABLE_CERTIFIED
@@ -264,13 +270,42 @@ def two_lea_pt_eigenvalues(lam: float, q0: float) -> tuple[float, float, float, 
     q0 = _unit_interval(q0, "q0")
     q1 = 1.0 - q0
     base = 0.25 * (1.0 - lam) ** 2
-    cross = lam * lam * math.sqrt(q0 * q1)
+    root = math.sqrt(q0 * q1)
     return (
         base + lam * q0,
         base + lam * q1,
-        0.25 * (1.0 - lam * lam) + cross,
-        0.25 * (1.0 - lam * lam) - cross,
+        0.25 * (1.0 - lam * lam) + lam * lam * root,
+        _pair_pt_low(lam, root),
     )
+
+
+# The closed forms below are written once each, unchecked, for a float or
+# elementwise for a float64 array: numpy's +, -, * and / round each element
+# as Python's float operators do, so the checked scalar functions and the
+# sweep's columns share every bit.
+
+
+def _pair_pt_low(lam, root):
+    """The last eigenvalue of ``two_lea_pt_eigenvalues`` for ``root`` =
+    sqrt(q0 q1): (1 - lambda^2)/4 - lambda^2 sqrt(q0 q1)."""
+    return 0.25 * (1.0 - lam * lam) - lam * lam * root
+
+
+def _two_lea_min(lam):
+    """Unchecked ``two_lea_min_eig_depolarizing``: sqrt(q0 q1) = 1/2 at q0 = 1/2."""
+    return _pair_pt_low(lam, 0.5)
+
+
+def _eb_min(lam):
+    """Unchecked ``eb_min_eig_depolarizing``."""
+    return ((1.0 - 2.0 * lam) - lam) / 4.0
+
+
+def _ghz_min(lam, cube):
+    """Unchecked ``ghz_three_lea_min_eig`` for ``cube`` = ``lam**3``, which
+    callers compute with Python's ``**`` (libm ``pow``) per element: numpy's
+    array power differs from it in the last bit at some lambdas."""
+    return 0.5 * (0.25 * (1.0 - lam * lam) - cube)
 
 
 def two_lea_min_eig_depolarizing(lam: float) -> float:
@@ -283,7 +318,7 @@ def two_lea_min_eig_depolarizing(lam: float) -> float:
     this one still decides 2-local annihilation: it is nonnegative exactly
     for lambda <= 1/sqrt(3).
     """
-    return two_lea_pt_eigenvalues(lam, 0.5)[3]
+    return _two_lea_min(_unit_interval(lam, "lambda"))
 
 
 def eb_min_eig_depolarizing(lam: float) -> float:
@@ -293,8 +328,7 @@ def eb_min_eig_depolarizing(lam: float) -> float:
     On [1/4, 1] the difference ``1 - 2 lambda`` is exact, so the computed
     sign is exact near 1/3, where ``1 - 3 lambda`` can round to the wrong one.
     """
-    lam = _unit_interval(lam, "lambda")
-    return ((1.0 - 2.0 * lam) - lam) / 4.0
+    return _eb_min(_unit_interval(lam, "lambda"))
 
 
 def ghz_three_lea_min_eig(lam: float) -> float:
@@ -307,7 +341,7 @@ def ghz_three_lea_min_eig(lam: float) -> float:
     ``4 x^3 + x^2 - 1 = 0`` (about 0.5567).
     """
     lam = _unit_interval(lam, "lambda")
-    return 0.5 * (0.25 * (1.0 - lam * lam) - lam**3)
+    return _ghz_min(lam, lam**3)
 
 
 def two_lea_verdict_depolarizing(

@@ -45,6 +45,14 @@ _BLOCK_BYTES = 2**17
 # passes it: qubits past 10, for the falsifier, GHZ, W and bipartitions.
 _STACK_BYTES = 2**24
 
+# Largest Kraus stack tensor_power or depolarizing materializes, and largest
+# d^2 x d^2 matrix max_entangled_projector and werner build, in bytes.  The
+# k-fold power of a depolarized qubit holds 5^k operators of 2^k x 2^k
+# complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
+# d holds d^2 + 1 operators of d x d: 252 MB at d = 63.  The projector of
+# local dimension 64 fills the bound exactly.
+TENSOR_POWER_MAX_BYTES = 2**28
+
 
 def as_operator(m) -> np.ndarray:
     """Coerce input to a square complex matrix."""

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     _STACK_BYTES,
     MATRIX_ATOL,
+    TENSOR_POWER_MAX_BYTES,
     _composite_dim,
     _factor_dims,
     _factor_subset,
@@ -175,7 +176,17 @@ def max_entangled(d: int) -> PureState:
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
-    """Projector matrix onto the maximally entangled state."""
+    """Projector matrix onto the maximally entangled state.
+
+    A ``d`` whose d^2 x d^2 complex matrix would pass
+    ``linalg.TENSOR_POWER_MAX_BYTES`` (d > 64) is rejected before any
+    allocation, and so is a ``werner`` state of that ``d``."""
+    d = _whole(d, "local dimension", 2)
+    if 16 * d**4 > TENSOR_POWER_MAX_BYTES:
+        raise ValueError(
+            f"a {d * d}x{d * d} matrix of local dimension {d} needs {16 * d**4} "
+            f"bytes, above the {TENSOR_POWER_MAX_BYTES}-byte bound"
+        )
     return _projectors(max_entangled(d).amplitudes)
 
 

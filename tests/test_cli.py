@@ -16,7 +16,21 @@ import pytest
 import ealab.cli
 import ealab.criteria
 from ealab.channels import matrix_to_json, random_channel
-from ealab.cli import CSV_HEADER, SWEEP_MAX_ROWS, build_parser, fmt, main, sweep_row
+from ealab.cli import (
+    CSV_HEADER,
+    SWEEP_MAX_ROWS,
+    build_parser,
+    fmt,
+    main,
+    sweep_row,
+    sweep_rows,
+)
+from ealab.criteria import (
+    eb_min_eig_depolarizing,
+    ghz_three_lea_min_eig,
+    ppt_status,
+    two_lea_min_eig_depolarizing,
+)
 from helpers import EB_EDGES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -173,6 +187,52 @@ class TestSweep:
             eb_entangled = (1 - 3 * Fraction(float(lam))) / 4 < -Fraction(tol)
             assert (row.verdict_eb == "Entangled") == eb_entangled
             assert (row.verdict_eb == "Entangled") == (row.werner_min_eig < -tol)
+
+
+class TestSweepColumns:
+    """``sweep_rows`` evaluates each column over the whole grid at once; every
+    cell is still its scalar closed form, and its verdict ``ppt_status`` of
+    that value, bit for bit."""
+
+    LAMS = [
+        *np.random.default_rng(25).uniform(0.0, 1.0, 3000).tolist(),
+        *(lam for edges in (*EB_EDGES.values(), *THREE_LEA_EDGES.values()) for lam in edges),
+        0.0, 1.0, 0.25, 1 / 3, 0.4, 1 / np.sqrt(3), 0.5567, 5e-324,
+    ]
+
+    @staticmethod
+    def scalar_row(lam, tol):
+        mu2 = two_lea_min_eig_depolarizing(lam)
+        mu3 = ghz_three_lea_min_eig(lam)
+        eb = eb_min_eig_depolarizing(lam)
+        return (
+            *(x.hex() for x in (lam, mu2, mu3, eb)),
+            ppt_status(mu2, (2, 2), tol).value,
+            ppt_status(eb, (2, 2), tol).value,
+            ppt_status(mu3, (2, 4), tol).value,
+        )
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05, 0.2])
+    def test_cells_are_the_scalar_closed_forms(self, tol):
+        rows = sweep_rows(self.LAMS, tol)
+        assert len(rows) == len(self.LAMS)
+        for row, lam in zip(rows, self.LAMS):
+            reals = (row.lam, row.min_mu_2lea, row.ghz_mu_3lea, row.werner_min_eig)
+            assert all(type(x) is float for x in reals)
+            got = (*(x.hex() for x in reals), row.verdict_2lea, row.verdict_eb, row.verdict_3lea_ppt)
+            assert got == self.scalar_row(lam, tol), lam
+
+    def test_bad_lambdas_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^depolarizing parameter must lie in \[0, 1\], got 2.0$"):
+            sweep_rows([*self.LAMS, 2.0])
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            sweep_rows([0.5, "half"])
+
+    def test_csv_row_is_fmt_of_each_real(self):
+        for row in sweep_rows(self.LAMS[:200] + self.LAMS[-8:], 1e-9):
+            reals = (row.lam, row.min_mu_2lea, row.ghz_mu_3lea, row.werner_min_eig)
+            verdicts = (row.verdict_2lea, row.verdict_eb, row.verdict_3lea_ppt)
+            assert row.csv() == ",".join([*map(fmt, reals), *verdicts])
 
 
 class TestFalsify:
@@ -487,6 +547,11 @@ GOLDEN_REPORT = (
 
 # sha256 of `ealab sweep --lo 0 --hi 1 --step 0.0025`
 GOLDEN_SWEEP_SHA256 = "ba8e244790ab7a4760f92eaa5db4da3f780e2df41afb8ec5c17ab6988cddfdd9"
+# sha256 of `ealab sweep --lo 0 --hi 1 --step 1e-5`, the SWEEP_MAX_ROWS grid.
+# It sees the last bit of lambda**3 where the 401-row grid does not: numpy's
+# array power (numpy 2.4, x86-64) differs from libm pow on 5628 of these
+# lambdas and moves 9 printed ghz_mu_3lea cells, none of the 401-row grid's.
+GOLDEN_FULL_SWEEP_SHA256 = "1e3aa16b3ae37a631652709bc75bc0eb7dc7c24fb17163cd50cff6ad81ae75fb"
 
 
 class TestGoldenOutputs:
@@ -505,6 +570,16 @@ class TestGoldenOutputs:
         assert (code, out, err) == (0, f"wrote 401 rows to {out_path}\n", "")
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         assert digest == GOLDEN_SWEEP_SHA256
+
+    def test_full_resolution_sweep(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--lo", "0", "--hi", "1", "--step", "1e-5",
+            "--out", str(out_path),
+        )
+        assert (code, out, err) == (0, f"wrote {SWEEP_MAX_ROWS} rows to {out_path}\n", "")
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_FULL_SWEEP_SHA256
 
 
 def test_real_formatting_is_twelve_significant_digits():

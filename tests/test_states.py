@@ -1,6 +1,7 @@
 """Tests for state constructors and samplers."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ealab import (
     identity_channel,
     k_lea_falsify,
     max_entangled,
+    max_entangled_projector,
     min_eigenvalue,
     partial_transpose,
     random_density,
@@ -336,6 +338,44 @@ class TestWerner:
             werner(1.2, 2)
         with pytest.raises(ValueError):
             werner(-0.1, 2)
+
+    def test_first_dimension_past_the_byte_bound_is_refused(self):
+        # 64^4 entries of 16 bytes fill the 2**28-byte bound; d = 65 passes
+        # it, and d = 1000 would need 14.6 TiB
+        message = (
+            "a 4225x4225 matrix of local dimension 65 needs 285610000 bytes, "
+            "above the 268435456-byte bound"
+        )
+        tracemalloc.start()
+        try:
+            for build in (lambda: werner(0.5, 65), lambda: max_entangled_projector(65)):
+                with pytest.raises(ValueError) as exc:
+                    build()
+                assert str(exc.value) == message
+            with pytest.raises(ValueError, match="above the 268435456-byte bound"):
+                werner(0.5, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_bound_is_exact(self, monkeypatch):
+        # 3^4 entries of 16 bytes: 1296 bytes
+        monkeypatch.setattr(ealab.states, "TENSOR_POWER_MAX_BYTES", 1296)
+        assert werner(0.5, 3).matrix.shape == (9, 9)
+        assert max_entangled_projector(3).shape == (9, 9)
+        with pytest.raises(ValueError, match="needs 4096 bytes"):
+            werner(0.5, 4)
+        with pytest.raises(ValueError, match="needs 4096 bytes"):
+            max_entangled_projector(4)
+
+    def test_every_extended_depolarizing_dimension_fits(self):
+        # depolarizing refuses d > 63 by its own Kraus-stack bound, so every
+        # d it rebuilds from the Werner matrix (lambda < 0) fits this one
+        assert 16 * 63**4 <= ealab.linalg.TENSOR_POWER_MAX_BYTES
+        assert len(depolarizing(-0.01, 5, allow_extended=True).kraus) == 25
+        with pytest.raises(ValueError, match="dimension 64 would materialize"):
+            depolarizing(-0.0001, 64, allow_extended=True)
 
 
 class TestGhzAndW:

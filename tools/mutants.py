@@ -112,9 +112,16 @@ MUTANTS = (
     Mutant(
         "sweep-ghz-blocks-two-by-two",
         "src/ealab/cli.py",
-        "ppt_status(mu3, (2, 4), tol)",
-        "ppt_status(mu3, (2, 2), tol)",
-        ("tests/test_cli.py::TestGoldenOutputs",),
+        "(mu3, (2, 4))",
+        "(mu3, (2, 2))",
+        ("tests/test_cli.py::TestGoldenOutputs::test_sweep",),
+    ),
+    Mutant(
+        "sweep-cube-through-numpy-power",
+        "src/ealab/cli.py",
+        "np.array([lam**3 for lam in lams], dtype=float)",
+        "x**3",
+        ("tests/test_cli.py::TestGoldenOutputs::test_full_resolution_sweep",),
     ),
     Mutant(
         "qubit-count-unbounded",
@@ -230,6 +237,14 @@ MUTANTS = (
         "if 16 * d * d > _STACK_BYTES:",
         "if False:",
         ("tests/test_states.py::TestMaxEntangled",),
+    ),
+    Mutant(
+        "max-entangled-projector-unbounded",
+        "src/ealab/states.py",
+        "if 16 * d**4 > TENSOR_POWER_MAX_BYTES:",
+        "if False:",
+        # never the real bound: unbounded, d = 65 would allocate gigabytes
+        ("tests/test_states.py::TestWerner::test_bound_is_exact",),
     ),
     Mutant(
         "json-list-accepts-any-iterable",
