@@ -217,19 +217,22 @@ def _apply_sites(kraus: np.ndarray, stack: np.ndarray, sites: int) -> np.ndarray
     with ``D = d_in ** sites``; the result has shape ``(B, D', D')`` with
     ``D' = d_out ** sites``.  Each site costs one ``np.dot`` of the
     superoperator ``S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j])``, built
-    once per call, with the stack transposed so that the site's ket and bra
-    axes lead, unless ``S`` would be more than twice the size of the Kraus
-    stack; then each Kraus operator acts on the ket and bra index of the
-    site in turn.  The operands of every ``np.dot`` are those ``np.tensordot``
-    would pass, so the result is too, bit for bit; the stack is moved back
-    to factor order once, at the end.
+    once per call as one matmul of the flattened Kraus stack, with the stack
+    transposed so that the site's ket and bra axes lead, unless ``S`` would
+    be more than twice the size of the Kraus stack; then each Kraus operator
+    acts on the ket and bra index of the site in turn.  The operands of
+    every ``np.dot`` are those ``np.tensordot`` would pass, so the result is
+    too, bit for bit; the stack is moved back to factor order once, at the
+    end.
     """
     n, d_out, d_in = kraus.shape
     batch = stack.shape[0]
     t = stack.reshape((batch,) + (d_in,) * (2 * sites))
     site_axes = [(1 + s, 1 + sites + s) for s in range(sites)]  # ket, bra
     if d_in * d_out <= 2 * n:
-        sup = np.einsum("nai,nbj->abij", kraus, kraus.conj()).reshape(d_out**2, d_in**2)
+        flat = kraus.reshape(n, d_out * d_in)  # one BLAS product: S[(a, i), (b, j)]
+        sup = (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in)
+        sup = sup.transpose(0, 2, 1, 3).reshape(d_out**2, d_in**2)
         *perms, last = _contraction_perms(t.ndim, tuple(site_axes))
         for perm in perms:
             u = t.transpose(perm)

@@ -54,9 +54,8 @@ from .states import (
     _first_invalid_density,
     _ghz_row,
     _haar_rows,
-    _keyed_rngs,
     _w_row,
-    haar_pure,
+    haar_pure,  # unused here; bench/tracing.py wraps criteria.haar_pure
 )
 
 # Verdicts tolerate this much numerical negativity before declaring
@@ -373,10 +372,11 @@ def two_lea_verdict_heuristic(
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
     stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
     starts, run as one stack, are the falsifier's GHZ and W probe rows and
-    ``restarts`` Haar states, start r drawn from a generator in the state of
-    ``default_rng((seed, r))``, all seeded in one ``states._keyed_rngs``
-    pass, so ``seed`` must be nonnegative; Haar starts alone can stall at
-    the product-state fixed point near the threshold.
+    ``restarts`` Haar states, rows 0 to ``restarts - 1`` of one
+    ``default_rng(seed)`` stream drawn as one stack (start r is the
+    falsifier's ``haar:r`` at that seed), so ``seed`` must be nonnegative;
+    Haar starts alone can stall at the product-state fixed point near the
+    threshold.
     ``restarts`` is rejected, before any start is drawn, when the stack of
     the starts' density matrices would pass ``_STACK_BYTES``.
 
@@ -397,7 +397,7 @@ def two_lea_verdict_heuristic(
         )
     dims = (2, 2)
     part = Partition((0,), (1,))
-    haar = _haar_rows(_keyed_rngs(seed, range(restarts)), 4)
+    haar = _haar_rows(np.random.default_rng(seed), restarts, 4)
     # Per start: current input, input at its lowest value, that value, still falling.
     psi = np.vstack([_ghz_row(2), _w_row(2), haar])
     best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
@@ -477,18 +477,20 @@ def _falsify(
     report names becomes a ``PureState``.  Trials run in index order and
     are screened batch by batch, over ``_batches``; their outputs are made
     for runs of consecutive batches, over ``_runs``.  A run is a few
-    stacked calls: one ``states._keyed_rngs`` seeding pass and one
-    ``states._haar_rows`` for its Haar trials (none for a run of probes
-    alone), one ``_apply_sites`` for the channel and one density check.
-    After the first batch, a run takes whole batches until it holds as many
-    trials as fit in ``linalg._BLOCK_BYTES`` over every cut: at budget 40
-    that makes two runs at k = 2 and 3, and from k = 4 up every run is one
-    batch.  A batch is one ``linalg._lowest_eigenvalues`` above the running
-    minimum over the stacked partial transposes of every cut, or of as many
-    cuts at a time as fit in ``linalg._BLOCK_BYTES``; it eigensolves only
-    what a Cholesky cannot prove unable to change the minimum.  Haar trial
-    t draws from the ``states._keyed_rngs`` generator of key t, which
-    starts where ``default_rng((seed, t))`` does.  Inputs are unit vectors
+    stacked calls: one ``states._haar_rows`` draw for its Haar trials (none
+    for a run of probes alone), one ``_apply_sites`` for the channel and one
+    density check.  After the first batch, a run takes whole batches until
+    it holds as many trials as fit in ``linalg._BLOCK_BYTES`` over every
+    cut: at budget 40 that makes two runs at k = 2 and 3, and from k = 4 up
+    every run is one batch.  A batch is one ``linalg._lowest_eigenvalues``
+    above the running minimum over the stacked partial transposes of every
+    cut, or of as many cuts at a time as fit in ``linalg._BLOCK_BYTES``; it
+    eigensolves only what a Cholesky cannot prove unable to change the
+    minimum, and ``_entangled``, the rule of ``ppt_status``, decides which
+    minima are Entangled.  The search has one random stream,
+    ``default_rng(seed)``, built at its first Haar row: Haar trial j,
+    labelled ``haar:j``, is row j of that stream, and a counterexample is
+    reported from its row of the run's amplitudes.  Inputs are unit vectors
     (the probe rows by construction, Haar rows normalized), so their
     projectors go unchecked; each run of outputs passes the density check
     of ``DensityOperator``, and a failure raises only when no earlier trial
@@ -513,14 +515,16 @@ def _falsify(
     probes = np.array(rows, dtype=complex).reshape(-1, dim)
     flips = [p.second for p in parts]
 
-    seen = math.inf
+    seen, rng = math.inf, None
     least = _BLOCK_BYTES // (16 * dim * dim * len(flips))
     for run in _runs(n_trials, cap, least):
         start, stop = run[0].start, run[-1].stop
         amps = probes[start:stop]
         if stop > len(probes):
-            haar = range(max(start, len(probes)), stop)
-            amps = np.concatenate([amps, _haar_rows(_keyed_rngs(seed, haar), dim)])
+            if rng is None:  # at the first Haar row: a run of probes draws nothing
+                rng = np.random.default_rng(seed)
+            haar = _haar_rows(rng, stop - max(start, len(probes)), dim)
+            amps = np.concatenate([amps, haar])
         out = _apply_sites(channel.kraus, _projectors(amps), sites)
         failure = _first_invalid_density(out)
         valid = stop if failure is None else start + failure[0]  # trials before it pass the check
@@ -537,19 +541,17 @@ def _falsify(
                 for i in range(0, len(flips), group)
             ], axis=1)
             worst = lows.min(axis=1)
-            hits = np.flatnonzero(worst < -tol)
+            hits = np.flatnonzero(_entangled(worst, tol))
             if hits.size:
                 h = int(hits[0])
                 seen = min(seen, float(worst[: h + 1].min()))
                 cut = next(
                     i for i, low in enumerate(lows[h])
-                    if low < -tol and low <= worst[h] + CUT_TIE_ATOL
+                    if _entangled(low, tol) and low <= worst[h] + CUT_TIE_ATOL
                 )
                 t = trials.start + h
-                if t < len(probes):
-                    label, state = labels[t], PureState(probes[t], dims)
-                else:
-                    label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
+                label = labels[t] if t < len(probes) else f"haar:{t - len(probes)}"
+                state = PureState(amps[t - start], dims)
                 return FalsifierReport(state, label, parts[cut], t + 1, seen, seed, parts)
             if n < len(trials):
                 raise ValueError(f"trial {valid}: {failure[1]}")
@@ -574,12 +576,14 @@ def ea_falsify(
     the embedded maximally entangled state of each partition.
 
     ``budget`` counts the Haar trials; a negative budget or seed, or a
-    search with no trials at all, is rejected before any trial.  Each trial
-    draws from its own random stream, the one
-    ``numpy.random.default_rng((seed, trial_index))`` starts, and the
-    reported counterexample is the one with the smallest trial index, so the
-    report depends only on the arguments.  Of the partitions across which
-    the counterexample is entangled, the report names the first in
+    search with no trials at all, is rejected before any trial.  The Haar
+    trials are the successive rows of one stream,
+    ``numpy.random.default_rng(seed)``, each drawn as ``haar_pure`` draws
+    its state: ``haar:0`` is ``haar_pure(dims, seed)``, and reproducing
+    ``haar:j`` alone means drawing the j rows before it.  The reported
+    counterexample is the one with the smallest trial index, so the report
+    depends only on the arguments.  Of the partitions across which the
+    counterexample is entangled, the report names the first in
     ``bipartitions`` order whose minimum lies within ``CUT_TIE_ATOL`` of the
     lowest; ``min_eig_seen`` is the lowest partial-transpose eigenvalue over
     all trials used.
@@ -613,24 +617,23 @@ def k_lea_falsify(
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
     never materialized.  Per run of batches (see ``_falsify``), the Haar
-    rows are drawn as one stack, each from its trial's
-    ``default_rng((seed, t))`` stream, all of them seeded by one pass of
-    numpy's ``SeedSequence`` arithmetic on the run's keys packed into the
-    lanes of Python ints, and the channel acts on all inputs in one
-    contraction; per batch, the partial transposes of all 2^(k-1) - 1 cuts
-    go to ``linalg._lowest_eigenvalues`` as one stack (as several when
-    they pass ``linalg._BLOCK_BYTES``), which, like the output positivity
-    check, eigensolves only the matrices a batched Cholesky cannot prove
-    above the running minimum (or zero).  For qubits k up to 7 is
-    practical: with single-threaded BLAS on a contended 2-vCPU x86 server
-    a no-counterexample trial takes about 0.015-0.018 ms at k = 2 and
-    0.021-0.025 ms at k = 3 (budget 40; about 0.008 and 0.015 ms at budget
-    400), 0.07-0.10 ms at k = 4 (budget 400), 0.4-0.6 ms at k = 5, 6-7 ms
-    at k = 6 (budget 100) and 53-59 ms at k = 7 (budget 30), where the
-    Cholesky of 63 cuts of 128x128 matrices dominates.  Composites whose density
-    matrix would exceed the falsifier's memory bound (qubits past k = 10), and
-    1-dimensional sites, are rejected after a few factors whatever k is,
-    before any state is built.
+    rows are drawn as one ``standard_normal`` stack, the next rows of the
+    search's one ``default_rng(seed)`` stream, and the channel acts on all
+    inputs in one contraction; per batch, the partial transposes of all
+    2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues`` as one stack (as
+    several when they pass ``linalg._BLOCK_BYTES``), which, like the
+    output positivity check, eigensolves only the matrices a batched
+    Cholesky cannot prove above the running minimum (or zero).  For qubits
+    k up to 7 is practical: with single-threaded BLAS on a contended 2-vCPU
+    x86 server a no-counterexample trial takes about 0.013-0.022 ms at
+    k = 2 and 0.021-0.031 ms at k = 3 (budget 40; about 0.003-0.005 and
+    0.012-0.017 ms at budget 400), 0.07-0.09 ms at k = 4 (budget 400),
+    0.4-0.6 ms at k = 5, 4.4-6.4 ms at k = 6 (budget 100) and 41-56 ms at
+    k = 7 (budget 30), where the Cholesky of 63 cuts of 128x128 matrices
+    dominates.  Composites whose density matrix would exceed the
+    falsifier's memory bound (qubits past k = 10), and 1-dimensional sites,
+    are rejected after a few factors whatever k is, before any state is
+    built.
     """
     k = _whole(k, "k", 2)
     if single.in_dim != single.out_dim:

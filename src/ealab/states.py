@@ -7,10 +7,9 @@ and seeded Haar-random sampling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -315,144 +314,18 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(checked(seed))
 
 
-# numpy.random.SeedSequence is O'Neill's seed_seq_fe.  Its mix_entropy
-# hashes the entropy words into a pool of four uint32 words: the k-th hash
-# call xors with _MIX_INIT * _MIX_MULT**k, multiplies by the next power and
-# xorshifts by 16, and the mix of two words is _MIX_LEFT * x - _MIX_RIGHT * y,
-# xorshifted by 16.  Its generate_state then hashes pool word i % 4 into
-# output word i: xor with the i-th of the _SEED_HASH constants, multiply by
-# the next, xorshift by 16.  All arithmetic is modulo 2**32.
-_MASK32 = 0xFFFFFFFF
-_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
-_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
-_SEED_HASH = tuple(0x8B51F9DD * 0x58F38DED**i & _MASK32 for i in range(9))
-_LANE_ONE = (1).to_bytes(8, "little")
+def _haar_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """The next ``n`` Haar-random unit vectors of ``rng``'s stream, ``(n, dim)``:
+    row ``j`` is the real parts, then the imaginary parts, of i.i.d. standard
+    normals ``2 * dim * j`` to ``2 * dim * (j + 1)``.
 
-
-def _words32(n: int) -> list[int]:
-    """The 32-bit words, least significant first, that numpy's seed
-    sequences read from a nonnegative int: ``[0]`` for zero."""
-    if n <= _MASK32:
-        return [n]
-    return [n >> s & _MASK32 for s in range(0, n.bit_length(), 32)]
-
-
-def _lane_states(entropy: list[int], ones: int) -> list[int]:
-    """``SeedSequence(words).generate_state(4, np.uint64)`` for many word
-    lists of one length at once, in Python ints.
-
-    Each list is one 64-bit lane of the ints, lane 0 least significant:
-    ``entropy[i]`` holds word i of every list, and ``ones`` holds 1 in every
-    lane.  Returns the four state words, packed the same way.  A lane holds a
-    32-bit value between steps.  The product of two such values fits in its
-    lane and is masked back to 32 bits (the mix masks one product before it
-    adds the other, so the sum fits too); ``-R * y`` is ``(2**32 - R) * y``,
-    so no lane borrows from the next; and an xorshift masks the shifted
-    value, which carries the next lane's low 16 bits into this lane's top.
+    One ``standard_normal((n, 2 * dim))`` draws them all, the same values as
+    ``n`` draws of one row.  The rows are normalized as one stack, with the
+    arithmetic of ``np.linalg.norm`` on one complex vector,
+    ``sqrt(re.dot(re) + im.dot(im))``, which a stacked ``matmul`` of the rows
+    repeats bit for bit; so a row does not depend on the stack it is drawn in.
     """
-    mask = _MASK32 * ones
-    const = _MIX_INIT
-
-    def hashmix(v: int) -> int:
-        nonlocal const
-        v ^= const * ones
-        const = const * _MIX_MULT & _MASK32
-        v = v * const & mask
-        return v ^ v >> 16 & mask
-
-    def mix(x: int, y: int) -> int:
-        v = (x * _MIX_LEFT & mask) + y * (2**32 - _MIX_RIGHT) & mask
-        return v ^ v >> 16 & mask
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # uint64 word j is output words 2j (low half) and 2j + 1 (high half),
-    # both xorshifted at once
-    halves, words = 0x0000FFFF0000FFFF * ones, []
-    for j in range(4):
-        a, b, c = _SEED_HASH[2 * j : 2 * j + 3]
-        lo = (pool[2 * j % 4] ^ a * ones) * b & mask
-        v = lo | ((pool[(2 * j + 1) % 4] ^ b * ones) * c & mask) << 32
-        words.append(v ^ v >> 16 & halves)
-    return words
-
-
-@functools.cache
-def _given_state_type() -> type:
-    """A ``numpy.random.bit_generator.ISeedSequence`` that hands PCG64 the
-    state words it holds.
-
-    Built on first use: numpy 2 loads ``numpy.random`` lazily, and loading
-    it would add to every ``import ealab``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenState(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
-                raise ValueError(f"holds PCG64's 4 uint64 words, not {n_words} of {dtype}")
-            return self.words
-
-    return GivenState
-
-
-def _keyed_rngs(seed: int, keys: Iterable[int]) -> list[np.random.Generator]:
-    """``[numpy.random.default_rng((seed, key)) for key in keys]`` for a
-    nonnegative int ``seed`` and keys, with one seeding pass per batch.
-
-    ``default_rng((seed, key))`` seeds PCG64 from ``SeedSequence((seed, key))``,
-    which mixes the 32-bit words of ``seed``, then those of ``key``, into a
-    pool of four words and hashes the pool into PCG64's state with
-    ``generate_state(4, np.uint64)``.  Here the keys are grouped by their
-    number of words, and ``_lane_states`` does both steps for a whole group
-    at once, one key per 64-bit lane of a Python int; PCG64's own seeding
-    reads each key's state through the ``ISeedSequence`` interface.  Each
-    generator starts in the state of ``default_rng((seed, key))``, and none
-    is shared between calls.  On a contended 2-vCPU x86 server 40 keys take
-    about 190 µs where one ``SeedSequence`` per key took about 470; at 4
-    keys the two are about even, and a lone key takes about 40 µs instead
-    of 14.
-    """
-    head, key_words = _words32(seed), [_words32(key) for key in keys]
-    sizes = [len(words) for words in key_words]
-    states = np.empty((len(key_words), 4), np.uint64)  # PCG64 reads a row's words in place
-    for size in set(sizes):
-        rows = [i for i, s in enumerate(sizes) if s == size]
-        ones = int.from_bytes(_LANE_ONE * len(rows), "little")
-        lanes = [
-            int.from_bytes(np.array([key_words[i][j] for i in rows], "<u8").tobytes(), "little")
-            for j in range(size)
-        ]
-        words = _lane_states([w * ones for w in head] + lanes, ones)
-        packed = b"".join(v.to_bytes(8 * len(rows), "little") for v in words)
-        states[rows] = np.frombuffer(packed, "<u8").reshape(4, len(rows)).T
-    pcg64, generator, given = np.random.PCG64, np.random.Generator, _given_state_type()
-    return [generator(pcg64(given(state))) for state in states]
-
-
-def _haar_rows(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
-    """Haar-random unit vectors ``(len(rngs), dim)``, row ``i`` drawn from
-    ``rngs[i]``: real parts, then imaginary parts, of i.i.d. standard normals.
-
-    Each generator fills its row of one buffer in turn (one generator listed
-    twice draws two rows of its stream).  The rows are assembled and
-    normalized as one stack, with the arithmetic of ``np.linalg.norm`` on one
-    complex vector, ``sqrt(re.dot(re) + im.dot(im))``, which a stacked
-    ``matmul`` of the rows repeats bit for bit; so a row does not depend on
-    the stack it is drawn in.
-    """
-    x = np.empty((len(rngs), 2 * dim))
-    for rng, row in zip(rngs, x):
-        rng.standard_normal(out=row)
+    x = rng.standard_normal((n, 2 * dim))
     v = x[:, :dim] + 1j * x[:, dim:]
     re, im = v.real[:, None, :], v.imag[:, None, :]
     norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
@@ -462,11 +335,13 @@ def _haar_rows(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
 def haar_pure(dims, seed) -> PureState:
     """Haar-random pure state, deterministic per seed.
 
-    Sampled as a normalized vector of i.i.d. standard complex Gaussians.
-    ``seed`` is a nonnegative integer or a nested tuple of them.
+    Sampled as a normalized vector of i.i.d. standard complex Gaussians, the
+    first ``_haar_rows`` row of ``default_rng(seed)``: for an integer seed,
+    the falsifier's trial ``haar:0`` at that seed.  ``seed`` is a
+    nonnegative integer or a nested tuple of them.
     """
     ds = _factor_dims(dims)
-    return PureState(_haar_rows([_seeded_rng(seed)], math.prod(ds))[0], ds)
+    return PureState(_haar_rows(_seeded_rng(seed), 1, math.prod(ds))[0], ds)
 
 
 def random_density(dims, rank: int, seed) -> DensityOperator:
@@ -479,7 +354,7 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     m = np.zeros((d, d), dtype=complex)
-    for w, v in zip(weights, _haar_rows([rng] * rank, d)):
+    for w, v in zip(weights, _haar_rows(rng, rank, d)):
         m += w * _projectors(v)
     return DensityOperator(m, ds)
 

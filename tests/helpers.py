@@ -33,6 +33,15 @@ def haar_amplitudes_two_draws(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def haar_stream_rows(seed, n, dim):
+    """Rows 0 to n - 1 of the Haar stream of ``default_rng(seed)``, drawn one
+    after another by ``haar_amplitudes_two_draws``: the reference for the
+    falsifier's trial ``haar:j`` (row j) and the see-saw's Haar start j.
+    """
+    rng = np.random.default_rng(seed)
+    return np.array([haar_amplitudes_two_draws(rng, dim) for _ in range(n)]).reshape(n, dim)
+
+
 def random_density_two_draws(dim, rank, seed):
     """Matrix of ``random_density((dim,), rank, seed)`` built on
     ``haar_amplitudes_two_draws``.
@@ -126,7 +135,8 @@ def apply_sites_tensordot(kraus, stack, sites):
     batch = stack.shape[0]
     t = stack.reshape((batch,) + (d_in,) * (2 * sites))
     if d_in * d_out <= 2 * n:
-        sup = np.einsum("nai,nbj->abij", kraus, kraus.conj())
+        # S[a, b, i, j] = sum_n K_n[a, i] conj(K_n[b, j]), one product over n
+        sup = np.tensordot(kraus, kraus.conj(), axes=([0], [0])).transpose(0, 2, 1, 3)
         for s in range(sites):
             ket, bra = 1 + s, 1 + sites + s
             t = np.tensordot(sup, t, axes=([2, 3], [ket, bra]))
@@ -166,10 +176,7 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
     part = Partition((0,), (1,))
     adjoint = single.kraus.conj().transpose(0, 2, 1)
     starts = [s.amplitudes for s in (ghz(2), w_state(2), embedded_max_entangled(dims, part))]
-    starts += [
-        haar_amplitudes_two_draws(np.random.default_rng((int(seed), r)), 4)
-        for r in range(restarts)
-    ]
+    starts += list(haar_stream_rows(int(seed), restarts, 4))
 
     def lowest(m):
         evals, vecs = np.linalg.eigh(m)

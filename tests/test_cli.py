@@ -31,7 +31,7 @@ from ealab.criteria import (
     ppt_status,
     two_lea_min_eig_depolarizing,
 )
-from helpers import EB_EDGES
+from helpers import EB_EDGES, haar_amplitudes_two_draws
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -462,14 +462,18 @@ class TestFalsify:
         argv = ("falsify", "--spec", spec, "--k", "3", "--seed", "4294967296")
         code, probes_only, _ = run_cli(capsys, *argv, "--budget", "0")
         assert code == 0
-        keyed = run_cli(capsys, *argv, "--budget", "40")
-        assert keyed[0] == 0
-        assert json.loads(keyed[1])["min_eig_seen"] < json.loads(probes_only)["min_eig_seen"]
-        monkeypatch.setattr(
-            ealab.criteria, "_keyed_rngs",
-            lambda seed, keys: [np.random.default_rng((seed, key)) for key in keys],
-        )
-        assert run_cli(capsys, *argv, "--budget", "40") == keyed
+        drawn = run_cli(capsys, *argv, "--budget", "40")
+        assert drawn[0] == 0
+        assert json.loads(drawn[1])["min_eig_seen"] < json.loads(probes_only)["min_eig_seen"]
+        # the reference draws row after row of its own default_rng(2**32),
+        # whatever generator the search passes
+        stream = np.random.default_rng(2**32)
+
+        def reference_rows(rng, n, dim):
+            return np.array([haar_amplitudes_two_draws(stream, dim) for _ in range(n)])
+
+        monkeypatch.setattr(ealab.criteria, "_haar_rows", reference_rows)
+        assert run_cli(capsys, *argv, "--budget", "40") == drawn
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

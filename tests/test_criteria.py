@@ -328,9 +328,8 @@ class TestSeesaw:
         def no_draw(*args):
             raise AssertionError("a start was drawn")
 
-        # the keyed streams come first, so a check after the draw fails at
-        # once instead of building 10**18 generators
-        monkeypatch.setattr(ealab.criteria, "_keyed_rngs", no_draw)
+        # the one draw of every Haar start, so a check after it fails at once
+        # instead of asking for 10**18 rows
         monkeypatch.setattr(ealab.criteria, "_haar_rows", no_draw)
         with pytest.raises(ValueError, match="restarts=65535 needs a stack"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=65535)

@@ -44,6 +44,7 @@ def test_imports_are_stdlib_ealab_or_declared(path):
 TRACER_ONLY_IMPORTS = {
     "criteria.apply",
     "criteria.tensor_power",
+    "criteria.haar_pure",
     "cli.apply",
     "channels.hermitian_eigenvalues",
 }

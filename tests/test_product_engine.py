@@ -19,6 +19,7 @@ import ealab.criteria
 from ealab import (
     Channel,
     Partition,
+    PureState,
     apply,
     apply_local,
     bipartitions,
@@ -47,7 +48,7 @@ from ealab.linalg import _adjoint, _partial_transposes
 from helpers import (
     apply_sites_tensordot,
     apply_via_choi,
-    haar_amplitudes_two_draws,
+    haar_stream_rows,
     random_hermitian,
 )
 
@@ -64,12 +65,14 @@ def reference_falsify(single, k, budget, seed, tol=VERDICT_TOL):
     power = tensor_power(single, k)
     probes = [("probe:GHZ", ghz(k)), ("probe:W", w_state(k))] if single.in_dim == 2 else []
     probes += [(f"probe:psi+:{p.label()}", embedded_max_entangled(dims, p)) for p in parts]
+    rows = haar_stream_rows(seed, budget, single.in_dim**k)
     seen = math.inf
     for t in range(len(probes) + budget):
         if t < len(probes):
             label, state = probes[t]
         else:
-            label, state = f"haar:{t - len(probes)}", haar_pure(dims, (seed, t))
+            j = t - len(probes)
+            label, state = f"haar:{j}", PureState(rows[j], dims)
         out = apply(power, state, out_dims=dims)
         lows = [ppt_min_eigenvalue(out, p) for p in parts]
         worst = min(lows)
@@ -285,14 +288,9 @@ class TestBatchedFalsifier:
         eps = 0.99e-10
         single = Channel((np.diag([np.sqrt(1 + eps), 1.0]),))
 
-        def trace_error(seed, t):
-            a = haar_pure((2, 2), (seed, t)).amplitudes
-            return eps * (1 + abs(a[0]) ** 2 - abs(a[3]) ** 2)
-
-        passes_first = next(
-            s for s in range(200) if trace_error(s, 0) < 0.9e-10 < 1.1e-10 < trace_error(s, 1)
-        )
-        fails_first = next(s for s in range(200) if trace_error(s, 0) > 1.1e-10)
+        first_two = {s: trace_errors(eps, s, 2) for s in range(200)}
+        passes_first = next(s for s, e in first_two.items() if e[0] < 0.9e-10 < 1.1e-10 < e[1])
+        fails_first = next(s for s, e in first_two.items() if e[0] > 1.1e-10)
         report = k_lea_falsify(single, 2, budget=8, seed=passes_first, include_probes=False)
         assert report.counterexample_label == "haar:0"
         assert report.trials_used == 1
@@ -303,7 +301,8 @@ class TestBatchedFalsifier:
 
 class TestBatchedDraw:
     """Every Haar row the searches evaluate is the one-vector reference draw
-    from ``default_rng((seed, t))``, byte for byte, whatever batch holds it."""
+    that follows the rows before it in ``default_rng(seed)``, byte for byte,
+    whatever batch holds it."""
 
     @staticmethod
     def evaluated_rows(monkeypatch):
@@ -321,9 +320,8 @@ class TestBatchedDraw:
     @staticmethod
     def assert_haar_rows(rows, first, seed, dim):
         assert len(rows) > first
-        for t in range(first, len(rows)):
-            reference = haar_amplitudes_two_draws(np.random.default_rng((seed, t)), dim)
-            assert rows[t].tobytes() == reference.tobytes()
+        reference = haar_stream_rows(seed, len(rows) - first, dim)
+        assert rows[first:].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("k, budget", [(2, 40), (3, 40), (4, 30), (5, 12)])
     @pytest.mark.parametrize("seed", [0, 17, 2**32, 2**64 + 3])
@@ -357,9 +355,7 @@ class TestBatchedDraw:
         # the first round projects every start: GHZ, W, then the restarts
         starts = calls[0]
         assert len(starts) == 2 + restarts
-        for r in range(restarts):
-            reference = haar_amplitudes_two_draws(np.random.default_rng((seed, r)), 4)
-            assert starts[2 + r].tobytes() == reference.tobytes()
+        assert starts[2:].tobytes() == haar_stream_rows(seed, restarts, 4).tobytes()
 
 
 class TestCutStacks:
@@ -408,21 +404,22 @@ def recorded(monkeypatch, name):
 
 def trace_failing(eps):
     """A qubit map with sum K^dag K = diag(1 + eps, 1): it passes the channel
-    check, and two sites add ``trace_error(eps, seed, t)`` to the trace of
-    the output of Haar trial t."""
+    check, and two sites add ``trace_errors(eps, seed, n)[j]`` to the trace
+    of the output of Haar trial j."""
     return Channel((np.diag([np.sqrt(1 + eps), 1.0]),))
 
 
-def trace_error(eps, seed, t):
-    a = haar_pure((2, 2), (seed, t)).amplitudes
-    return eps * (1 + abs(a[0]) ** 2 - abs(a[3]) ** 2)
+def trace_errors(eps, seed, n):
+    """What two sites of ``trace_failing(eps)`` add to the output traces of
+    Haar trials 0 to n - 1 at ``seed``: eps (1 + |a_00|^2 - |a_11|^2)."""
+    a = haar_stream_rows(seed, n, 4)
+    return eps * (1 + abs(a[:, 0]) ** 2 - abs(a[:, 3]) ** 2)
 
 
 class TestOutputRuns:
-    """Outputs are made for runs of consecutive batches: one seeding pass,
-    one Haar draw, one contraction and one density check per run.  The
-    screen still works batch by batch, with the floors of a batch-by-batch
-    search."""
+    """Outputs are made for runs of consecutive batches: one Haar draw, one
+    contraction and one density check per run.  The screen still works
+    batch by batch, with the floors of a batch-by-batch search."""
 
     @pytest.mark.parametrize(
         "k, probes, sizes",
@@ -456,7 +453,7 @@ class TestOutputRuns:
         power = tensor_power(single, k)
         inputs = [ghz(k), w_state(k)] + [embedded_max_entangled(dims, p) for p in parts]
         inputs = inputs if probes else []
-        inputs += [haar_pure(dims, (seed, t)) for t in range(len(inputs), len(inputs) + budget)]
+        inputs += [PureState(row, dims) for row in haar_stream_rows(seed, budget, 2**k)]
         worst = [
             min(ppt_min_eigenvalue(apply(power, psi, out_dims=dims), p) for p in parts)
             for psi in inputs
@@ -470,51 +467,66 @@ class TestOutputRuns:
     def test_two_runs_per_search_at_small_k(self, k, monkeypatch):
         contracted = recorded(monkeypatch, "_apply_sites")
         checked = recorded(monkeypatch, "_first_invalid_density")
-        seeded = recorded(monkeypatch, "_keyed_rngs")
+        drawn = recorded(monkeypatch, "_haar_rows")
         report = k_lea_falsify(depolarizing(0.3, 2), k, budget=40, seed=0)
         assert not report.found
         # the first batch alone, then the rest of the search in one run
         assert [len(stack) for _, stack, _ in contracted] == [4, report.trials_used - 4]
         assert [len(stack) for (stack,) in checked] == [4, report.trials_used - 4]
-        # at k = 2 the first batch holds 3 probes and Haar trial 3
-        assert len(seeded) == 1 + (k == 2)
+        # at k = 2 the first batch holds 3 probes and Haar trial 0; every
+        # run draws the next rows of the search's one generator
+        assert [n for _, n, _ in drawn] == ([1, 39] if k == 2 else [40])
+        assert all(rng is drawn[0][0] for rng, _, _ in drawn)
 
     @pytest.mark.parametrize(
-        "k, budget, keys",
+        "k, budget, rows",
         [
             # 5 probes: the first batch holds only probes
-            (3, 40, [range(5, 45)]),
-            # 9 probes: probes 4-8 share the second batch with Haar trials 9-11
-            (4, 3, [range(9, 12)]),
+            (3, 40, [40]),
+            # 9 probes: probes 4-8 share the second batch with Haar trials 0-2
+            (4, 3, [3]),
             (3, 0, []),
         ],
     )
-    def test_a_run_of_probes_alone_seeds_nothing(self, k, budget, keys, monkeypatch):
-        seeded = recorded(monkeypatch, "_keyed_rngs")
-        drawn = recorded(monkeypatch, "_haar_rows")
-        report = k_lea_falsify(depolarizing(0.3, 2), k, budget=budget, seed=0)
-        assert not report.found
-        assert [(seed, list(key_range)) for seed, key_range in seeded] == [
-            (0, list(r)) for r in keys
-        ]
-        assert len(drawn) == len(keys)
+    def test_a_run_of_probes_alone_seeds_nothing(self, k, budget, rows, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
 
-    # at this seed and eps the first 40 Haar inputs are clear of the
+        def recording(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        drawn = recorded(monkeypatch, "_haar_rows")
+        report = k_lea_falsify(depolarizing(0.3, 2), k, budget=budget, seed=5)
+        assert not report.found
+        # the generator is built at the first Haar row, once per search
+        assert built == [5] * bool(rows)
+        assert [n for _, n, _ in drawn] == rows
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_a_probe_hit_builds_no_generator(self, k, monkeypatch):
+        # from k = 3 the first run, where GHZ hits, holds only probes
+        monkeypatch.setattr(np.random, "default_rng", None)  # a call would raise
+        report = k_lea_falsify(depolarizing(0.9, 2), k, budget=10**6, seed=0)
+        assert report.counterexample_label.startswith("probe:")
+
+    # at this seed and eps the first 27 Haar inputs are clear of the
     # unit-trace bound 1e-10, and trial 27, the last of batch 12-28 in the
     # run of trials 4-39, is the first to fail it
-    EPS, SEED = 0.7e-10, 184
+    EPS, SEED = 0.7e-10, 2607
 
     def assert_first_failure_is_trial_27(self):
-        errors = [trace_error(self.EPS, self.SEED, t) for t in range(40)]
+        errors = trace_errors(self.EPS, self.SEED, 40)
         assert max(errors[:27]) < 0.95e-10 < 1.05e-10 < errors[27]
 
     def test_a_hit_beats_a_failed_check_later_in_its_run(self):
-        # Haar trial 6 (batch 4-12) is entangled
+        # Haar trial 5 (batch 4-12) is entangled
         self.assert_first_failure_is_trial_27()
         single = compose(depolarizing(0.6, 2), trace_failing(self.EPS))
         report = k_lea_falsify(single, 2, budget=40, seed=self.SEED, include_probes=False)
-        assert report.counterexample_label == "haar:6"
-        assert report.trials_used == 7
+        assert report.counterexample_label == "haar:5"
+        assert report.trials_used == 6
 
     def test_a_failed_check_with_no_earlier_hit_names_its_trial(self):
         # entanglement-breaking sites: no trial is a counterexample
@@ -523,6 +535,79 @@ class TestOutputRuns:
         with pytest.raises(ValueError) as info:
             k_lea_falsify(single, 2, budget=40, seed=self.SEED, include_probes=False)
         assert str(info.value).startswith("trial 27: matrix does not have unit trace")
+
+
+# Searches without probes whose counterexample is a Haar trial of a later
+# run: sites just past the noise where some Haar inputs stay entangled.
+HAAR_HITS = [(2, 0.6, 1, "haar:16"), (3, 0.57, 1, "haar:14"), (4, 0.545, 0, "haar:15")]
+
+
+def report_fields(report):
+    """Everything a report says, with floats and amplitudes as bytes."""
+    state = report.counterexample
+    return (
+        report.counterexample_label,
+        report.counterexample_partition,
+        report.trials_used,
+        report.min_eig_seen.hex(),
+        None if state is None else (state.dims, state.amplitudes.tobytes()),
+    )
+
+
+class TestHaarStream:
+    """Haar trial j, labelled ``haar:j``, is row j of the search's one
+    ``default_rng(seed)`` stream, so a report does not depend on how the
+    trials are batched or grouped into runs."""
+
+    @staticmethod
+    def one_piece_row(seed, j, dim):
+        """Row j of the first j + 1 rows of ``default_rng(seed)``, drawn in
+        one ``standard_normal`` call and normalized by ``np.linalg.norm``."""
+        x = np.random.default_rng(seed).standard_normal((j + 1, 2 * dim))[j]
+        v = x[:dim] + 1j * x[dim:]
+        return v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("k, lam, seed, label", HAAR_HITS)
+    def test_haar_j_is_row_j_of_one_draw(self, k, lam, seed, label):
+        single = depolarizing(lam, 2)
+        report = k_lea_falsify(single, k, budget=40, seed=seed, include_probes=False)
+        assert report.counterexample_label == label
+        j = int(label.removeprefix("haar:"))
+        assert report.trials_used == j + 1
+        expected = self.one_piece_row(seed, j, 2**k)
+        assert report.counterexample.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_haar_pure_is_haar_0(self, dims, seed):
+        # noiseless: every Haar input is entangled, so trial 0 is reported
+        channel = identity_channel(math.prod(dims))
+        report = ea_falsify(channel, dims, budget=3, seed=seed, include_probes=False)
+        assert report.counterexample_label == "haar:0"
+        expected = haar_pure(dims, seed).amplitudes
+        assert report.counterexample.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, lam, seed, probes",
+        [(k, lam, seed, False) for k, lam, seed, _ in HAAR_HITS]
+        + [(2, 0.3, 4, True), (3, 0.5, 1, True), (4, 0.5, 2, True), (3, 0.6, 0, True)],
+    )
+    def test_reports_do_not_depend_on_the_batching(self, k, lam, seed, probes, monkeypatch):
+        def search():
+            single = depolarizing(lam, 2)
+            return k_lea_falsify(single, k, budget=40, seed=seed, include_probes=probes)
+
+        whole = search()
+        # room for three density matrices a stack and one cut a block: every
+        # batch holds at most three trials and is a run of its own
+        matrix = 16 * 4**k
+        monkeypatch.setattr(ealab.criteria, "_STACK_BYTES", 3 * matrix)
+        monkeypatch.setattr(ealab.criteria, "_BLOCK_BYTES", matrix)
+        drawn = recorded(monkeypatch, "_haar_rows")
+        small = search()
+        assert all(n <= 3 for _, n, _ in drawn)
+        assert len(drawn) > 1 or whole.counterexample_label == "probe:GHZ"
+        assert report_fields(small) == report_fields(whole)
 
 
 class TestFalsifierBoundary:

@@ -39,8 +39,8 @@ from ealab import (
     w_state,
     werner,
 )
-from ealab.states import NORM_ATOL, _first_invalid_density, _keyed_rngs
-from helpers import haar_amplitudes_two_draws, random_density_two_draws
+from ealab.states import NORM_ATOL, _first_invalid_density, _haar_rows
+from helpers import haar_amplitudes_two_draws, haar_stream_rows, random_density_two_draws
 
 
 @pytest.mark.parametrize(
@@ -509,54 +509,21 @@ class TestHaar:
         assert abs(total / n - 0.25) < 0.01
 
 
+class TestHaarRows:
+    """``_haar_rows(rng, n, dim)`` draws the next n rows of ``rng``'s stream
+    in one piece; a row does not depend on the draw that holds it."""
 
-class TestKeyedRngs:
-    """``_keyed_rngs(seed, keys)`` starts each generator where
-    ``default_rng((seed, key))`` does, across the 32-bit word boundaries of
-    the seed and the key: the seed's words come first, then the key's."""
+    @pytest.mark.parametrize("seed", [0, 17, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_rows_are_the_two_draw_stream(self, dim, seed):
+        rows = _haar_rows(np.random.default_rng(seed), 40, dim)
+        assert rows.tobytes() == haar_stream_rows(seed, 40, dim).tobytes()
 
-    @staticmethod
-    def assert_default_rng(seed, keys):
-        rngs = _keyed_rngs(seed, keys)
-        assert len(rngs) == len(keys)
-        for rng, key in zip(rngs, keys):
-            reference = np.random.default_rng((seed, key))
-            assert rng.bit_generator.state == reference.bit_generator.state
-            draws = rng.standard_normal(8)
-            assert draws.tobytes() == reference.standard_normal(8).tobytes()
-
-    @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**70])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1])
-    def test_state_and_first_draws_match_default_rng(self, seed, key):
-        self.assert_default_rng(seed, [key])
-
-    @given(st.integers(0, 2**96 - 1), st.lists(st.integers(0, 2**40 - 1), max_size=4))
-    def test_any_seed_and_keys_match_default_rng(self, seed, keys):
-        self.assert_default_rng(seed, keys)
-
-    def test_a_repeated_key_gives_independent_generators(self):
-        a, b = _keyed_rngs(5, [3, 3])
-        first = a.standard_normal(4)
-        assert b.standard_normal(4).tobytes() == first.tobytes()
-
-    def test_only_pcg64s_request_is_answered(self):
-        given = ealab.states._given_state_type()(np.zeros(4, np.uint64))
-        assert given.generate_state(4, np.dtype(np.uint64)) is given.words
-        with pytest.raises(ValueError, match="^holds PCG64's 4 uint64 words, not 8 of"):
-            given.generate_state(8)
-
-
-class TestKeyedRngBatches:
-    """One ``_keyed_rngs`` call packs its keys into the lanes of one seeding
-    pass per word count; every lane must still be ``default_rng((seed, key))``."""
-
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**130 + 1])
-    def test_one_two_and_three_word_keys_in_one_batch(self, seed):
-        keys = [2**70, 7, 2**40, 8, 2**64 + 1, 2**32 - 1, 2**40 + 9, 0]
-        TestKeyedRngs.assert_default_rng(seed, keys)
-
-    def test_a_batch_of_600_keys(self):
-        TestKeyedRngs.assert_default_rng(2**32 + 5, list(range(600)))
+    @pytest.mark.parametrize("sizes", [[1, 39], [4, 8, 16, 12], [0, 40, 0]])
+    def test_pieces_continue_one_stream(self, sizes):
+        rng = np.random.default_rng(7)
+        pieces = np.concatenate([_haar_rows(rng, n, 8) for n in sizes])
+        assert pieces.tobytes() == _haar_rows(np.random.default_rng(7), 40, 8).tobytes()
 
 
 class TestRandomDensity:

@@ -59,8 +59,8 @@ MUTANTS = (
     Mutant(
         "cut-tie-rule-dropped",
         "src/ealab/criteria.py",
-        "if low < -tol and low <= worst[h] + CUT_TIE_ATOL",
-        "if low < -tol",
+        "if _entangled(low, tol) and low <= worst[h] + CUT_TIE_ATOL",
+        "if _entangled(low, tol)",
         (
             "tests/test_product_engine.py::TestBatchedFalsifier::"
             "test_the_lowest_cut_is_named_not_the_first_negative_one",
@@ -144,8 +144,8 @@ MUTANTS = (
     Mutant(
         "apply-sites-superoperator-without-conj",
         "src/ealab/channels.py",
-        'np.einsum("nai,nbj->abij", kraus, kraus.conj())',
-        'np.einsum("nai,nbj->abij", kraus, kraus)',
+        "(flat.T @ flat.conj())",
+        "(flat.T @ flat)",
         ("tests/test_product_engine.py::TestSiteContraction",),
     ),
     Mutant(
@@ -173,30 +173,6 @@ MUTANTS = (
         ("tests/test_states.py::TestHaar",),
     ),
     Mutant(
-        "seed-hash-xorshift-dropped",
-        "src/ealab/states.py",
-        "words.append(v ^ v >> 16 & halves)",
-        "words.append(v)",
-        ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
-    ),
-    Mutant(
-        "keyed-entropy-key-words-first",
-        "src/ealab/states.py",
-        "_lane_states([w * ones for w in head] + lanes, ones)",
-        "_lane_states(lanes + [w * ones for w in head], ones)",
-        ("tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",),
-    ),
-    Mutant(
-        "lane-mask-dropped-after-mix-sum",
-        "src/ealab/states.py",
-        "y * (2**32 - _MIX_RIGHT) & mask",
-        "y * (2**32 - _MIX_RIGHT)",
-        (
-            "tests/test_states.py::TestKeyedRngs::test_state_and_first_draws_match_default_rng",
-            "tests/test_states.py::TestKeyedRngBatches",
-        ),
-    ),
-    Mutant(
         "bell-row-over-sqrt-first-block",
         "src/ealab/states.py",
         "1.0 / math.sqrt(m)",
@@ -204,11 +180,21 @@ MUTANTS = (
         ("tests/test_falsify.py::TestProbeRows::test_each_row_has_unit_norm",),
     ),
     Mutant(
-        "keyed-seeding-first-word-lane-only",
-        "src/ealab/states.py",
-        "for j in range(size)",
-        "for j in range(1)",
-        ("tests/test_states.py::TestKeyedRngBatches",),
+        "haar-stream-fresh-per-run",
+        "src/ealab/criteria.py",
+        "            if rng is None:",
+        "            if True:",
+        (
+            "tests/test_product_engine.py::TestHaarStream::test_haar_j_is_row_j_of_one_draw",
+            "tests/test_product_engine.py::TestOutputRuns::test_two_runs_per_search_at_small_k",
+        ),
+    ),
+    Mutant(
+        "counterexample-from-previous-row",
+        "src/ealab/criteria.py",
+        "state = PureState(amps[t - start], dims)",
+        "state = PureState(amps[t - start - 1], dims)",
+        ("tests/test_product_engine.py::TestHaarStream::test_haar_j_is_row_j_of_one_draw",),
     ),
     Mutant(
         "block-dims-unchecked-factors",
