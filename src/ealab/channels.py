@@ -10,6 +10,7 @@ channel is literally the Werner state.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -22,6 +23,7 @@ from .linalg import (
     TENSOR_POWER_MAX_BYTES,
     _BLOCK_BYTES,
     _adjoint,
+    _bounded_bytes,
     _lowest_eigenvalues,
     _projectors,
     _whole,
@@ -135,12 +137,8 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     d = _whole(d, "dimension")
     if d < 2:
         raise ValueError(f"depolarizing channel needs dimension d >= 2, got {d}")
-    nbytes = 16 * (d * d + 1) * d * d
-    if nbytes > TENSOR_POWER_MAX_BYTES:
-        raise ValueError(
-            f"depolarizing channel of dimension {d} would materialize {d * d + 1} "
-            f"Kraus operators ({nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}-byte bound)"
-        )
+    what = f"a depolarizing channel of dimension {d} with {d * d + 1} Kraus operators"
+    _bounded_bytes(((d * d + 1) * d * d,), TENSOR_POWER_MAX_BYTES, what)
     lo = -1.0 / (d * d - 1) if allow_extended else 0.0
     if not lo <= lam <= 1.0:
         raise ValueError(
@@ -276,8 +274,12 @@ def compose(e: Channel, f: Channel) -> Channel:
     """Composition e after f (first ``f``, then ``e``).
 
     The Kraus stack holds every product ``e.kraus[i] @ f.kraus[j]`` at index
-    ``i * len(f.kraus) + j``.
+    ``i * len(f.kraus) + j``.  A stack past ``TENSOR_POWER_MAX_BYTES`` is
+    rejected before any allocation.
     """
+    n = len(e.kraus) * len(f.kraus)
+    what = f"a composition with {n} Kraus operators of {e.out_dim}x{f.in_dim}"
+    _bounded_bytes((n * e.out_dim * f.in_dim,), TENSOR_POWER_MAX_BYTES, what)
     if f.out_dim != e.in_dim:
         raise ValueError(
             f"cannot compose: inner channel outputs dimension {f.out_dim}, "
@@ -287,7 +289,11 @@ def compose(e: Channel, f: Channel) -> Channel:
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
-    """Local channel a ox b acting independently on two subsystems."""
+    """Local channel a ox b acting independently on two subsystems; a Kraus
+    stack past ``TENSOR_POWER_MAX_BYTES`` is rejected before any allocation."""
+    n, out_dim, in_dim = len(a.kraus) * len(b.kraus), a.out_dim * b.out_dim, a.in_dim * b.in_dim
+    what = f"a tensor product with {n} Kraus operators of {out_dim}x{in_dim}"
+    _bounded_bytes((a.kraus.size * b.kraus.size,), TENSOR_POWER_MAX_BYTES, what)
     return Channel(tuple(kron(ka, kb) for ka in a.kraus for kb in b.kraus))
 
 
@@ -295,23 +301,16 @@ def tensor_power(e: Channel, k: int) -> Channel:
     """The k-fold tensor power as one channel with (Kraus rank)^k operators.
 
     Raises before allocating when that Kraus stack would exceed
-    ``TENSOR_POWER_MAX_BYTES``; ``apply_local`` applies the power site by site
-    without materializing it.  The size grows one factor at a time, so a huge k
-    fails fast.  A channel whose only Kraus operator is 1x1 (a phase) is
-    returned as it is: every power of it is the same map.
+    ``TENSOR_POWER_MAX_BYTES``, after a few factors however large k is;
+    ``apply_local`` applies the power site by site without materializing it.
+    A channel whose only Kraus operator is 1x1 (a phase) is returned as it
+    is: every power of it is the same map.
     """
     k = _whole(k, "tensor power", 1)
-    if len(e.kraus) * e.out_dim * e.in_dim == 1:
+    if e.kraus.size == 1:
         return e
-    nbytes = 16
-    for j in range(1, k + 1):
-        nbytes *= len(e.kraus) * e.out_dim * e.in_dim
-        if nbytes > TENSOR_POWER_MAX_BYTES:
-            raise ValueError(
-                f"tensor power {k} would materialize at least {len(e.kraus) ** j} Kraus "
-                f"operators (at least {nbytes} bytes, above the {TENSOR_POWER_MAX_BYTES}"
-                f"-byte bound); use apply_local to act site by site"
-            )
+    what = f"tensor power {k} (apply_local acts site by site without it) or a lower power"
+    _bounded_bytes(itertools.repeat(e.kraus.size, k), TENSOR_POWER_MAX_BYTES, what)
     return reduce(tensor, [e] * k)
 
 

@@ -36,10 +36,12 @@ from .linalg import (
     _BLOCK_BYTES,
     _STACK_BYTES,
     _adjoint,
+    _bounded_bytes,
     _composite_dim,
     _factor_dims,
     _lowest_eigenvalues,
     _partial_transposes,
+    _party_count,
     _projectors,
     _symmetrized_eigenvalues,
     _unit_interval,
@@ -135,11 +137,7 @@ def bipartitions(n: int) -> tuple[Partition, ...]:
     """All unordered 2-block partitions of ``n`` factors (factor 0 first).
 
     The same tuple on every call with the same ``n``."""
-    n = _whole(n, "factor count")
-    if n < 2:
-        raise ValueError(f"need at least 2 factors, got {n}")
-    _composite_dim(2 for _ in range(n))  # the bound of n qubits: n <= 10
-    return _bipartitions(n)
+    return _bipartitions(_party_count(n, "factor"))
 
 
 @functools.cache
@@ -390,11 +388,8 @@ def two_lea_verdict_heuristic(
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
     restarts, seed = _whole(restarts, "restarts", 0), _whole(seed, "seed", 0)
-    if 16 * 16 * (restarts + 2) > _STACK_BYTES:  # complex 4x4 per start
-        raise ValueError(
-            f"restarts={restarts} needs a stack of {restarts + 2} two-qubit "
-            f"density matrices, above the {_STACK_BYTES}-byte bound"
-        )
+    what = f"restarts={restarts}, a stack of {restarts + 2} two-qubit density matrices,"
+    _bounded_bytes((16 * (restarts + 2),), _STACK_BYTES, what)  # 4x4 entries per start
     dims = (2, 2)
     part = Partition((0,), (1,))
     haar = _haar_rows(np.random.default_rng(seed), restarts, 4)
@@ -413,7 +408,7 @@ def two_lea_verdict_heuristic(
         psi[live] = np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))[1][:, :, 0]
     best_psi = best[np.argmin(value)]
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
-    status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
+    status = Verdict.ENTANGLED if _entangled(witness, tol) else Verdict.INCONCLUSIVE
     return SeparabilityVerdict(status, witness, part, heuristic=True)
 
 
@@ -625,9 +620,9 @@ def k_lea_falsify(
     output positivity check, eigensolves only the matrices a batched
     Cholesky cannot prove above the running minimum (or zero).  For qubits
     k up to 7 is practical: with single-threaded BLAS on a contended 2-vCPU
-    x86 server a no-counterexample trial takes about 0.013-0.022 ms at
-    k = 2 and 0.021-0.031 ms at k = 3 (budget 40; about 0.003-0.005 and
-    0.012-0.017 ms at budget 400), 0.07-0.09 ms at k = 4 (budget 400),
+    x86 server a no-counterexample trial takes about 0.013-0.027 ms at
+    k = 2 and 0.022-0.033 ms at k = 3 (budget 40; about 0.004-0.005 and
+    0.012-0.018 ms at budget 400), 0.07-0.09 ms at k = 4 (budget 400),
     0.4-0.6 ms at k = 5, 4.4-6.4 ms at k = 6 (budget 100) and 41-56 ms at
     k = 7 (budget 30), where the Cholesky of 63 cuts of 128x128 matrices
     dominates.  Composites whose density matrix would exceed the
@@ -711,7 +706,7 @@ def separable_mixing_threshold(omega: DensityOperator) -> ThresholdResult:
             f"got dims {omega.dims}"
         )
     mu = ppt_min_eigenvalue(omega, Partition((0,), (1,)))
-    if mu >= -VERDICT_TOL:
+    if not _entangled(mu, VERDICT_TOL):
         return ThresholdResult(
             1.0, (0.0, 1.0), 0.0, "separable-mixing", degenerate_bracket=True
         )

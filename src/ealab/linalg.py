@@ -41,16 +41,16 @@ CHOLESKY_MARGIN = 1e-12
 _BLOCK_BYTES = 2**17
 
 # Largest stack of density matrices the falsifier and the see-saw hold at
-# once.  ``_composite_dim`` rejects a composite whose single density matrix
-# passes it: qubits past 10, for the falsifier, GHZ, W and bipartitions.
+# once; ``_composite_dim`` refuses a composite (qubits past 10) whose density
+# matrix passes it, and ``max_entangled`` d^2 amplitudes that pass it.
 _STACK_BYTES = 2**24
 
-# Largest Kraus stack tensor_power or depolarizing materializes, and largest
-# d^2 x d^2 matrix max_entangled_projector and werner build, in bytes.  The
-# k-fold power of a depolarized qubit holds 5^k operators of 2^k x 2^k
-# complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in dimension
-# d holds d^2 + 1 operators of d x d: 252 MB at d = 63.  The projector of
-# local dimension 64 fills the bound exactly.
+# Largest Kraus stack that depolarizing, tensor, compose and tensor_power
+# build, and largest d^2 x d^2 matrix of max_entangled_projector and werner,
+# in bytes.  The k-fold power of a depolarized qubit holds 5^k operators of
+# 2^k x 2^k complex entries: 51 MB at k = 5, 1 GB at k = 6.  Depolarizing in
+# dimension d holds d^2 + 1 operators of d x d: 252 MB at d = 63.  The
+# projector of local dimension 64 fills the bound exactly.
 TENSOR_POWER_MAX_BYTES = 2**28
 
 
@@ -117,6 +117,21 @@ def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     return ds
 
 
+def _bounded_bytes(factors: Iterable[int], bound: int, what: str) -> None:
+    """Raise ``ValueError`` when a complex array of ``prod(factors)`` entries
+    would take more than ``bound`` bytes: the package's one size rule.  The
+    count grows one factor at a time and stops once past ``bound``, before
+    any allocation, so a lazy stream of factors is read no further than
+    needed; the count in the message is then a lower bound, which ``what``
+    says ("or more").
+    """
+    n = 16
+    for f in factors:
+        n *= f
+        if n > bound:
+            raise ValueError(f"{what} needs {n} bytes, above the {bound}-byte bound")
+
+
 def _composite_dim(dims: Iterable[int]) -> int:
     """Dimension of a composite whose density matrix fits in ``_STACK_BYTES``.
 
@@ -129,12 +144,18 @@ def _composite_dim(dims: Iterable[int]) -> int:
         if d < 2:
             raise ValueError(f"every factor needs dimension >= 2, got {d}")
         dim *= d
-        if 16 * dim * dim > _STACK_BYTES:
-            raise ValueError(
-                f"a density matrix of dimension {dim} or more needs at least "
-                f"{16 * dim * dim} bytes, above the falsifier's {_STACK_BYTES}-byte bound"
-            )
+        _bounded_bytes((dim * dim,), _STACK_BYTES, f"a density matrix of dimension {dim} or more")
     return dim
+
+
+def _party_count(n, noun: str) -> int:
+    """``n`` as an int, refused below 2 parties and past the 10 qubits of
+    ``_composite_dim``; ``noun`` ("qubit", "factor") names them in messages."""
+    n = _whole(n, f"{noun} count")
+    if n < 2:
+        raise ValueError(f"need at least 2 {noun}s, got {n}")
+    _composite_dim(2 for _ in range(n))
+    return n
 
 
 def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -17,10 +17,11 @@ from .linalg import (
     _STACK_BYTES,
     MATRIX_ATOL,
     TENSOR_POWER_MAX_BYTES,
-    _composite_dim,
+    _bounded_bytes,
     _factor_dims,
     _factor_subset,
     _lowest_eigenvalues,
+    _party_count,
     _projectors,
     _unit_interval,
     _whole,
@@ -166,11 +167,7 @@ def max_entangled(d: int) -> PureState:
     A ``d`` whose d^2 amplitudes would pass ``linalg._STACK_BYTES``
     (d > 1024) is rejected before any allocation."""
     d = _whole(d, "local dimension", 2)
-    if 16 * d * d > _STACK_BYTES:
-        raise ValueError(
-            f"a maximally entangled state of local dimension {d} needs {16 * d * d} "
-            f"bytes of amplitudes, above the {_STACK_BYTES}-byte bound"
-        )
+    _bounded_bytes((d * d,), _STACK_BYTES, f"a maximally entangled state of local dimension {d}")
     return PureState(_bell_row((d, d), (0,), (1,)), (d, d))
 
 
@@ -181,11 +178,8 @@ def max_entangled_projector(d: int) -> np.ndarray:
     ``linalg.TENSOR_POWER_MAX_BYTES`` (d > 64) is rejected before any
     allocation, and so is a ``werner`` state of that ``d``."""
     d = _whole(d, "local dimension", 2)
-    if 16 * d**4 > TENSOR_POWER_MAX_BYTES:
-        raise ValueError(
-            f"a {d * d}x{d * d} matrix of local dimension {d} needs {16 * d**4} "
-            f"bytes, above the {TENSOR_POWER_MAX_BYTES}-byte bound"
-        )
+    what = f"a {d * d}x{d * d} matrix of local dimension {d}"
+    _bounded_bytes((d**4,), TENSOR_POWER_MAX_BYTES, what)
     return _projectors(max_entangled(d).amplitudes)
 
 
@@ -200,16 +194,6 @@ def _werner_matrix(lam, d: int) -> np.ndarray:
     """``lam * P_+ + (1 - lam) * I/d^2`` for a float ``lam``, with no check:
     the one expression ``werner`` and the extended-range ``depolarizing`` use."""
     return lam * max_entangled_projector(d) + (1 - lam) * np.eye(d * d) / d**2
-
-
-def _qubit_count(n: int) -> int:
-    """``n`` as an int, rejected below the two qubits of a composite and past
-    the ten that ``linalg._composite_dim`` bounds, before any allocation."""
-    n = _whole(n, "qubit count")
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
-    _composite_dim(2 for _ in range(n))
-    return n
 
 
 def _ghz_row(n: int) -> np.ndarray:
@@ -256,13 +240,13 @@ def _block_offsets(ds: tuple[int, ...], block: tuple[int, ...]) -> list[int]:
 
 def ghz(n: int = 3) -> PureState:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    n = _qubit_count(n)
+    n = _party_count(n, "qubit")
     return PureState(_ghz_row(n), (2,) * n)
 
 
 def w_state(n: int = 3) -> PureState:
     """Uniform single-excitation superposition on n qubits."""
-    n = _qubit_count(n)
+    n = _party_count(n, "qubit")
     return PureState(_w_row(n), (2,) * n)
 
 

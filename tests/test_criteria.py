@@ -310,6 +310,13 @@ class TestSeesaw:
             v = two_lea_verdict_heuristic(depolarizing(lam, 2), restarts=1, seed=seed)
             assert v.status is Verdict.ENTANGLED
 
+    def test_a_witness_below_the_tolerance_is_not_entangled(self):
+        # just below 1/sqrt(3) the lowest PT eigenvalue, (1 - 3 lambda^2)/4,
+        # is about 8.7e-11: positive, and within VERDICT_TOL of zero
+        v = two_lea_verdict_heuristic(depolarizing(1 / math.sqrt(3) - 1e-10, 2))
+        assert 0 < v.witness_min_eig < VERDICT_TOL
+        assert v.status is Verdict.INCONCLUSIVE
+
     def test_probes_alone_are_a_search(self):
         v = two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=0)
         assert v.status is Verdict.ENTANGLED
@@ -331,7 +338,11 @@ class TestSeesaw:
         # the one draw of every Haar start, so a check after it fails at once
         # instead of asking for 10**18 rows
         monkeypatch.setattr(ealab.criteria, "_haar_rows", no_draw)
-        with pytest.raises(ValueError, match="restarts=65535 needs a stack"):
+        message = (
+            "restarts=65535, a stack of 65537 two-qubit density matrices, needs "
+            "16777472 bytes"
+        )
+        with pytest.raises(ValueError, match=message):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=65535)
         with pytest.raises(ValueError, match="-byte bound"):
             two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=10**18)

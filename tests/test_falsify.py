@@ -145,7 +145,8 @@ class TestFalsifier:
             raise AssertionError("the search started")
 
         monkeypatch.setattr(ealab.criteria, "_falsify", no_search)
-        with pytest.raises(ValueError, match="above the falsifier's 16777216-byte bound"):
+        message = "2048 or more needs 67108864 bytes, above the 16777216-byte bound"
+        with pytest.raises(ValueError, match=message):
             k_lea_falsify(depolarizing(0.5, 2), k)
 
     @pytest.mark.parametrize(
@@ -247,8 +248,8 @@ class TestBipartitionsCache:
 
     @pytest.mark.parametrize("n, message", [
         (1, "need at least 2 factors, got 1"),
-        (11, "a density matrix of dimension 2048 or more needs at least 67108864 "
-             "bytes, above the falsifier's 16777216-byte bound"),
+        (11, "a density matrix of dimension 2048 or more needs 67108864 bytes, "
+             "above the 16777216-byte bound"),
         (2.5, "factor count must be an integer, got 2.5"),
         (math.nan, "factor count must be an integer, got nan"),
         ("3", "factor count must be an integer, got '3'"),

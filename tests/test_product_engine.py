@@ -8,6 +8,7 @@ per-state API, and the Choi route of ``helpers.apply_via_choi``.
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from ealab import (
     ppt_min_eigenvalue,
     random_channel,
     random_density,
+    tensor,
     tensor_power,
     two_lea_verdict_heuristic,
     w_state,
@@ -158,7 +160,10 @@ class TestTensorPowerBound:
     def test_huge_power_refused_at_once(self, k):
         # the size is multiplied up factor by factor, never formed as 80**k
         start = time.perf_counter()
-        message = r"^tensor power \d+ would materialize at least 15625 .*; use apply_local"
+        message = (
+            r"^tensor power \d+ \(apply_local acts site by site without it\) or a lower "
+            r"power needs 1024000000 bytes, above the 268435456-byte bound$"
+        )
         with pytest.raises(ValueError, match=message):
             tensor_power(depolarizing(0.5, 2), k)
         assert time.perf_counter() - start < 0.1
@@ -174,8 +179,61 @@ class TestTensorPowerBound:
         assert np.array_equal(choi_of(power).matrix, choi_of(single).matrix)
 
     def test_two_one_by_one_operators_stay_bounded(self):
-        with pytest.raises(ValueError, match=r"at least \d+ bytes, .*; use apply_local"):
+        message = r"^tensor power 10000 \(apply_local .*\) or a lower power needs \d+ bytes"
+        with pytest.raises(ValueError, match=message):
             tensor_power(Channel([[[0.6]], [[0.8]]]), 10**4)
+
+
+class TestTensorAndComposeBound:
+    # depolarizing(0.5, 2) holds 5 operators of 2x2: its tensor square holds
+    # 25 of 4x4 (6400 bytes), and the composition of two squares 625 of 4x4
+    # (160000 bytes)
+
+    def test_tensor_bound_is_exact(self, monkeypatch):
+        e = depolarizing(0.5, 2)
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 6400)
+        assert tensor(e, e).kraus.nbytes == 6400
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 6399)
+        with pytest.raises(ValueError) as exc:
+            tensor(e, e)
+        assert str(exc.value) == (
+            "a tensor product with 25 Kraus operators of 4x4 needs 6400 bytes, "
+            "above the 6399-byte bound"
+        )
+
+    def test_compose_bound_is_exact(self, monkeypatch):
+        e = depolarizing(0.5, 2)
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 160000)
+        square = tensor(e, e)
+        assert compose(square, square).kraus.nbytes == 160000
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", 159999)
+        with pytest.raises(ValueError) as exc:
+            compose(square, square)
+        assert str(exc.value) == (
+            "a composition with 625 Kraus operators of 4x4 needs 160000 bytes, "
+            "above the 159999-byte bound"
+        )
+
+    @pytest.mark.parametrize(
+        "combine, operand",
+        [
+            # 625^2 operators of 256x256: about 410 GB
+            (tensor, lambda: tensor_power(depolarizing(0.5, 2), 4)),
+            # 257^2 operators of 16x16: about 270 MB
+            (compose, lambda: depolarizing(0.5, 16)),
+        ],
+        ids=["tensor", "compose"],
+    )
+    def test_refused_before_allocating(self, combine, operand):
+        e = operand()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="-byte bound"):
+                combine(e, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBatchedLinalg:

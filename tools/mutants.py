@@ -125,11 +125,47 @@ MUTANTS = (
     ),
     Mutant(
         "qubit-count-unbounded",
-        "src/ealab/states.py",
+        "src/ealab/linalg.py",
         "    _composite_dim(2 for _ in range(n))\n    return n\n",
         "    return n\n",
         # never the huge counts: unbounded, they would not return
         ("tests/test_states.py::test_ten_qubits_are_the_bound",),
+    ),
+    Mutant(
+        "byte-bound-never-refuses",
+        "src/ealab/linalg.py",
+        "        if n > bound:\n",
+        "        if False:\n",
+        # only inputs that still build small when nothing is refused
+        (
+            "tests/test_states.py::test_ten_qubits_are_the_bound",
+            "tests/test_product_engine.py::TestTensorAndComposeBound::test_tensor_bound_is_exact",
+        ),
+    ),
+    Mutant(
+        "tensor-unbounded",
+        "src/ealab/channels.py",
+        "    _bounded_bytes((a.kraus.size * b.kraus.size,), TENSOR_POWER_MAX_BYTES, what)\n",
+        "",
+        # never the refusal under tracemalloc: unbounded, it would build 410 GB
+        ("tests/test_product_engine.py::TestTensorAndComposeBound::test_tensor_bound_is_exact",),
+    ),
+    Mutant(
+        "compose-unbounded",
+        "src/ealab/channels.py",
+        "    _bounded_bytes((n * e.out_dim * f.in_dim,), TENSOR_POWER_MAX_BYTES, what)\n",
+        "",
+        ("tests/test_product_engine.py::TestTensorAndComposeBound::test_compose_bound_is_exact",),
+    ),
+    Mutant(
+        "seesaw-entangled-sign-dropped",
+        "src/ealab/criteria.py",
+        "if _entangled(witness, tol) else",
+        "if witness < tol else",
+        (
+            "tests/test_criteria.py::TestSeesaw::"
+            "test_a_witness_below_the_tolerance_is_not_entangled",
+        ),
     ),
     Mutant(
         "embedded-max-entangled-unchecked-dims",
@@ -220,15 +256,16 @@ MUTANTS = (
     Mutant(
         "max-entangled-unbounded",
         "src/ealab/states.py",
-        "if 16 * d * d > _STACK_BYTES:",
-        "if False:",
+        "    _bounded_bytes((d * d,), _STACK_BYTES, f\"a maximally entangled state of local "
+        "dimension {d}\")\n",
+        "",
         ("tests/test_states.py::TestMaxEntangled",),
     ),
     Mutant(
         "max-entangled-projector-unbounded",
         "src/ealab/states.py",
-        "if 16 * d**4 > TENSOR_POWER_MAX_BYTES:",
-        "if False:",
+        "    _bounded_bytes((d**4,), TENSOR_POWER_MAX_BYTES, what)\n",
+        "",
         # never the real bound: unbounded, d = 65 would allocate gigabytes
         ("tests/test_states.py::TestWerner::test_bound_is_exact",),
     ),
