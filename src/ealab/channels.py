@@ -122,7 +122,11 @@ class MeasurePrepare:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel(np.eye(_whole(d, "dimension", 1), dtype=complex)[None])
+    """Identity channel on dimension ``d``; a ``d`` whose d x d Kraus operator
+    would pass ``TENSOR_POWER_MAX_BYTES`` is rejected before any allocation."""
+    d = _whole(d, "dimension", 1)
+    _bounded_bytes((d, d), TENSOR_POWER_MAX_BYTES, f"an identity channel of dimension {d}")
+    return Channel(np.eye(d, dtype=complex)[None])
 
 
 def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channel:
@@ -380,20 +384,29 @@ def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
 
 
 def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Channel:
-    """Channel contracting every input state to the fixed state ``omega``."""
+    """Channel contracting every input state to the fixed state ``omega``.
+
+    A Choi matrix past ``TENSOR_POWER_MAX_BYTES`` is rejected before any
+    allocation."""
     d = omega.dim if in_dim is None else _whole(in_dim, "in_dim", 1)
+    n = omega.dim * d
+    _bounded_bytes((n, n), TENSOR_POWER_MAX_BYTES, f"a constant channel with a {n}x{n} Choi matrix")
     return measure_prepare_channel(MeasurePrepare((np.eye(d, dtype=complex),), (omega,)))
 
 
 def random_channel(
     d_in: int, d_out: int | None = None, kraus_rank: int | None = None, seed=0
 ) -> Channel:
-    """Random channel from a Haar-random Stinespring isometry; seed-deterministic."""
+    """Random channel from a Haar-random Stinespring isometry; seed-deterministic.
+
+    An isometry past ``TENSOR_POWER_MAX_BYTES`` is rejected before any draw."""
     d_in = _whole(d_in, "d_in", 1)
     d_out = d_in if d_out is None else _whole(d_out, "d_out", 1)
     k = d_in * d_out if kraus_rank is None else _whole(kraus_rank, "kraus_rank")
     if k < 1 or d_out * k < d_in:
         raise ValueError(f"kraus rank {k} too small for a {d_in}->{d_out} isometry")
+    what = f"a random {d_in}->{d_out} channel with {k} Kraus operators"
+    _bounded_bytes((k, d_out, d_in), TENSOR_POWER_MAX_BYTES, what)
     rng = _seeded_rng(seed)
     g = rng.standard_normal((d_out * k, d_in)) + 1j * rng.standard_normal((d_out * k, d_in))
     q, _ = np.linalg.qr(g)

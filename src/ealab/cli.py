@@ -16,9 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .channels import (
     apply,  # unused here; bench/tracing.py wraps cli.apply
@@ -33,22 +30,16 @@ from .criteria import (
     BISECTION_TOL,
     VERDICT_TOL,
     Partition,
-    _check_tol,
-    _eb_min,
-    _entangled,
-    _ghz_min,
-    _two_lea_min,
+    _sweep_columns,
     bisect_threshold,
     eb_min_eig_depolarizing,
     ghz_three_lea_min_eig,
     is_eb,
     k_lea_falsify,
     ppt_min_eigenvalue,
-    ppt_status,
     two_lea_min_eig_depolarizing,
     two_lea_verdict_depolarizing,
 )
-from .linalg import _unit_interval
 from .states import ghz
 
 DEFAULT_SEED = 0
@@ -71,73 +62,6 @@ def fmt(x: float) -> str:
 # One sweep row of CSV: the four reals as ``fmt`` renders them (``%.12g``
 # gives the same bytes), then the three verdicts.
 _CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s"
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One lambda grid point of the sweep table."""
-
-    lam: float
-    min_mu_2lea: float
-    ghz_mu_3lea: float
-    werner_min_eig: float
-    verdict_2lea: str
-    verdict_eb: str
-    verdict_3lea_ppt: str
-
-    def csv(self) -> str:
-        return _CSV_ROW % (
-            self.lam, self.min_mu_2lea, self.ghz_mu_3lea, self.werner_min_eig,
-            self.verdict_2lea, self.verdict_eb, self.verdict_3lea_ppt,
-        )
-
-
-def sweep_row(lam: float, tol: float = VERDICT_TOL) -> SweepRow:
-    """Evaluate every sweep column at one lambda: ``sweep_rows([lam], tol)[0]``."""
-    return sweep_rows([lam], tol)[0]
-
-
-def sweep_rows(lams, tol: float = VERDICT_TOL) -> list[SweepRow]:
-    """Evaluate every sweep column at each lambda of ``lams``, in order.
-
-    Every lambda is checked before any column is computed.  Each real
-    column is one closed form of ``criteria`` evaluated over the whole grid
-    at once: ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``, the
-    Werner minimum (1 - 3 lambda)/4 of ``eb_min_eig_depolarizing``, each
-    bit for bit the value of its scalar function.  Each verdict is
-    ``ppt_status`` of the value its row prints, so a verdict and its value
-    always agree against ``-tol``.
-    """
-    return [SweepRow(*row) for row in zip(*_sweep_columns(lams, tol))]
-
-
-def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
-    """The seven columns of ``sweep_rows``, in CSV order, as lists of Python
-    floats and verdict strings."""
-    _check_tol(tol)
-    lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
-    x = np.array(lams, dtype=float)
-    mu2, eb = _two_lea_min(x), _eb_min(x)
-    # each cube by Python's ** (libm pow), as ghz_three_lea_min_eig takes it
-    mu3 = _ghz_min(x, np.array([lam**3 for lam in lams], dtype=float))
-    # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
-    # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
-    # state against the other two, with block dimensions 2x2 and 2x4.
-    verdicts = [
-        _verdict_column(low, blocks, tol)
-        for low, blocks in ((mu2, (2, 2)), (eb, (2, 2)), (mu3, (2, 4)))
-    ]
-    return (lams, mu2.tolist(), mu3.tolist(), eb.tolist(), *verdicts)
-
-
-def _verdict_column(lows: np.ndarray, blocks: tuple[int, int], tol: float) -> list[str]:
-    """``ppt_status(low, blocks, tol).value`` for each of ``lows``.
-
-    ``ppt_status`` gives the column's two verdicts once, at minus and plus
-    infinity, and each row picks one by ``_entangled``, the test
-    ``ppt_status`` itself applies."""
-    pick = [ppt_status(low, blocks, tol).value for low in (math.inf, -math.inf)]
-    return [pick[hit] for hit in _entangled(lows, tol).tolist()]
 
 
 def compute_thresholds(tol: float = BISECTION_TOL):

@@ -75,12 +75,8 @@ SEESAW_MAX_ITER = 200
 # a counterexample names the first of them in bipartitions order, so that
 # rounding in the last digits cannot change the reported partition.
 CUT_TIE_ATOL = 1e-12
-# The falsifier screens its trials in batches that double from _FIRST_BATCH
-# while a stack of their density matrices stays within linalg._STACK_BYTES,
-# as must the see-saw's starts.  The partial transposes of a batch are
-# screened as one stack over as many cuts as fit in linalg._BLOCK_BYTES (at
-# least one cut).  Outputs are made for runs of batches (``_runs``): the
-# first batch alone, so that a probe hit costs only its trials.
+# Trials in the falsifier's first screen batch; ``_falsify`` describes its
+# schedule.
 _FIRST_BATCH = 4
 
 # Block-dimension pairs where a positive partial transpose certifies
@@ -300,8 +296,9 @@ def _eb_min(lam):
 
 def _ghz_min(lam, cube):
     """Unchecked ``ghz_three_lea_min_eig`` for ``cube`` = ``lam**3``, which
-    callers compute with Python's ``**`` (libm ``pow``) per element: numpy's
-    array power differs from it in the last bit at some lambdas."""
+    ``ghz_three_lea_min_eig`` and ``_sweep_columns`` compute with Python's
+    ``**`` (libm ``pow``) per element: numpy's array power differs from it in
+    the last bit at some lambdas."""
     return 0.5 * (0.25 * (1.0 - lam * lam) - cube)
 
 
@@ -339,6 +336,35 @@ def ghz_three_lea_min_eig(lam: float) -> float:
     """
     lam = _unit_interval(lam, "lambda")
     return _ghz_min(lam, lam**3)
+
+
+def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
+    """The seven columns of ``ealab sweep`` at each lambda of ``lams``, in
+    CSV order, as lists of Python floats and verdict strings.
+
+    Every lambda is checked before any column is computed.  Each real
+    column is one closed form above evaluated over the whole grid at once:
+    ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``, the Werner
+    minimum of ``eb_min_eig_depolarizing``, each bit for bit the value of
+    its scalar function.  Each verdict is ``ppt_status`` of the value its
+    row prints, so a verdict and its value always agree against ``-tol``.
+    """
+    _check_tol(tol)
+    lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
+    x = np.array(lams, dtype=float)
+    mu2, eb = _two_lea_min(x), _eb_min(x)
+    # each cube by Python's ** (libm pow), as ghz_three_lea_min_eig takes it
+    mu3 = _ghz_min(x, np.array([lam**3 for lam in lams], dtype=float))
+    # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
+    # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
+    # state against the other two, with block dimensions 2x2 and 2x4.
+    # ppt_status gives a column's two verdicts once, at plus and minus
+    # infinity, and each row picks one by _entangled, the test it applies.
+    verdicts = []
+    for lows, blocks in ((mu2, (2, 2)), (eb, (2, 2)), (mu3, (2, 4))):
+        pick = [ppt_status(low, blocks, tol).value for low in (math.inf, -math.inf)]
+        verdicts.append([pick[hit] for hit in _entangled(lows, tol).tolist()])
+    return (lams, mu2.tolist(), mu3.tolist(), eb.tolist(), *verdicts)
 
 
 def two_lea_verdict_depolarizing(
@@ -421,10 +447,13 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     """Maximally entangled state across one bipartition of a composite.
 
     Pairs the computational bases of the two blocks up to the smaller block
-    dimension, then restores the original factor order.
+    dimension, then restores the original factor order.  A state whose
+    amplitudes would pass ``_STACK_BYTES`` is rejected before any allocation.
     """
     ds = _factor_dims(dims)
     part.validate_for(len(ds))
+    dim = math.prod(ds)
+    _bounded_bytes((dim,), _STACK_BYTES, f"a maximally entangled state of dimension {dim}")
     return PureState(_bell_row(ds, part.first, part.second), ds)
 
 
@@ -470,14 +499,17 @@ def _falsify(
     The probes are one ``(P, D)`` array whose rows come from the helpers
     of ``ghz``, ``w_state`` and ``embedded_max_entangled``; only a probe a
     report names becomes a ``PureState``.  Trials run in index order and
-    are screened batch by batch, over ``_batches``; their outputs are made
-    for runs of consecutive batches, over ``_runs``.  A run is a few
-    stacked calls: one ``states._haar_rows`` draw for its Haar trials (none
-    for a run of probes alone), one ``_apply_sites`` for the channel and one
-    density check.  After the first batch, a run takes whole batches until
-    it holds as many trials as fit in ``linalg._BLOCK_BYTES`` over every
-    cut: at budget 40 that makes two runs at k = 2 and 3, and from k = 4 up
-    every run is one batch.  A batch is one ``linalg._lowest_eigenvalues``
+    are screened batch by batch, over ``_batches``: ``_FIRST_BATCH``
+    trials, then twice as many each time while a stack of their density
+    matrices fits ``linalg._STACK_BYTES``.  Their outputs are made for runs
+    of consecutive batches, over ``_runs``.  A run is a few stacked calls:
+    one ``states._haar_rows`` draw for its Haar trials (none for a run of
+    probes alone), one ``_apply_sites`` for the channel and one density
+    check.  The first batch is a run of its own, so that a probe hit costs
+    only its trials; after it, a run takes whole batches until it holds as
+    many trials as fit in ``linalg._BLOCK_BYTES`` over every cut: at budget
+    40 that makes two runs at k = 2 and 3, and from k = 4 up every run is
+    one batch.  A batch is one ``linalg._lowest_eigenvalues``
     above the running minimum over the stacked partial transposes of every
     cut, or of as many cuts at a time as fit in ``linalg._BLOCK_BYTES``; it
     eigensolves only what a Cholesky cannot prove unable to change the
@@ -611,24 +643,11 @@ def k_lea_falsify(
 
     Runs the ``ea_falsify`` search on k identical subsystems, each passing
     through ``single``.  The k-fold channel is applied site by site and
-    never materialized.  Per run of batches (see ``_falsify``), the Haar
-    rows are drawn as one ``standard_normal`` stack, the next rows of the
-    search's one ``default_rng(seed)`` stream, and the channel acts on all
-    inputs in one contraction; per batch, the partial transposes of all
-    2^(k-1) - 1 cuts go to ``linalg._lowest_eigenvalues`` as one stack (as
-    several when they pass ``linalg._BLOCK_BYTES``), which, like the
-    output positivity check, eigensolves only the matrices a batched
-    Cholesky cannot prove above the running minimum (or zero).  For qubits
-    k up to 7 is practical: with single-threaded BLAS on a contended 2-vCPU
-    x86 server a no-counterexample trial takes about 0.013-0.027 ms at
-    k = 2 and 0.022-0.033 ms at k = 3 (budget 40; about 0.004-0.005 and
-    0.012-0.018 ms at budget 400), 0.07-0.09 ms at k = 4 (budget 400),
-    0.4-0.6 ms at k = 5, 4.4-6.4 ms at k = 6 (budget 100) and 41-56 ms at
-    k = 7 (budget 30), where the Cholesky of 63 cuts of 128x128 matrices
-    dominates.  Composites whose density matrix would exceed the
-    falsifier's memory bound (qubits past k = 10), and 1-dimensional sites,
-    are rejected after a few factors whatever k is, before any state is
-    built.
+    never materialized; ``_falsify`` describes the batch schedule, and
+    README the time per trial (for qubits, k up to 7 is practical).
+    Composites whose density matrix would exceed the falsifier's memory
+    bound (qubits past k = 10), and 1-dimensional sites, are rejected after
+    a few factors whatever k is, before any state is built.
     """
     k = _whole(k, "k", 2)
     if single.in_dim != single.out_dim:

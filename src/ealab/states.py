@@ -322,19 +322,24 @@ def haar_pure(dims, seed) -> PureState:
     Sampled as a normalized vector of i.i.d. standard complex Gaussians, the
     first ``_haar_rows`` row of ``default_rng(seed)``: for an integer seed,
     the falsifier's trial ``haar:0`` at that seed.  ``seed`` is a
-    nonnegative integer or a nested tuple of them.
+    nonnegative integer or a nested tuple of them.  A state whose amplitudes
+    would pass ``linalg._STACK_BYTES`` is rejected before any draw.
     """
     ds = _factor_dims(dims)
-    return PureState(_haar_rows(_seeded_rng(seed), 1, math.prod(ds))[0], ds)
+    dim = math.prod(ds)
+    _bounded_bytes((dim,), _STACK_BYTES, f"a Haar-random state of dimension {dim}")
+    return PureState(_haar_rows(_seeded_rng(seed), 1, dim)[0], ds)
 
 
 def random_density(dims, rank: int, seed) -> DensityOperator:
-    """Random mixture of ``rank`` Haar pure states with Dirichlet weights."""
+    """Random mixture of ``rank`` Haar pure states with Dirichlet weights; a
+    matrix past ``linalg.TENSOR_POWER_MAX_BYTES`` is rejected before any draw."""
     ds = _factor_dims(dims)
     d = math.prod(ds)
     rank = _whole(rank, "rank")
     if rank < 1 or rank > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
+    _bounded_bytes((d, d), TENSOR_POWER_MAX_BYTES, f"a random {d}x{d} density matrix")
     rng = _seeded_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     m = np.zeros((d, d), dtype=complex)

@@ -202,14 +202,13 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
 
 def reference_sweep_row(lam, tol=1e-9):
     """One sweep row evaluated on its own, through ``werner``, ``apply_local``,
-    ``ppt_verdict`` and ``is_eb``: the engine's reference for
-    ``cli.sweep_rows``.  Every column but ``werner_min_eig`` must match byte
-    for byte.  That one is the engine's Werner eigenvalue here and the
-    closed form (1 - 3 lambda)/4 in the sweep, so the two agree only to
-    rounding.
+    ``ppt_verdict`` and ``is_eb``, as a tuple of its seven fields in CSV
+    order: the engine's reference for ``criteria._sweep_columns``.  Every
+    column but ``werner_min_eig`` must match byte for byte.  That one is the
+    engine's Werner eigenvalue here and the closed form (1 - 3 lambda)/4 in
+    the sweep, so the two agree only to rounding.
     """
     from ealab.channels import apply_local, depolarizing
-    from ealab.cli import SweepRow
     from ealab.criteria import (
         Partition,
         ghz_three_lea_min_eig,
@@ -223,12 +222,12 @@ def reference_sweep_row(lam, tol=1e-9):
 
     ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
-    return SweepRow(
-        lam=lam,
-        min_mu_2lea=two_lea_min_eig_depolarizing(lam),
-        ghz_mu_3lea=ghz_three_lea_min_eig(lam),
-        werner_min_eig=ppt_min_eigenvalue(werner(lam, 2), Partition((0,), (1,))),
-        verdict_2lea=two_lea_verdict_depolarizing(lam, tol=tol).status.value,
-        verdict_eb=is_eb(depolarizing(lam, 2), tol=tol).status.value,
-        verdict_3lea_ppt=v3.status.value,
+    return (
+        lam,
+        two_lea_min_eig_depolarizing(lam),
+        ghz_three_lea_min_eig(lam),
+        ppt_min_eigenvalue(werner(lam, 2), Partition((0,), (1,))),
+        two_lea_verdict_depolarizing(lam, tol=tol).status.value,
+        is_eb(depolarizing(lam, 2), tol=tol).status.value,
+        v3.status.value,
     )

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ealab.channels
 from ealab import (
     Channel,
     DensityOperator,
@@ -702,6 +703,58 @@ class TestRandomChannel:
         assert (e.in_dim, e.out_dim) == (2, 3)
         out = apply(e, random_density((2,), rank=1, seed=23))
         assert out.dims == (3,)
+
+
+class TestBuilderBounds:
+    """``random_channel``, ``identity_channel`` and ``constant_channel``
+    refuse an array past ``TENSOR_POWER_MAX_BYTES`` before allocating it."""
+
+    HALF = DensityOperator(np.eye(2) / 2, (2,))
+    # each call with the bytes of its largest array, which are those of its
+    # Kraus stack, and the name it is refused under: a 2->2 isometry of rank
+    # 4 holds 16 entries, the identity of dimension 4 one 4x4 operator, and
+    # a qubit constant channel on a qutrit a 6x6 Choi matrix
+    BUILDS = {
+        "random_channel": (
+            lambda: random_channel(2), 256, "a random 2->2 channel with 4 Kraus operators"
+        ),
+        "identity_channel": (
+            lambda: identity_channel(4), 256, "an identity channel of dimension 4"
+        ),
+        "constant_channel": (
+            lambda: constant_channel(TestBuilderBounds.HALF, 3),
+            576,
+            "a constant channel with a 6x6 Choi matrix",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_bound_is_exact(self, name, monkeypatch):
+        build, n, what = self.BUILDS[name]
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", n)
+        assert build().kraus.nbytes == n
+        monkeypatch.setattr(ealab.channels, "TENSOR_POWER_MAX_BYTES", n - 1)
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"{what} needs {n} bytes, above the {n - 1}-byte bound"
+
+    def test_huge_requests_are_refused_before_allocating(self):
+        # computed, not run: 1.6 GB of Gaussians before a QR, a 160 GB
+        # identity, and a 6.4 GB Choi matrix then eigensolved
+        builds = (
+            lambda: random_channel(100),
+            lambda: identity_channel(10**5),
+            lambda: constant_channel(self.HALF, 10**4),
+        )
+        tracemalloc.start()
+        try:
+            for build in builds:
+                with pytest.raises(ValueError, match="above the 268435456-byte bound"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestJsonSpecs:

@@ -17,15 +17,16 @@ import ealab.cli
 import ealab.criteria
 from ealab.channels import matrix_to_json, random_channel
 from ealab.cli import (
+    _CSV_ROW,
     CSV_HEADER,
     SWEEP_MAX_ROWS,
     build_parser,
     fmt,
     main,
-    sweep_row,
-    sweep_rows,
 )
 from ealab.criteria import (
+    VERDICT_TOL,
+    _sweep_columns,
     eb_min_eig_depolarizing,
     ghz_three_lea_min_eig,
     ppt_status,
@@ -47,6 +48,12 @@ THREE_LEA_EDGES = {
     0.01: [0.5728310456958045],
     1e-3: [0.5583442936659618],
 }
+
+
+def sweep_row(lam, tol=VERDICT_TOL):
+    """The seven fields of one lambda's row of ``_sweep_columns``, in CSV
+    order."""
+    return tuple(column[0] for column in _sweep_columns([lam], tol))
 
 
 def run_cli(capsys, *argv):
@@ -161,36 +168,37 @@ class TestSweep:
         assert out_path.is_dir() == (target == "directory")
 
     def test_row_at_pair_boundary(self):
-        row = sweep_row(1 / np.sqrt(3))
-        assert row.verdict_2lea == "SeparableCertified"
-        assert row.verdict_3lea_ppt == "Entangled"
-        assert row.verdict_eb == "Entangled"
+        *_, v2, veb, v3 = sweep_row(1 / np.sqrt(3))
+        assert v2 == "SeparableCertified"
+        assert v3 == "Entangled"
+        assert veb == "Entangled"
 
     def test_row_in_eb_region(self):
-        assert sweep_row(0.3).verdict_eb == "SeparableCertified"
+        *_, veb, _ = sweep_row(0.3)
+        assert veb == "SeparableCertified"
 
     def test_row_printing_eb_value_next_to_its_verdict(self):
         # (1 - 3 * 0.4)/4 is -0.05 exactly; an eigensolved Werner value once
         # printed -0.04999999999999993 here beside an Entangled verdict
-        row = sweep_row(0.4, 0.05)
-        assert row.verdict_eb == "Entangled"
-        assert row.werner_min_eig < -0.05
+        _, _, _, eb, _, veb, _ = sweep_row(0.4, 0.05)
+        assert veb == "Entangled"
+        assert eb < -0.05
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3, 0.01, 0.05])
     def test_verdicts_consistent_with_values(self, tol):
         edges = [*THREE_LEA_EDGES.get(tol, []), *EB_EDGES.get(tol, [])]
         for lam in [*np.linspace(0.0, 1.0, 11), *edges]:
-            row = sweep_row(lam, tol)
-            assert (row.verdict_2lea == "Entangled") == (row.min_mu_2lea < -tol)
-            assert (row.verdict_3lea_ppt == "Entangled") == (row.ghz_mu_3lea < -tol)
+            _, mu2, mu3, eb, v2, veb, v3 = sweep_row(lam, tol)
+            assert (v2 == "Entangled") == (mu2 < -tol)
+            assert (v3 == "Entangled") == (mu3 < -tol)
             # the exact sign of the Werner minimum (1 - 3 lambda)/4
             eb_entangled = (1 - 3 * Fraction(float(lam))) / 4 < -Fraction(tol)
-            assert (row.verdict_eb == "Entangled") == eb_entangled
-            assert (row.verdict_eb == "Entangled") == (row.werner_min_eig < -tol)
+            assert (veb == "Entangled") == eb_entangled
+            assert (veb == "Entangled") == (eb < -tol)
 
 
 class TestSweepColumns:
-    """``sweep_rows`` evaluates each column over the whole grid at once; every
+    """``_sweep_columns`` evaluates each column over the whole grid at once; every
     cell is still its scalar closed form, and its verdict ``ppt_status`` of
     that value, bit for bit."""
 
@@ -214,25 +222,22 @@ class TestSweepColumns:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05, 0.2])
     def test_cells_are_the_scalar_closed_forms(self, tol):
-        rows = sweep_rows(self.LAMS, tol)
-        assert len(rows) == len(self.LAMS)
-        for row, lam in zip(rows, self.LAMS):
-            reals = (row.lam, row.min_mu_2lea, row.ghz_mu_3lea, row.werner_min_eig)
-            assert all(type(x) is float for x in reals)
-            got = (*(x.hex() for x in reals), row.verdict_2lea, row.verdict_eb, row.verdict_3lea_ppt)
+        columns = _sweep_columns(self.LAMS, tol)
+        assert [len(column) for column in columns] == [len(self.LAMS)] * 7
+        for row, lam in zip(zip(*columns), self.LAMS):
+            assert all(type(x) is float for x in row[:4])
+            got = (*(x.hex() for x in row[:4]), *row[4:])
             assert got == self.scalar_row(lam, tol), lam
 
     def test_bad_lambdas_keep_their_messages(self):
         with pytest.raises(ValueError, match=r"^depolarizing parameter must lie in \[0, 1\], got 2.0$"):
-            sweep_rows([*self.LAMS, 2.0])
+            _sweep_columns([*self.LAMS, 2.0], VERDICT_TOL)
         with pytest.raises(ValueError, match="could not convert string to float"):
-            sweep_rows([0.5, "half"])
+            _sweep_columns([0.5, "half"], VERDICT_TOL)
 
     def test_csv_row_is_fmt_of_each_real(self):
-        for row in sweep_rows(self.LAMS[:200] + self.LAMS[-8:], 1e-9):
-            reals = (row.lam, row.min_mu_2lea, row.ghz_mu_3lea, row.werner_min_eig)
-            verdicts = (row.verdict_2lea, row.verdict_eb, row.verdict_3lea_ppt)
-            assert row.csv() == ",".join([*map(fmt, reals), *verdicts])
+        for row in zip(*_sweep_columns(self.LAMS[:200] + self.LAMS[-8:], 1e-9)):
+            assert _CSV_ROW % row == ",".join([*map(fmt, row[:4]), *row[4:]])
 
 
 class TestFalsify:

@@ -45,12 +45,12 @@ from ealab import (
     two_lea_verdict_heuristic,
     werner,
 )
-from ealab.cli import sweep_row, sweep_rows
 from ealab.criteria import (
     BISECTION_TOL,
     SEESAW_MAX_ITER,
     VERDICT_TOL,
     ThresholdResult,
+    _sweep_columns,
     eb_min_eig_depolarizing,
 )
 from helpers import (
@@ -580,9 +580,9 @@ class TestToleranceValidation:
         "k_lea_falsify": lambda tol: k_lea_falsify(depolarizing(0.5, 2), 2, budget=2, tol=tol),
         "ea_falsify": lambda tol: ea_falsify(identity_channel(4), (2, 2), budget=2, tol=tol),
         "bisect": lambda tol: bisect_threshold(lambda x: x - 0.3, (0.0, 1.0), tol),
-        "sweep_row": lambda tol: sweep_row(0.5, tol=tol),
+        "sweep_columns": lambda tol: _sweep_columns([0.5], tol),
         # checked before any row, so an empty grid is rejected too
-        "sweep_rows": lambda tol: sweep_rows([], tol=tol),
+        "sweep_columns_empty_grid": lambda tol: _sweep_columns([], tol),
     }
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)

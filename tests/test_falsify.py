@@ -60,6 +60,28 @@ class TestEmbeddedProbe:
         assert np.allclose(rho.marginal((1,)).matrix, np.eye(2) / 2)
         assert ppt_min_eigenvalue(rho, Partition((0, 2), (1,))) < -0.4
 
+    def test_bound_is_exact(self, monkeypatch):
+        part = Partition((0,), (1, 2))
+        monkeypatch.setattr(ealab.criteria, "_STACK_BYTES", 128)
+        assert embedded_max_entangled((2, 2, 2), part).amplitudes.nbytes == 128
+        monkeypatch.setattr(ealab.criteria, "_STACK_BYTES", 127)
+        with pytest.raises(ValueError) as exc:
+            embedded_max_entangled((2, 2, 2), part)
+        assert str(exc.value) == (
+            "a maximally entangled state of dimension 8 needs 128 bytes, above the 127-byte bound"
+        )
+
+    def test_huge_state_is_refused_before_allocating(self):
+        # computed, not run: 2**30 amplitudes zero-filled, 16 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the 16777216-byte bound"):
+                embedded_max_entangled((2**15, 2**15), Partition((0,), (1,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestFalsifier:
     def test_eb_channel_yields_nothing(self):

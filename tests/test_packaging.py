@@ -71,3 +71,19 @@ def unused_sibling_imports(path: Path) -> set[str]:
 def test_no_dead_sibling_imports():
     unused = set().union(*(unused_sibling_imports(p) for p in SOURCES))
     assert unused <= TRACER_ONLY_IMPORTS, f"unused imports {sorted(unused - TRACER_ONLY_IMPORTS)}"
+
+
+def test_cli_leaves_the_sweep_arithmetic_to_criteria():
+    """``criteria`` alone computes the sweep's columns and verdicts: ``cli``
+    imports no numpy, and from ``criteria`` no private name but
+    ``_sweep_columns``."""
+    path = ROOT / "src" / "ealab" / "cli.py"
+    assert "numpy" not in imported_packages(path)
+    private = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "criteria"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_sweep_columns"}, f"cli imports {sorted(private)} from criteria"

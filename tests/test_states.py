@@ -527,6 +527,45 @@ class TestHaarRows:
         assert pieces.tobytes() == _haar_rows(np.random.default_rng(7), 40, 8).tobytes()
 
 
+class TestSamplerBounds:
+    """``haar_pure`` refuses amplitudes past ``_STACK_BYTES``, and
+    ``random_density`` a matrix past ``TENSOR_POWER_MAX_BYTES``, before any
+    draw."""
+
+    def test_haar_bound_is_exact(self, monkeypatch):
+        monkeypatch.setattr(ealab.states, "_STACK_BYTES", 64)
+        assert haar_pure((2, 2), 0).amplitudes.nbytes == 64
+        monkeypatch.setattr(ealab.states, "_STACK_BYTES", 63)
+        with pytest.raises(ValueError) as exc:
+            haar_pure((2, 2), 0)
+        assert str(exc.value) == (
+            "a Haar-random state of dimension 4 needs 64 bytes, above the 63-byte bound"
+        )
+
+    def test_random_density_bound_is_exact(self, monkeypatch):
+        monkeypatch.setattr(ealab.states, "TENSOR_POWER_MAX_BYTES", 256)
+        assert random_density((2, 2), 1, 0).matrix.nbytes == 256
+        monkeypatch.setattr(ealab.states, "TENSOR_POWER_MAX_BYTES", 255)
+        with pytest.raises(ValueError) as exc:
+            random_density((2, 2), 1, 0)
+        assert str(exc.value) == (
+            "a random 4x4 density matrix needs 256 bytes, above the 255-byte bound"
+        )
+
+    def test_huge_requests_are_refused_before_allocating(self):
+        # computed, not run: 32 GiB of normals and a 16 GiB zero matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the 16777216-byte bound"):
+                haar_pure((2**31,), 0)
+            with pytest.raises(ValueError, match="above the 268435456-byte bound"):
+                random_density((2**15,), 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
         rho = random_density((2, 2), rank=1, seed=5)

@@ -1,5 +1,5 @@
-"""The closed-form sweep: ``cli.sweep_rows`` against a row-by-row engine
-reference, and the exactness of its printed Werner minimum."""
+"""The closed-form sweep: ``criteria._sweep_columns`` against a row-by-row
+engine reference, and the exactness of its printed Werner minimum."""
 
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ealab.cli import sweep_row, sweep_rows
+from ealab.cli import _CSV_ROW
+from ealab.criteria import VERDICT_TOL, _sweep_columns
 from helpers import EB_EDGES, reference_sweep_row
 
 
@@ -29,44 +30,45 @@ def grids(draw):
 WERNER_ENGINE_ATOL = 1e-15
 
 
-def assert_rows_match_reference(rows, lams, tol):
-    """Every column but ``werner_min_eig`` byte for byte, and that one
-    within ``WERNER_ENGINE_ATOL`` of the engine's eigenvalue."""
-    assert len(rows) == len(lams)
-    for row, lam in zip(rows, lams):
+def assert_rows_match_reference(lams, tol):
+    """Each row of ``_sweep_columns(lams, tol)``: every column but
+    ``werner_min_eig`` byte for byte, and that one within
+    ``WERNER_ENGINE_ATOL`` of the engine's eigenvalue."""
+    columns = _sweep_columns(lams, tol)
+    assert [len(column) for column in columns] == [len(lams)] * 7
+    for row, lam in zip(zip(*columns), lams):
         ref = reference_sweep_row(lam, tol)
-        fields, ref_fields = row.csv().split(","), ref.csv().split(",")
+        fields, ref_fields = (_CSV_ROW % row).split(","), (_CSV_ROW % ref).split(",")
         del fields[3], ref_fields[3]
         assert fields == ref_fields
-        assert abs(row.werner_min_eig - ref.werner_min_eig) <= WERNER_ENGINE_ATOL
+        assert abs(row[3] - ref[3]) <= WERNER_ENGINE_ATOL
 
 
 class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(grids(), st.sampled_from([0.0, 1e-9, 0.05]))
     def test_csv_equal_per_row_reference(self, lams, tol):
-        assert_rows_match_reference(sweep_rows(lams, tol), lams, tol)
+        assert_rows_match_reference(lams, tol)
 
     def test_long_grid_with_repeated_edges(self):
         lams = [float(lam) for lam in np.linspace(0.0, 1.0, 1064)]
         for i in (511, 512, 1024):
             lams[i] = 0.0
             lams[i + 1] = 1.0
-        assert_rows_match_reference(sweep_rows(lams, 1e-9), lams, 1e-9)
+        assert_rows_match_reference(lams, 1e-9)
 
     @pytest.mark.parametrize("lam", [0.0, 1 / 3, 0.5, 1 / np.sqrt(3), 0.5567, 1.0])
     def test_one_row_call(self, lam):
-        assert sweep_row(lam) == sweep_rows([lam])[0]
-        assert_rows_match_reference([sweep_row(lam)], [lam], 1e-9)
+        assert_rows_match_reference([lam], 1e-9)
 
     def test_empty_grid(self):
-        assert sweep_rows([]) == []
+        assert _sweep_columns([], VERDICT_TOL) == ([],) * 7
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.1, np.nan])
 def test_lambda_out_of_range_rejected(lam):
     with pytest.raises(ValueError, match="depolarizing parameter"):
-        sweep_rows([0.5, lam])
+        _sweep_columns([0.5, lam], VERDICT_TOL)
 
 
 def traced_peak(fn):
@@ -87,7 +89,7 @@ class TestBoundedMemory:
     LAMS = list(np.linspace(0.0, 1.0, 2500))
 
     def test_peak_is_bounded(self):
-        assert traced_peak(lambda: sweep_rows(self.LAMS)) < SWEEP_PEAK_BOUND
+        assert traced_peak(lambda: _sweep_columns(self.LAMS, VERDICT_TOL)) < SWEEP_PEAK_BOUND
 
 
 class TestWernerColumnExact:
@@ -105,14 +107,19 @@ class TestWernerColumnExact:
     ]
 
     def exact_rows(self, on_sterbenz_range):
-        rows = [row for row in sweep_rows(self.GRID) if (row.lam >= 0.25) == on_sterbenz_range]
+        lams, _, _, werner_min_eig, *_ = _sweep_columns(self.GRID, VERDICT_TOL)
+        rows = [
+            (lam, eb, (1 - 3 * Fraction(lam)) / 4)
+            for lam, eb in zip(lams, werner_min_eig)
+            if (lam >= 0.25) == on_sterbenz_range
+        ]
         assert rows
-        return [(row, (1 - 3 * Fraction(row.lam)) / 4) for row in rows]
+        return rows
 
     def test_printed_value_is_the_exact_minimum_from_a_quarter(self):
-        for row, exact in self.exact_rows(True):
-            assert row.werner_min_eig == float(exact), row.lam
+        for lam, eb, exact in self.exact_rows(True):
+            assert eb == float(exact), lam
 
     def test_printed_value_is_near_the_exact_minimum_below_a_quarter(self):
-        for row, exact in self.exact_rows(False):
-            assert abs(Fraction(row.werner_min_eig) - exact) <= Fraction(2) ** -55, row.lam
+        for lam, eb, exact in self.exact_rows(False):
+            assert abs(Fraction(eb) - exact) <= Fraction(2) ** -55, lam

@@ -111,14 +111,14 @@ MUTANTS = (
     ),
     Mutant(
         "sweep-ghz-blocks-two-by-two",
-        "src/ealab/cli.py",
+        "src/ealab/criteria.py",
         "(mu3, (2, 4))",
         "(mu3, (2, 2))",
         ("tests/test_cli.py::TestGoldenOutputs::test_sweep",),
     ),
     Mutant(
         "sweep-cube-through-numpy-power",
-        "src/ealab/cli.py",
+        "src/ealab/criteria.py",
         "np.array([lam**3 for lam in lams], dtype=float)",
         "x**3",
         ("tests/test_cli.py::TestGoldenOutputs::test_full_resolution_sweep",),
@@ -268,6 +268,55 @@ MUTANTS = (
         "",
         # never the real bound: unbounded, d = 65 would allocate gigabytes
         ("tests/test_states.py::TestWerner::test_bound_is_exact",),
+    ),
+    # each builder's check line deleted; only tests with a bound patched
+    # small, so that the unbounded mutant still builds small inputs
+    Mutant(
+        "random-channel-unbounded",
+        "src/ealab/channels.py",
+        "    _bounded_bytes((k, d_out, d_in), TENSOR_POWER_MAX_BYTES, what)\n",
+        "",
+        ("tests/test_channels.py::TestBuilderBounds::test_bound_is_exact",),
+    ),
+    Mutant(
+        "identity-channel-unbounded",
+        "src/ealab/channels.py",
+        "    _bounded_bytes((d, d), TENSOR_POWER_MAX_BYTES, "
+        "f\"an identity channel of dimension {d}\")\n",
+        "",
+        ("tests/test_channels.py::TestBuilderBounds::test_bound_is_exact",),
+    ),
+    Mutant(
+        "constant-channel-unbounded",
+        "src/ealab/channels.py",
+        "    _bounded_bytes((n, n), TENSOR_POWER_MAX_BYTES, "
+        "f\"a constant channel with a {n}x{n} Choi matrix\")\n",
+        "",
+        ("tests/test_channels.py::TestBuilderBounds::test_bound_is_exact",),
+    ),
+    Mutant(
+        "haar-pure-unbounded",
+        "src/ealab/states.py",
+        "    _bounded_bytes((dim,), _STACK_BYTES, f\"a Haar-random state of dimension {dim}\")"
+        "\n",
+        "",
+        ("tests/test_states.py::TestSamplerBounds::test_haar_bound_is_exact",),
+    ),
+    Mutant(
+        "random-density-unbounded",
+        "src/ealab/states.py",
+        "    _bounded_bytes((d, d), TENSOR_POWER_MAX_BYTES, f\"a random {d}x{d} density matrix\")"
+        "\n",
+        "",
+        ("tests/test_states.py::TestSamplerBounds::test_random_density_bound_is_exact",),
+    ),
+    Mutant(
+        "embedded-max-entangled-unbounded",
+        "src/ealab/criteria.py",
+        "    _bounded_bytes((dim,), _STACK_BYTES, "
+        "f\"a maximally entangled state of dimension {dim}\")\n",
+        "",
+        ("tests/test_falsify.py::TestEmbeddedProbe::test_bound_is_exact",),
     ),
     Mutant(
         "json-list-accepts-any-iterable",
