@@ -43,6 +43,8 @@ from .states import (
 
 CHOI_RANK_TOL = 1e-12
 
+_KRAUS_SHAPE = "Kraus operators must share one nonempty (out, in) shape"
+
 
 @dataclass(frozen=True, eq=False)
 class Channel:
@@ -67,7 +69,7 @@ class Channel:
         except ValueError:  # ragged operators
             ops = np.empty(0)
         if ops.ndim != 3 or 0 in ops.shape[1:]:
-            raise ValueError("Kraus operators must share one nonempty (out, in) shape")
+            raise ValueError(_KRAUS_SHAPE)
         _, out_dim, in_dim = ops.shape
         # sum K^dag K over blocks of the operators' stacked rows, so that the
         # conjugated copy is one block, not a second stack
@@ -167,7 +169,9 @@ def _state_matrix(state) -> tuple[np.ndarray, tuple[int, ...]]:
     """Matrix and factor dims of a state; a unit vector's projector needs no check."""
     if isinstance(state, PureState):
         return _projectors(state.amplitudes), state.dims
-    return state.matrix, state.dims
+    if isinstance(state, DensityOperator):
+        return state.matrix, state.dims
+    raise ValueError(f"expected a PureState or a DensityOperator, got {type(state).__name__}")
 
 
 def apply(e: Channel, state, out_dims=None) -> DensityOperator:
@@ -322,8 +326,14 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Choi matrix ``(E ox Id)[P_+]`` of a Kraus set, factor order (out, in).
 
     It is ``V^T conj(V) / d_in``, where row ``n`` of ``V`` is ``K_n`` flattened.
+    Anything but a nonempty stack ``(n, out, in)`` raises ``ValueError``.
     """
-    ops = np.asarray(kraus, dtype=complex)
+    try:
+        ops = np.asarray(kraus, dtype=complex)
+    except (TypeError, ValueError):  # ragged operators, or not numbers
+        ops = np.empty(0)
+    if ops.ndim != 3 or 0 in ops.shape:
+        raise ValueError(_KRAUS_SHAPE)
     v = ops.reshape(len(ops), -1)
     return v.T @ v.conj() / ops.shape[2]
 

@@ -138,14 +138,12 @@ def _report_to_json(report) -> dict:
 
 
 def cmd_falsify(args) -> int:
+    seed = _env_seed() if args.seed is None else args.seed
     try:
         channel = load_channel_spec(args.spec)
     except (OSError, ValueError) as exc:
-        print(f"error: invalid channel description: {exc}", file=sys.stderr)
-        return 2
-    report = k_lea_falsify(
-        channel, args.k, budget=args.budget, seed=args.seed, tol=args.tol
-    )
+        raise ValueError(f"invalid channel description: {exc}") from exc
+    report = k_lea_falsify(channel, args.k, budget=args.budget, seed=seed, tol=args.tol)
     print(json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False))
     return 1 if report.found else 0
 
@@ -285,8 +283,6 @@ def main(argv=None) -> int:
     each call's output and exit code are those of a fresh parser.
     """
     args = _parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "falsify":
-        args.seed = _env_seed()
     try:
         return args.func(args)
     except ValueError as exc:

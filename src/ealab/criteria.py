@@ -148,6 +148,10 @@ def _bipartitions(n: int) -> tuple[Partition, ...]:
     return tuple(parts)
 
 
+# The one cut of a two-factor system, first factor | second.
+_PAIR_CUT = Partition((0,), (1,))
+
+
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     """Outcome of a PPT test across one partition.
@@ -212,7 +216,10 @@ def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
     """Peres-Horodecki status of a partial-transpose minimum ``low`` across a
     cut whose two blocks have dimensions ``blocks``: Entangled below ``-tol``,
     else SeparableCertified where PPT is exact for those dimensions, else
-    Inconclusive.  ``tol`` must already have passed the tolerance check."""
+    Inconclusive.  A bad ``tol`` or a NaN ``low`` raises ``ValueError``."""
+    _check_tol(tol)
+    if math.isnan(low):
+        raise ValueError("partial-transpose minimum is NaN")
     if _entangled(low, tol):
         return Verdict.ENTANGLED
     if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:
@@ -232,7 +239,6 @@ def ppt_verdict(
     rho: DensityOperator, part: Partition, tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Three-valued Peres-Horodecki verdict across one partition."""
-    _check_tol(tol)
     low = ppt_min_eigenvalue(rho, part)
     return SeparabilityVerdict(ppt_status(low, part.block_dims(rho.dims), tol), low, part)
 
@@ -243,7 +249,7 @@ def is_eb(e: Channel, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
     Exact for qubit-to-qubit and qubit/qutrit channels; larger channels can
     only be refuted (Entangled) or left Inconclusive.
     """
-    return ppt_verdict(choi_of(e), Partition((0,), (1,)), tol=tol)
+    return ppt_verdict(choi_of(e), _PAIR_CUT, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,6 @@ def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
     its scalar function.  Each verdict is ``ppt_status`` of the value its
     row prints, so a verdict and its value always agree against ``-tol``.
     """
-    _check_tol(tol)
     lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
     x = np.array(lams, dtype=float)
     mu2, eb = _two_lea_min(x), _eb_min(x)
@@ -376,9 +381,8 @@ def two_lea_verdict_depolarizing(
     states, so the closed-form worst case decides the property outright:
     outputs are two-qubit states, where PPT is exact.
     """
-    _check_tol(tol)
     low = two_lea_min_eig_depolarizing(lam)
-    return SeparabilityVerdict(ppt_status(low, (2, 2), tol), low, Partition((0,), (1,)))
+    return SeparabilityVerdict(ppt_status(low, (2, 2), tol), low, _PAIR_CUT)
 
 
 def two_lea_verdict_heuristic(
@@ -417,7 +421,6 @@ def two_lea_verdict_heuristic(
     what = f"restarts={restarts}, a stack of {restarts + 2} two-qubit density matrices,"
     _bounded_bytes((16 * (restarts + 2),), _STACK_BYTES, what)  # 4x4 entries per start
     dims = (2, 2)
-    part = Partition((0,), (1,))
     haar = _haar_rows(np.random.default_rng(seed), restarts, 4)
     # Per start: current input, input at its lowest value, that value, still falling.
     psi = np.vstack([_ghz_row(2), _w_row(2), haar])
@@ -433,9 +436,9 @@ def two_lea_verdict_heuristic(
         flip = partial_transpose(_projectors(vecs[falls, :, 0]), dims, (1,))
         psi[live] = np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))[1][:, :, 0]
     best_psi = best[np.argmin(value)]
-    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
+    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), _PAIR_CUT)
     status = Verdict.ENTANGLED if _entangled(witness, tol) else Verdict.INCONCLUSIVE
-    return SeparabilityVerdict(status, witness, part, heuristic=True)
+    return SeparabilityVerdict(status, witness, _PAIR_CUT, heuristic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def _falsify(
     budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
-    parts = bipartitions(len(dims))
+    parts = _bipartitions(len(dims))
     labels, rows = [], []
     if include_probes:
         if all(d == 2 for d in dims):
@@ -669,14 +672,19 @@ def bisect_threshold(
 ) -> ThresholdResult:
     """Locate a sign change of ``criterion`` by bisection.
 
-    The endpoints must evaluate to opposite signs; continuity and a single
-    crossing inside the bracket are the caller's responsibility.  A value
-    that is not finite, at an endpoint or a midpoint, raises ``ValueError``.
+    The bracket is two finite endpoints ``lo < hi``, which must evaluate to
+    opposite signs; continuity and a single crossing inside the bracket are
+    the caller's responsibility.  A value that is not finite, at an endpoint
+    or a midpoint, raises ``ValueError``.
     """
     _check_tol(tol)
+    if len(bracket) != 2:
+        raise ValueError(f"bracket must be two endpoints (lo, hi), got {tuple(bracket)}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket endpoints must be finite, got ({lo}, {hi})")
 
     def value(x: float) -> float:
         f = float(criterion(x))
@@ -724,7 +732,7 @@ def separable_mixing_threshold(omega: DensityOperator) -> ThresholdResult:
             f"mixing threshold is only supported for two-qubit states, "
             f"got dims {omega.dims}"
         )
-    mu = ppt_min_eigenvalue(omega, Partition((0,), (1,)))
+    mu = ppt_min_eigenvalue(omega, _PAIR_CUT)
     if not _entangled(mu, VERDICT_TOL):
         return ThresholdResult(
             1.0, (0.0, 1.0), 0.0, "separable-mixing", degenerate_bracket=True

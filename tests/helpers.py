@@ -231,3 +231,19 @@ def reference_sweep_row(lam, tol=1e-9):
         is_eb(depolarizing(lam, 2), tol=tol).status.value,
         v3.status.value,
     )
+
+
+def report_fields(report):
+    """Everything a ``FalsifierReport`` says, floats as exact hex strings and
+    the counterexample as its dims and amplitude bytes: two searches agree
+    bit for bit when these tuples are equal."""
+    state = report.counterexample
+    return (
+        report.found,
+        report.counterexample_label,
+        report.counterexample_partition,
+        report.trials_used,
+        float(report.min_eig_seen).hex(),
+        report.seed,
+        None if state is None else (state.dims, state.amplitudes.tobytes()),
+    )

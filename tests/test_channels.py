@@ -11,6 +11,7 @@ from ealab import (
     DensityOperator,
     MeasurePrepare,
     apply,
+    apply_local,
     channel_from_choi,
     channel_from_spec,
     choi_of,
@@ -335,6 +336,13 @@ class TestApply:
         with pytest.raises(ValueError, match="dimension"):
             apply(identity_channel(2), random_density((2, 2), rank=1, seed=0))
 
+    @pytest.mark.parametrize("act", [apply, apply_local])
+    def test_a_bare_matrix_is_not_a_state(self, act):
+        with pytest.raises(
+            ValueError, match="^expected a PureState or a DensityOperator, got ndarray$"
+        ):
+            act(depolarizing(0.5), np.eye(2) / 2)
+
     def test_pure_state_input(self):
         pair = tensor_power(depolarizing(0.5, 2), 2)
         out = apply(pair, max_entangled(2))
@@ -576,6 +584,17 @@ class TestChoi:
     def test_rejects_choi_without_two_factors(self):
         with pytest.raises(ValueError, match=r"^Choi operator needs dims \(out, in\), got \(2, 2, 2\)$"):
             channel_from_choi(DensityOperator(np.eye(8) / 8, (2, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [np.eye(2), 5, [], None, np.empty((0, 2, 2)), [np.eye(2), np.eye(3)]],
+        ids=["matrix", "number", "empty-list", "none", "empty-stack", "ragged"],
+    )
+    def test_choi_from_kraus_refuses_what_is_not_a_stack(self, kraus):
+        with pytest.raises(
+            ValueError, match=r"^Kraus operators must share one nonempty \(out, in\) shape$"
+        ):
+            choi_from_kraus(kraus)
 
     def test_rejects_non_channel_choi(self):
         # valid state, but its output marginal is not maximally mixed

@@ -52,6 +52,7 @@ from ealab.criteria import (
     ThresholdResult,
     _sweep_columns,
     eb_min_eig_depolarizing,
+    ppt_status,
 )
 from helpers import (
     apply_via_choi,
@@ -146,6 +147,14 @@ class TestPptVerdict:
     def test_qubit_qutrit_positive_is_certified(self, dims):
         rho = DensityOperator(np.eye(6) / 6, dims)
         assert ppt_verdict(rho, SPLIT_12).status is Verdict.SEPARABLE_CERTIFIED
+
+    def test_nan_minimum_is_refused(self):
+        with pytest.raises(ValueError, match="^partial-transpose minimum is NaN$"):
+            ppt_status(math.nan, (2, 2), VERDICT_TOL)
+
+    def test_negative_tolerance_does_not_make_a_positive_minimum_entangled(self):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            ppt_status(0.5, (2, 2), -1.0)
 
 
 class TestNegativity:
@@ -452,6 +461,21 @@ class TestBisection:
         ):
             bisect_threshold(lambda x: x - 0.55, bracket)
 
+    @pytest.mark.parametrize("bracket", [(-1.0, math.inf), (-math.inf, 1.0)])
+    def test_infinite_endpoint_rejected_before_any_call(self, bracket):
+        def crit(x):
+            raise AssertionError(f"criterion called at {x!r}")
+
+        with pytest.raises(
+            ValueError, match=rf"^bracket endpoints must be finite, got \({bracket[0]}, {bracket[1]}\)$"
+        ):
+            bisect_threshold(crit, bracket)
+
+    @pytest.mark.parametrize("bracket", [(0.0,), (0.0, 0.5, 1.0)])
+    def test_bracket_of_other_than_two_endpoints_rejected(self, bracket):
+        with pytest.raises(ValueError, match=r"^bracket must be two endpoints \(lo, hi\), got "):
+            bisect_threshold(lambda x: x - 0.3, bracket)
+
     @pytest.mark.parametrize("root", [0.25, 0.75])
     def test_zero_at_an_endpoint_is_a_degenerate_bracket(self, root):
         res = bisect_threshold(lambda x: x - root, (0.25, 0.75), tol=1e-6, criterion_id="edge")
@@ -571,6 +595,8 @@ class TestToleranceValidation:
     """A verdict or bisection tolerance must be finite and nonnegative."""
 
     CALLS = {
+        # a minimum that a NaN or infinite tolerance would certify separable
+        "ppt_status": lambda tol: ppt_status(-0.5, (2, 2), tol),
         "ppt_verdict": lambda tol: ppt_verdict(werner(0.5), SPLIT_12, tol=tol),
         "is_eb": lambda tol: is_eb(identity_channel(2), tol=tol),
         "two_lea_depolarizing": lambda tol: two_lea_verdict_depolarizing(0.5, tol=tol),
@@ -581,7 +607,7 @@ class TestToleranceValidation:
         "ea_falsify": lambda tol: ea_falsify(identity_channel(4), (2, 2), budget=2, tol=tol),
         "bisect": lambda tol: bisect_threshold(lambda x: x - 0.3, (0.0, 1.0), tol),
         "sweep_columns": lambda tol: _sweep_columns([0.5], tol),
-        # checked before any row, so an empty grid is rejected too
+        # checked by ppt_status whatever the grid, so an empty one is rejected too
         "sweep_columns_empty_grid": lambda tol: _sweep_columns([], tol),
     }
 

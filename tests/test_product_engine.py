@@ -52,6 +52,7 @@ from helpers import (
     apply_via_choi,
     haar_stream_rows,
     random_hermitian,
+    report_fields,
 )
 
 channel_args = st.tuples(
@@ -598,18 +599,6 @@ class TestOutputRuns:
 # Searches without probes whose counterexample is a Haar trial of a later
 # run: sites just past the noise where some Haar inputs stay entangled.
 HAAR_HITS = [(2, 0.6, 1, "haar:16"), (3, 0.57, 1, "haar:14"), (4, 0.545, 0, "haar:15")]
-
-
-def report_fields(report):
-    """Everything a report says, with floats and amplitudes as bytes."""
-    state = report.counterexample
-    return (
-        report.counterexample_label,
-        report.counterexample_partition,
-        report.trials_used,
-        report.min_eig_seen.hex(),
-        None if state is None else (state.dims, state.amplitudes.tobytes()),
-    )
 
 
 class TestHaarStream:

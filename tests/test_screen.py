@@ -16,6 +16,7 @@ import ealab.linalg
 from ealab import depolarizing, k_lea_falsify, random_channel
 from ealab.linalg import CHOLESKY_MARGIN, MATRIX_ATOL, _lowest_eigenvalues, _screen_above
 from ealab.states import _first_invalid_density
+from helpers import report_fields
 
 BUDGETS = {2: 40, 3: 40, 4: 40, 5: 20, 6: 30, 7: 2}
 CHANNELS = {
@@ -28,18 +29,6 @@ CHANNELS = {
 # 10 s, so it runs one channel at a budget of 2 (65 probes, 2 Haar draws)
 EXACT_CASES = [(k, name) for k in range(2, 7) for name in sorted(CHANNELS)]
 EXACT_CASES.append((7, "depolarizing-0.4"))
-
-
-def report_fields(report):
-    """Every field of a report, floats as their exact hex strings."""
-    return (
-        report.found,
-        report.counterexample_label,
-        report.counterexample_partition,
-        report.trials_used,
-        float(report.min_eig_seen).hex(),
-        None if report.counterexample is None else report.counterexample.amplitudes.tobytes(),
-    )
 
 
 def proves_nothing(a, floor):

@@ -345,6 +345,36 @@ MUTANTS = (
         ("tests/test_states.py::TestInvariants",),
     ),
     Mutant(
+        "ppt-status-tolerance-unchecked",
+        "src/ealab/criteria.py",
+        "    _check_tol(tol)\n    if math.isnan(low):\n",
+        "    if math.isnan(low):\n",
+        # callers that leave the tolerance check to ppt_status, each of which
+        # kills this mutant alone
+        tuple(
+            "tests/test_criteria.py::TestToleranceValidation::"
+            f"test_bad_tolerance_rejected[{name}-nan]"
+            for name in ("ppt_verdict", "is_eb", "two_lea_depolarizing", "sweep_columns")
+        ),
+    ),
+    Mutant(
+        "ppt-status-nan-minimum-certifies",
+        "src/ealab/criteria.py",
+        "    if math.isnan(low):\n        raise ValueError(\"partial-transpose minimum is NaN\")\n",
+        "",
+        ("tests/test_criteria.py::TestPptVerdict::test_nan_minimum_is_refused",),
+    ),
+    Mutant(
+        "bisect-infinite-endpoint-accepted",
+        "src/ealab/criteria.py",
+        "    if not (math.isfinite(lo) and math.isfinite(hi)):\n",
+        "    if False:\n",
+        (
+            "tests/test_criteria.py::TestBisection::"
+            "test_infinite_endpoint_rejected_before_any_call",
+        ),
+    ),
+    Mutant(
         "cmd-falsify-exit-0-on-counterexample",
         "src/ealab/cli.py",
         "return 1 if report.found else 0",
