@@ -23,6 +23,7 @@ from .linalg import (
     TENSOR_POWER_MAX_BYTES,
     _BLOCK_BYTES,
     _adjoint,
+    _as_array,
     _bounded_bytes,
     _lowest_eigenvalues,
     _projectors,
@@ -46,6 +47,18 @@ CHOI_RANK_TOL = 1e-12
 _KRAUS_SHAPE = "Kraus operators must share one nonempty (out, in) shape"
 
 
+def _kraus_stack(kraus) -> np.ndarray:
+    """``kraus`` frozen as one stack ``(n, out, in)`` with no empty axis, the
+    Kraus-stack check of ``Channel`` and ``choi_from_kraus``."""
+    try:
+        ops = _freeze(kraus)
+    except ValueError:  # ragged operators, or not numbers
+        ops = np.empty(0)
+    if ops.ndim != 3 or 0 in ops.shape:
+        raise ValueError(_KRAUS_SHAPE)
+    return ops
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Trace-preserving map held as one read-only Kraus stack ``(n, out, in)``."""
@@ -64,12 +77,7 @@ class Channel:
             ) from None
         if empty:
             raise ValueError("a channel needs at least one Kraus operator")
-        try:
-            ops = _freeze(self.kraus)
-        except ValueError:  # ragged operators
-            ops = np.empty(0)
-        if ops.ndim != 3 or 0 in ops.shape[1:]:
-            raise ValueError(_KRAUS_SHAPE)
+        ops = _kraus_stack(self.kraus)
         _, out_dim, in_dim = ops.shape
         # sum K^dag K over blocks of the operators' stacked rows, so that the
         # conjugated copy is one block, not a second stack
@@ -328,12 +336,7 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     It is ``V^T conj(V) / d_in``, where row ``n`` of ``V`` is ``K_n`` flattened.
     Anything but a nonempty stack ``(n, out, in)`` raises ``ValueError``.
     """
-    try:
-        ops = np.asarray(kraus, dtype=complex)
-    except (TypeError, ValueError):  # ragged operators, or not numbers
-        ops = np.empty(0)
-    if ops.ndim != 3 or 0 in ops.shape:
-        raise ValueError(_KRAUS_SHAPE)
+    ops = _kraus_stack(kraus)
     v = ops.reshape(len(ops), -1)
     return v.T @ v.conj() / ops.shape[2]
 
@@ -471,7 +474,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "a matrix")
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 

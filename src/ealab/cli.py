@@ -95,9 +95,9 @@ def cmd_thresholds(args) -> int:
 
 def cmd_sweep(args) -> int:
     lo, hi, step = args.lo, args.hi, args.step
-    if not (0.0 <= lo <= hi <= 1.0) or not step > 0.0:
+    if not (0.0 <= lo <= hi <= 1.0) or not 0.0 < step < math.inf:
         raise ValueError(
-            f"sweep range needs 0 <= lo <= hi <= 1 and step > 0, "
+            f"sweep range needs 0 <= lo <= hi <= 1 and a finite step > 0, "
             f"got lo={lo} hi={hi} step={step}"
         )
     steps = (hi - lo) / step + 1e-9

@@ -46,6 +46,7 @@ from .linalg import (
     _symmetrized_eigenvalues,
     _unit_interval,
     _whole,
+    as_operator,
     hermitian_eigenvalues,
     partial_transpose,
 )
@@ -66,7 +67,6 @@ from .states import (
 VERDICT_TOL = 1e-9
 
 BISECTION_TOL = 1e-9
-BISECTION_MAX_ITER = 200
 
 # Rounds of the two-qubit see-saw per start in two_lea_verdict_heuristic.
 SEESAW_MAX_ITER = 200
@@ -675,7 +675,8 @@ def bisect_threshold(
     The bracket is two finite endpoints ``lo < hi``, which must evaluate to
     opposite signs; continuity and a single crossing inside the bracket are
     the caller's responsibility.  A value that is not finite, at an endpoint
-    or a midpoint, raises ``ValueError``.
+    or a midpoint, raises ``ValueError``.  Halving stops once the bracket is
+    no wider than ``tol`` or its endpoints are adjacent floats.
     """
     _check_tol(tol)
     if len(bracket) != 2:
@@ -703,10 +704,10 @@ def bisect_threshold(
             f"criterion has the same sign at both endpoints "
             f"({f_lo:.3e} and {f_hi:.3e})"
         )
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= tol:
-            break
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         f_mid = value(mid)
         if f_mid == 0.0:
             lo = hi = mid
@@ -751,7 +752,7 @@ def ea_mixing_channel(effect: np.ndarray, omega: DensityOperator) -> Channel:
     outputs are separable even though ``omega`` itself may be entangled.
     ``MeasurePrepare`` first rejects an effect that is not positive semidefinite.
     """
-    f = np.asarray(effect, dtype=complex)
+    f = as_operator(effect)
     if omega.dims != (2, 2):
         raise ValueError("the prepared state must be a two-qubit state")
     kappa = separable_mixing_threshold(omega).critical_value

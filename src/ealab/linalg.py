@@ -54,18 +54,27 @@ _STACK_BYTES = 2**24
 TENSOR_POWER_MAX_BYTES = 2**28
 
 
+def _as_array(m, expected: str) -> np.ndarray:
+    """``m`` as a complex array, the one conversion of a caller's argument;
+    what numpy cannot convert raises ``ValueError`` naming ``expected``."""
+    try:
+        return np.asarray(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"expected {expected}, got {type(m).__name__}: {exc}") from exc
+
+
 def as_operator(m) -> np.ndarray:
     """Coerce input to a square complex matrix."""
-    a = np.asarray(m, dtype=complex)
+    a = _as_stack(m, "a square matrix")
     if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _as_stack(a, "a square matrix")
+    return a
 
 
 def _as_stack(m, expected: str = "a square matrix or a stack of them") -> np.ndarray:
     """Coerce input to a complex square matrix or a stack of them: the one
     square-shape test; ``expected`` names the input in its error."""
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, expected)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected {expected}, got shape {a.shape}")
     return a
@@ -185,7 +194,7 @@ def kron(a, b) -> np.ndarray:
     The operands may have any shapes, square or not, so Kraus operators of
     dimension-changing channels tensor like any others.
     """
-    x, y = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    x, y = _as_array(a, "a matrix"), _as_array(b, "a matrix")
     if x.ndim != 2 or y.ndim != 2:
         raise ValueError(f"kron needs two matrices, got shapes {x.shape} and {y.shape}")
     return np.kron(x, y)

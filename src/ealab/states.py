@@ -17,6 +17,7 @@ from .linalg import (
     _STACK_BYTES,
     MATRIX_ATOL,
     TENSOR_POWER_MAX_BYTES,
+    _as_array,
     _bounded_bytes,
     _factor_dims,
     _factor_subset,
@@ -34,23 +35,18 @@ NORM_ATOL = 1e-12
 
 
 def _freeze(a) -> np.ndarray:
-    """A read-only complex copy of ``a``.
+    """A read-only complex array of ``a``, converted by ``linalg._as_array``.
 
-    A read-only, C-contiguous complex array that owns its data is returned
-    as is, so a constructor that builds a large array and freezes it hands
-    it over without a second copy.
+    A C-contiguous array that owns its data is handed over, not copied, when
+    it was freshly converted or is already read-only, so a constructor that
+    builds a large array and freezes it pays no second copy; a view, a
+    non-contiguous array and the caller's own writeable array are copied.
     """
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == complex
-        and a.base is None
-        and a.flags.c_contiguous
-        and not a.flags.writeable
-    ):
-        return a
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
+    b = _as_array(a, "a complex array")
+    if b.base is not None or not b.flags.c_contiguous or (b is a and b.flags.writeable):
+        b = b.copy(order="K")
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +57,7 @@ class PureState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amp = _as_array(self.amplitudes, "an amplitude vector").reshape(-1)
         ds = _factor_dims(self.dims, amp.size)
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_ATOL:

@@ -116,15 +116,17 @@ class TestSweep:
         assert "range" in err
 
     def test_nan_step_exits_2_without_a_file(self, tmp_path, capsys):
-        out_path = tmp_path / "e.csv"
-        code, out, err = run_cli(
-            capsys, "sweep", "--lo", "0", "--hi", "1", "--step", "nan",
-            "--out", str(out_path),
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: sweep range needs")
-        assert not out_path.exists()
+        # an infinite step would make the first grid point 0 + 0 * inf = NaN
+        for step in ("nan", "inf"):
+            out_path = tmp_path / f"e-{step}.csv"
+            code, out, err = run_cli(
+                capsys, "sweep", "--lo", "0", "--hi", "1", "--step", step,
+                "--out", str(out_path),
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: sweep range needs")
+            assert not out_path.exists()
 
     def test_last_point_is_clamped_to_hi(self, tmp_path, capsys):
         # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past the range

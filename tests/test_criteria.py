@@ -492,6 +492,22 @@ class TestBisection:
         with pytest.raises(ValueError, match="not finite"):
             bisect_threshold(lambda x: math.nan if x == 0.0 else 1.0, (0.0, 1.0))
 
+    def test_zero_tolerance_stops_at_adjacent_floats(self):
+        # the bracket stops shrinking after about 55 halvings; the cap makes a
+        # loop that never stops fail at once instead of hanging
+        calls = []
+
+        def crit(lam):
+            calls.append(lam)
+            if len(calls) > 64:
+                raise AssertionError(f"{len(calls)} criterion calls")
+            return eb_min_eig_depolarizing(lam)
+
+        res = bisect_threshold(crit, (0.1, 0.6), tol=0.0)
+        lo, hi = res.bracket
+        assert hi == np.nextafter(lo, math.inf)
+        assert eb_min_eig_depolarizing(lo) * eb_min_eig_depolarizing(hi) < 0
+
     def test_sign_change_across_final_bracket(self):
         res = bisect_threshold(ghz_three_lea_min_eig, (0.3, 0.9), tol=1e-9)
         lo, hi = res.bracket

@@ -82,6 +82,44 @@ def test_shape_messages(call, message):
     assert str(exc.value) == message
 
 
+_KRAUS_SHAPE = r"Kraus operators must share one nonempty \(out, in\) shape"
+_UNCONVERTIBLE = {
+    "Channel": (lambda d: ealab.Channel(d), _KRAUS_SHAPE),
+    "Channel-list": (lambda d: ealab.Channel([d]), _KRAUS_SHAPE),
+    "DensityOperator": (lambda d: ealab.DensityOperator(d, (2,)), "a square matrix"),
+    "PureState": (lambda d: ealab.PureState(d, (2,)), "an amplitude vector"),
+    "partial_transpose": (lambda d: partial_transpose(d, (2, 2), (1,)),
+                          "a square matrix or a stack of them"),
+    "partial_trace": (lambda d: partial_trace(d, (2, 2), (1,)), "a square matrix"),
+    "permute_factors": (lambda d: permute_factors(d, (2, 2), (1, 0)), "a square matrix"),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, "a square matrix or a stack of them"),
+    "min_eigenvalue": (min_eigenvalue, "a square matrix or a stack of them"),
+    "hermiticity_defect": (ealab.linalg.hermiticity_defect, "a square matrix or a stack of them"),
+    "as_operator": (ealab.linalg.as_operator, "a square matrix"),
+    "kron": (lambda d: kron(d, np.eye(2)), "a matrix"),
+    "kron_all": (lambda d: kron_all([d]), "a matrix"),
+    "kraus_from_choi": (lambda d: ealab.kraus_from_choi(d, 2, 2), "a square matrix"),
+    "MeasurePrepare": (lambda d: ealab.MeasurePrepare([d], [ealab.werner(0.5)]), "a square matrix"),
+    "ea_mixing_channel": (lambda d: ealab.ea_mixing_channel(d, ealab.werner(0.9)),
+                          "a square matrix"),
+    "SchmidtDecomposition": (lambda d: ealab.SchmidtDecomposition([1.0], d, np.eye(2)),
+                             "a complex array"),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [{"a": 1}, ["a", "b"], [10**400]], ids=["dict", "words", "huge-int"]
+)
+@pytest.mark.parametrize("name", list(_UNCONVERTIBLE))
+def test_unconvertible_input_is_named(name, value):
+    # numpy's own TypeError, ValueError or OverflowError never reaches the caller
+    call, expected = _UNCONVERTIBLE[name]
+    if not expected.startswith("Kraus"):
+        expected = f"expected {expected}, got {type(value).__name__}: "
+    with pytest.raises(ValueError, match=f"^{expected}"):
+        call(value)
+
+
 def test_kron_all_matches_pairwise():
     rng = np.random.default_rng(4)
     ops = [rng.standard_normal((2, 2)) for _ in range(3)]

@@ -6,8 +6,9 @@ where a file holds a slow test the mutant does not need).  The gate copies
 ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory, runs
 the listed tests once unmutated, then applies each mutant in turn and runs
 its tests with ``pytest -x``.  The gate fails, and prints the mutant's diff,
-when a pattern does not occur exactly once (the table has rotted) or when a
-mutant's tests all pass (a test is missing).  Never make a mutant die by
+when a pattern does not occur exactly once (the table has rotted), when a
+mutant's tests all pass (a test is missing), or when they run past
+``PYTEST_TIMEOUT_S`` (reported as timed out).  Never make a mutant die by
 editing a test's assertion: a survivor means a test to add.  List tests that
 kill a mutant on every run: a hypothesis search draws new examples each time,
 so it may find a mutant once and miss it the next time.
@@ -33,6 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# A pytest run past this many seconds is killed and counted as a failure,
+# so a mutant that removes a loop's exit fails the gate instead of hanging
+# it; a run of the listed tests takes seconds.
+PYTEST_TIMEOUT_S = 300
 
 
 @dataclass(frozen=True)
@@ -375,6 +381,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "array-conversion-typeerror-escapes",
+        "src/ealab/linalg.py",
+        "except (TypeError, ValueError, OverflowError) as exc:",
+        "except (ValueError, OverflowError) as exc:",
+        ("tests/test_linalg.py::test_unconvertible_input_is_named",),
+    ),
+    Mutant(
+        "freeze-hands-over-a-view",
+        "src/ealab/states.py",
+        "if b.base is not None or not b.flags.c_contiguous",
+        "if not b.flags.c_contiguous",
+        ("tests/test_channels.py::TestChannelType::test_frozen_input_is_kept",),
+    ),
+    Mutant(
+        "kraus-stack-empty-axis-accepted",
+        "src/ealab/channels.py",
+        "if ops.ndim != 3 or 0 in ops.shape:",
+        "if ops.ndim != 3:",
+        ("tests/test_channels.py::TestChannelType::test_rejection_messages",),
+    ),
+    Mutant(
+        "bisect-stalled-bracket-continues",
+        "src/ealab/criteria.py",
+        "        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink\n"
+        "            break\n",
+        "",
+        (
+            "tests/test_criteria.py::TestBisection::"
+            "test_zero_tolerance_stops_at_adjacent_floats",
+        ),
+    ),
+    Mutant(
         "cmd-falsify-exit-0-on-counterexample",
         "src/ealab/cli.py",
         "return 1 if report.found else 0",
@@ -384,9 +422,15 @@ MUTANTS = (
 )
 
 
-def _pytest(work: Path, tests, env) -> subprocess.CompletedProcess:
+def _pytest(work: Path, tests, env) -> subprocess.CompletedProcess | None:
+    """One pytest run of ``tests``, or ``None`` when it passes ``PYTEST_TIMEOUT_S``."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(
+            cmd, cwd=work, env=env, capture_output=True, text=True, timeout=PYTEST_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _diff(m: Mutant, before: str, after: str) -> str:
@@ -416,8 +460,9 @@ def main() -> int:
         start = time.perf_counter()
         tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         base = _pytest(work, tests, env)
-        if base.returncode != 0:
-            print("FAIL: the listed tests do not pass unmutated\n" + base.stdout[-4000:])
+        if base is None or base.returncode != 0:
+            tail = "timed out" if base is None else base.stdout[-4000:]
+            print("FAIL: the listed tests do not pass unmutated\n" + tail)
             return 1
         print(f"unmutated: {len(tests)} test selections pass ({time.perf_counter() - start:.1f} s)")
 
@@ -439,7 +484,10 @@ def main() -> int:
             finally:
                 path.write_text(before)
             elapsed = time.perf_counter() - t0
-            if run.returncode == 1:  # pytest's code for failed tests
+            if run is None:
+                print(f"FAIL {m.name}: timed out ({elapsed:.1f} s)\n{_diff(m, before, after)}")
+                failed.append(m.name)
+            elif run.returncode == 1:  # pytest's code for failed tests
                 print(f"killed   {m.name} ({elapsed:.1f} s)")
             else:
                 why = "survived" if run.returncode == 0 else f"pytest exited {run.returncode}"
