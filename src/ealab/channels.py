@@ -27,6 +27,7 @@ from .linalg import (
     _bounded_bytes,
     _lowest_eigenvalues,
     _projectors,
+    _real,
     _whole,
     as_operator,
     hermitian_eigenvalues,  # unused here; bench/tracing.py wraps it
@@ -147,17 +148,13 @@ def depolarizing(lam: float, d: int = 2, allow_extended: bool = False) -> Channe
     dimension whose stack of d^2 + 1 Kraus operators would exceed
     ``TENSOR_POWER_MAX_BYTES`` (d > 63) is rejected before any allocation.
     """
-    lam = float(lam)
     d = _whole(d, "dimension")
     if d < 2:
         raise ValueError(f"depolarizing channel needs dimension d >= 2, got {d}")
     what = f"a depolarizing channel of dimension {d} with {d * d + 1} Kraus operators"
     _bounded_bytes(((d * d + 1) * d * d,), TENSOR_POWER_MAX_BYTES, what)
     lo = -1.0 / (d * d - 1) if allow_extended else 0.0
-    if not lo <= lam <= 1.0:
-        raise ValueError(
-            f"depolarizing parameter {lam} outside accepted range [{lo:g}, 1]"
-        )
+    lam = _real(lam, "depolarizing parameter", lo, 1.0)
     if lam < 0:
         # no Kraus mixture exists below lam = 0; rebuild from the Choi form
         return Channel(kraus_from_choi(_werner_matrix(lam, d), d, d))
@@ -352,9 +349,16 @@ def kraus_from_choi(omega: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
     One operator per eigenvalue above ``CHOI_RANK_TOL``, so the set is
     minimal: as many operators as the Choi rank, at most ``in_dim * out_dim``.
     Discarding the eigenvalues at or below it keeps Choi round-trips
-    numerically stable.  ``omega`` itself is not checked.
+    numerically stable.  ``omega`` itself is not checked, but the dimensions
+    must be positive integers whose product is its dimension.
     """
     m = as_operator(omega)
+    in_dim, out_dim = _whole(in_dim, "in_dim", 1), _whole(out_dim, "out_dim", 1)
+    if in_dim * out_dim != m.shape[0]:
+        raise ValueError(
+            f"in_dim {in_dim} times out_dim {out_dim} does not match "
+            f"a Choi matrix of dimension {m.shape[0]}"
+        )
     evals, vecs = np.linalg.eigh((m + _adjoint(m)) / 2)
     keep = evals > CHOI_RANK_TOL
     ops = np.sqrt(in_dim * evals[keep]) * vecs[:, keep]

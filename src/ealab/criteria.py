@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -43,8 +44,8 @@ from .linalg import (
     _partial_transposes,
     _party_count,
     _projectors,
+    _real,
     _symmetrized_eigenvalues,
-    _unit_interval,
     _whole,
     as_operator,
     hermitian_eigenvalues,
@@ -194,12 +195,6 @@ class ThresholdResult:
     degenerate_bracket: bool = False
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is negative, infinite or NaN."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-
-
 def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     """Smallest eigenvalue of the partial transpose over the second block."""
     part.validate_for(len(rho.dims))
@@ -217,7 +212,7 @@ def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
     cut whose two blocks have dimensions ``blocks``: Entangled below ``-tol``,
     else SeparableCertified where PPT is exact for those dimensions, else
     Inconclusive.  A bad ``tol`` or a NaN ``low`` raises ``ValueError``."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     if math.isnan(low):
         raise ValueError("partial-transpose minimum is NaN")
     if _entangled(low, tol):
@@ -265,8 +260,8 @@ def two_lea_pt_eigenvalues(lam: float, q0: float) -> tuple[float, float, float, 
     four eigenvalues of the partially transposed output; only the last can
     be negative.
     """
-    lam = _unit_interval(lam, "lambda")
-    q0 = _unit_interval(q0, "q0")
+    lam = _real(lam, "lambda", 0.0, 1.0)
+    q0 = _real(q0, "q0", 0.0, 1.0)
     q1 = 1.0 - q0
     base = 0.25 * (1.0 - lam) ** 2
     root = math.sqrt(q0 * q1)
@@ -318,7 +313,7 @@ def two_lea_min_eig_depolarizing(lam: float) -> float:
     this one still decides 2-local annihilation: it is nonnegative exactly
     for lambda <= 1/sqrt(3).
     """
-    return _two_lea_min(_unit_interval(lam, "lambda"))
+    return _two_lea_min(_real(lam, "lambda", 0.0, 1.0))
 
 
 def eb_min_eig_depolarizing(lam: float) -> float:
@@ -328,7 +323,7 @@ def eb_min_eig_depolarizing(lam: float) -> float:
     On [1/4, 1] the difference ``1 - 2 lambda`` is exact, so the computed
     sign is exact near 1/3, where ``1 - 3 lambda`` can round to the wrong one.
     """
-    return _eb_min(_unit_interval(lam, "lambda"))
+    return _eb_min(_real(lam, "lambda", 0.0, 1.0))
 
 
 def ghz_three_lea_min_eig(lam: float) -> float:
@@ -340,7 +335,7 @@ def ghz_three_lea_min_eig(lam: float) -> float:
     lambda in [0, 1] and turns negative past the real root of
     ``4 x^3 + x^2 - 1 = 0`` (about 0.5567).
     """
-    lam = _unit_interval(lam, "lambda")
+    lam = _real(lam, "lambda", 0.0, 1.0)
     return _ghz_min(lam, lam**3)
 
 
@@ -355,7 +350,7 @@ def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
     its scalar function.  Each verdict is ``ppt_status`` of the value its
     row prints, so a verdict and its value always agree against ``-tol``.
     """
-    lams = [_unit_interval(lam, "depolarizing parameter") for lam in lams]
+    lams = [_real(lam, "depolarizing parameter", 0.0, 1.0) for lam in lams]
     x = np.array(lams, dtype=float)
     mu2, eb = _two_lea_min(x), _eb_min(x)
     # each cube by Python's ** (libm pow), as ghz_three_lea_min_eig takes it
@@ -414,7 +409,7 @@ def two_lea_verdict_heuristic(
     one is only Inconclusive, since the search carries no global optimality
     certificate.
     """
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     if single.in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
     restarts, seed = _whole(restarts, "restarts", 0), _whole(seed, "seed", 0)
@@ -527,7 +522,7 @@ def _falsify(
     is a counterexample, as in a trial-by-trial loop: the batches of a run
     before the failed output are screened first.
     """
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
     dim = _composite_dim(dims)
     cap = _STACK_BYTES // (16 * dim * dim)
@@ -678,10 +673,10 @@ def bisect_threshold(
     or a midpoint, raises ``ValueError``.  Halving stops once the bracket is
     no wider than ``tol`` or its endpoints are adjacent floats.
     """
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     if len(bracket) != 2:
         raise ValueError(f"bracket must be two endpoints (lo, hi), got {tuple(bracket)}")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = _real(bracket[0], "bracket endpoint"), _real(bracket[1], "bracket endpoint")
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -13,6 +13,7 @@ All factor index sets are 0-based.
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -109,6 +110,26 @@ def _whole(x, name: str, least: int | None = None) -> int:
     return n
 
 
+def _real(x, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``x`` as a float, the one conversion of a caller's real.
+
+    What ``float()`` cannot read raises ``ValueError`` naming ``name``, and
+    so does a value outside [lo, hi], NaN too: as ``"{name} must be finite
+    and nonnegative"`` for a tolerance's range [0, largest float], else as
+    ``"{name} must lie in [lo, hi]"``.  The default whole line only
+    converts, and leaves NaN and the infinities to the caller's own checks.
+    """
+    try:
+        r = float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a real number, got {type(x).__name__}: {exc}") from exc
+    if lo <= r <= hi or (lo, hi) == (-math.inf, math.inf):
+        return r
+    if lo == 0.0 and hi == sys.float_info.max:
+        raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+    raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {r}")
+
+
 def _factor_dims(dims, d: int | None = None) -> tuple[int, ...]:
     """Factor dimensions as a tuple of positive ints (a scalar is one factor).
 
@@ -171,14 +192,6 @@ def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Validate that ``dims`` factorizes the dimension of ``m``."""
     a = as_operator(m)
     return a, _factor_dims(dims, a.shape[0])
-
-
-def _unit_interval(x, name: str) -> float:
-    """``x`` as a float, rejected (NaN too) outside [0, 1]."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
-    return x
 
 
 def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from .linalg import (
     _lowest_eigenvalues,
     _party_count,
     _projectors,
-    _unit_interval,
+    _real,
     _whole,
     as_operator,
     hermiticity_defect,
@@ -142,7 +142,10 @@ class SchmidtDecomposition:
     right_basis: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        c = _as_array(self.coefficients, "real Schmidt coefficients").reshape(-1)
+        if np.any(c.imag):
+            raise ValueError("Schmidt coefficients must be real, got an imaginary part")
+        c = c.real
         if not (np.all(-c <= NORM_ATOL) and np.all(np.diff(c) <= NORM_ATOL)):
             raise ValueError("coefficients must be nonnegative and descending")
         if not abs(np.sum(c**2) - 1.0) <= MATRIX_ATOL:
@@ -181,7 +184,7 @@ def max_entangled_projector(d: int) -> np.ndarray:
 
 def werner(lam: float, d: int = 2) -> DensityOperator:
     """Werner state ``lam * P_+  +  (1 - lam) * (I/d) ox (I/d)``."""
-    lam = _unit_interval(lam, "mixing parameter")
+    lam = _real(lam, "mixing parameter", 0.0, 1.0)
     d = _whole(d, "local dimension", 2)
     return DensityOperator(_werner_matrix(lam, d), (d, d))
 
@@ -253,7 +256,7 @@ def classically_correlated_pair() -> DensityOperator:
 
 def schmidt_pure(q0: float) -> PureState:
     """Two-qubit state sqrt(q0)|00> + sqrt(1-q0)|11>."""
-    q0 = _unit_interval(q0, "Schmidt weight")
+    q0 = _real(q0, "Schmidt weight", 0.0, 1.0)
     amp = np.zeros(4, dtype=complex)
     amp[0] = np.sqrt(q0)
     amp[3] = np.sqrt(1.0 - q0)

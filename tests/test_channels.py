@@ -33,7 +33,7 @@ from ealab import (
     tensor_power,
     werner,
 )
-from ealab.channels import choi_from_kraus, matrix_from_json, matrix_to_json
+from ealab.channels import choi_from_kraus, kraus_from_choi, matrix_from_json, matrix_to_json
 from helpers import (
     apply_via_choi,
     choi_via_outer_products,
@@ -299,6 +299,21 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             depolarizing(1.1, 2)
 
+    @pytest.mark.parametrize(
+        "lam, d, extended, message",
+        [
+            (1.5, 2, False, "[0, 1], got 1.5"),
+            (-0.1, 2, False, "[0, 1], got -0.1"),
+            (-0.4, 2, True, "[-0.333333, 1], got -0.4"),
+            (float("nan"), 3, True, "[-0.125, 1], got nan"),
+        ],
+        ids=["above-1", "below-0", "below-extended", "nan-extended"],
+    )
+    def test_range_message(self, lam, d, extended, message):
+        with pytest.raises(ValueError) as exc:
+            depolarizing(lam, d, allow_extended=extended)
+        assert str(exc.value) == f"depolarizing parameter must lie in {message}"
+
     def test_extended_range(self):
         e = depolarizing(-1 / 3, 2, allow_extended=True)
         rho = random_density((2,), rank=2, seed=0)
@@ -542,6 +557,28 @@ class TestCompose:
 
 
 class TestChoi:
+    @pytest.mark.parametrize(
+        "in_dim, out_dim, message",
+        [
+            (2.5, 2, "in_dim must be an integer, got 2.5"),
+            ("2", 2, "in_dim must be an integer, got '2'"),
+            (-2, -2, "in_dim must be at least 1, got -2"),
+            (2, 0, "out_dim must be at least 1, got 0"),
+            (3, 2, "in_dim 3 times out_dim 2 does not match a Choi matrix of dimension 4"),
+        ],
+        ids=["float", "str", "negative", "zero", "mismatch"],
+    )
+    def test_kraus_from_choi_checks_its_dimensions(self, in_dim, out_dim, message, monkeypatch):
+        # refused before the eigensolve, so numpy never warns or reshapes
+        def eigh(*args):
+            raise AssertionError("eigensolved")
+
+        omega = werner(0.5).matrix
+        monkeypatch.setattr(ealab.channels.np.linalg, "eigh", eigh)
+        with pytest.raises(ValueError) as exc:
+            kraus_from_choi(omega, in_dim, out_dim)
+        assert str(exc.value) == message
+
     def test_identity_choi_is_max_entangled(self):
         assert np.allclose(choi_of(identity_channel(2)).matrix, max_entangled_projector(2))
 

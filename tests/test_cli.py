@@ -312,6 +312,15 @@ class TestFalsify:
         assert out == ""
         assert err.startswith("error: invalid channel description")
 
+    def test_out_of_range_lambda_names_the_accepted_range(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 2})
+        code, out, err = run_cli(capsys, "falsify", "--spec", spec, "--budget", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: invalid channel description: "
+            "depolarizing parameter must lie in [0, 1], got 2.0\n"
+        )
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare"])
     def test_non_finite_entry_is_an_invalid_description(self, kind, value, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for the dense tensor linear algebra primitives."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,9 @@ _UNCONVERTIBLE = {
                           "a square matrix"),
     "SchmidtDecomposition": (lambda d: ealab.SchmidtDecomposition([1.0], d, np.eye(2)),
                              "a complex array"),
+    "SchmidtDecomposition-coefficients": (
+        lambda d: ealab.SchmidtDecomposition(d, np.eye(2), np.eye(2)), "real Schmidt coefficients"
+    ),
 }
 
 
@@ -118,6 +124,87 @@ def test_unconvertible_input_is_named(name, value):
         expected = f"expected {expected}, got {type(value).__name__}: "
     with pytest.raises(ValueError, match=f"^{expected}"):
         call(value)
+
+
+# The public calls that read a scalar real through ``linalg._real``: the
+# name their error gives, and a run of the call on one value of that real.
+_PAIR = ealab.Partition((0,), (1,))
+_READS_A_REAL = {
+    "depolarizing": ("depolarizing parameter", lambda x: ealab.depolarizing(x)),
+    "werner": ("mixing parameter", lambda x: ealab.werner(x)),
+    "schmidt_pure": ("Schmidt weight", lambda x: ealab.schmidt_pure(x)),
+    "two_lea_pt_eigenvalues": ("q0", lambda x: ealab.two_lea_pt_eigenvalues(0.5, x)),
+    "two_lea_min_eig_depolarizing": ("lambda", lambda x: ealab.two_lea_min_eig_depolarizing(x)),
+    "eb_min_eig_depolarizing": ("lambda", lambda x: ealab.criteria.eb_min_eig_depolarizing(x)),
+    "ghz_three_lea_min_eig": ("lambda", lambda x: ealab.ghz_three_lea_min_eig(x)),
+    "two_lea_verdict_depolarizing": (
+        "lambda", lambda x: ealab.two_lea_verdict_depolarizing(x)
+    ),
+    "is_eb-tol": ("tolerance", lambda x: ealab.is_eb(ealab.identity_channel(2), tol=x)),
+    "ppt_verdict-tol": ("tolerance", lambda x: ealab.ppt_verdict(ealab.werner(0.5), _PAIR, tol=x)),
+    "two_lea_verdict_depolarizing-tol": (
+        "tolerance", lambda x: ealab.two_lea_verdict_depolarizing(0.5, tol=x)
+    ),
+    "two_lea_verdict_heuristic-tol": (
+        "tolerance",
+        lambda x: ealab.two_lea_verdict_heuristic(ealab.depolarizing(0.5), restarts=1, tol=x),
+    ),
+    "k_lea_falsify-tol": (
+        "tolerance", lambda x: ealab.k_lea_falsify(ealab.depolarizing(0.5), 2, budget=2, tol=x)
+    ),
+    "ea_falsify-tol": (
+        "tolerance",
+        lambda x: ealab.ea_falsify(ealab.identity_channel(4), (2, 2), budget=2, tol=x),
+    ),
+    "bisect_threshold-tol": (
+        "tolerance", lambda x: ealab.bisect_threshold(lambda t: t - 0.3, (0.0, 1.0), tol=x)
+    ),
+    "bisect_threshold-endpoint": (
+        "bracket endpoint", lambda x: ealab.bisect_threshold(lambda t: t - 0.3, (x, 1.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [None, {}, [0.5]], ids=["none", "dict", "list"])
+@pytest.mark.parametrize("call", list(_READS_A_REAL))
+def test_unreadable_real_is_named(call, value):
+    # float()'s own TypeError never reaches the caller
+    name, run = _READS_A_REAL[call]
+    expected = f"{name} must be a real number, got {type(value).__name__}: "
+    with pytest.raises(ValueError, match=f"^{expected}"):
+        run(value)
+
+
+def _bits(v):
+    """``v`` as a comparable value that tells apart any two floats, arrays
+    or results that differ in a single bit."""
+    if dataclasses.is_dataclass(v):
+        return type(v).__name__, tuple(_bits(getattr(v, f.name)) for f in dataclasses.fields(v))
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, (tuple, list)):
+        return tuple(_bits(x) for x in v)
+    if isinstance(v, float):
+        return "float", v.hex()
+    return repr(v)
+
+
+# Each real in the forms float() reads, for each kind of argument.
+_READABLE = {
+    "tolerance": [0, np.float32(1e-9), np.int64(0), Fraction(1, 10**9), np.array(1e-9), "1e-9"],
+    "bracket endpoint": [0, np.float32(0.25), np.int64(0), Fraction(1, 10), np.array(0.25),
+                         "0.25"],
+}
+_READABLE_PARAMETER = [1, np.float32(0.5), np.int64(1), Fraction(1, 3), np.array(0.5), "0.5"]
+
+
+@pytest.mark.parametrize("form", range(6), ids=["int", "float32", "int64", "Fraction",
+                                                "0-d-array", "str"])
+@pytest.mark.parametrize("call", list(_READS_A_REAL))
+def test_readable_real_gives_the_float_result(call, form):
+    name, run = _READS_A_REAL[call]
+    value = _READABLE.get(name, _READABLE_PARAMETER)[form]
+    assert _bits(run(value)) == _bits(run(float(value)))
 
 
 def test_kron_all_matches_pairwise():

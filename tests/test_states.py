@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ class TestInvariants:
             )
             assert (index, eigensolved) == (1, [1])
             assert "positive semidefinite" in message
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [np.array([0.8 + 0.3j, 0.6]), [0.8 + 0.3j, 0.6], [0.8, 0.6 + 1e-300j], [0.8, np.nan * 1j]],
+        ids=["numpy", "list", "tiny", "nan"],
+    )
+    def test_schmidt_decomposition_refuses_an_imaginary_part(self, coefficients):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                SchmidtDecomposition(coefficients, np.eye(2), np.eye(2))
+        assert str(exc.value) == "Schmidt coefficients must be real, got an imaginary part"
+
+    def test_schmidt_decomposition_keeps_the_real_part(self):
+        for coefficients in ([0.8 + 0j, 0.6], np.array([0.8, 0.6], dtype=complex)):
+            c = SchmidtDecomposition(coefficients, np.eye(2), np.eye(2)).coefficients
+            assert c.dtype == np.float64 and c.tolist() == [0.8, 0.6]
 
     @pytest.mark.parametrize("coefficients", [[np.nan, 0.0], [1.0, np.nan]])
     def test_schmidt_decomposition_rejects_nan(self, coefficients):

@@ -353,7 +353,7 @@ MUTANTS = (
     Mutant(
         "ppt-status-tolerance-unchecked",
         "src/ealab/criteria.py",
-        "    _check_tol(tol)\n    if math.isnan(low):\n",
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n    if math.isnan(low):\n',
         "    if math.isnan(low):\n",
         # callers that leave the tolerance check to ppt_status, each of which
         # kills this mutant alone
@@ -383,9 +383,47 @@ MUTANTS = (
     Mutant(
         "array-conversion-typeerror-escapes",
         "src/ealab/linalg.py",
-        "except (TypeError, ValueError, OverflowError) as exc:",
-        "except (ValueError, OverflowError) as exc:",
+        "        return np.asarray(m, dtype=complex)\n"
+        "    except (TypeError, ValueError, OverflowError) as exc:",
+        "        return np.asarray(m, dtype=complex)\n"
+        "    except (ValueError, OverflowError) as exc:",
         ("tests/test_linalg.py::test_unconvertible_input_is_named",),
+    ),
+    Mutant(
+        "real-conversion-typeerror-escapes",
+        "src/ealab/linalg.py",
+        "        r = float(x)\n    except (TypeError, ValueError, OverflowError) as exc:",
+        "        r = float(x)\n    except (ValueError, OverflowError) as exc:",
+        ("tests/test_linalg.py::test_unreadable_real_is_named",),
+    ),
+    Mutant(
+        "tolerance-infinity-accepted",
+        "src/ealab/criteria.py",
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n    budget, seed = ',
+        '    tol = _real(tol, "tolerance", 0.0, math.inf)\n    budget, seed = ',
+        # an infinite tolerance would find no counterexample, ever
+        tuple(
+            "tests/test_criteria.py::TestToleranceValidation::"
+            f"test_bad_tolerance_rejected[{name}-inf]"
+            for name in ("k_lea_falsify", "ea_falsify")
+        ),
+    ),
+    Mutant(
+        "kraus-from-choi-dims-unchecked",
+        "src/ealab/channels.py",
+        "    if in_dim * out_dim != m.shape[0]:\n",
+        "    if False:\n",
+        ("tests/test_channels.py::TestChoi::test_kraus_from_choi_checks_its_dimensions",),
+    ),
+    Mutant(
+        "schmidt-imaginary-part-dropped",
+        "src/ealab/states.py",
+        "        if np.any(c.imag):\n",
+        "        if False:\n",
+        (
+            "tests/test_states.py::TestInvariants::"
+            "test_schmidt_decomposition_refuses_an_imaginary_part",
+        ),
     ),
     Mutant(
         "freeze-hands-over-a-view",
