@@ -4,8 +4,6 @@ runs, and a numerical replay of the EA-without-EB argument.
 Exit codes: 0 clean / no counterexample, 1 counterexample found, 2 input
 error.  Reals print with 12 significant digits; CSV output uses LF line
 endings and is byte-identical across runs for identical flags and seed.
-The seed default can be set through the ``EA_LAB_SEED`` environment
-variable (flags take precedence).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .channels import (
@@ -44,7 +41,6 @@ from .states import ghz
 
 DEFAULT_SEED = 0
 DEFAULT_BUDGET = 1000
-SEED_ENV_VAR = "EA_LAB_SEED"
 # Most rows one sweep may plan: the grid 0..1 at step 1e-5.
 SWEEP_MAX_ROWS = 100_001
 
@@ -138,12 +134,11 @@ def _report_to_json(report) -> dict:
 
 
 def cmd_falsify(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     try:
         channel = load_channel_spec(args.spec)
     except (OSError, ValueError) as exc:
         raise ValueError(f"invalid channel description: {exc}") from exc
-    report = k_lea_falsify(channel, args.k, budget=args.budget, seed=seed, tol=args.tol)
+    report = k_lea_falsify(channel, args.k, budget=args.budget, seed=args.seed, tol=args.tol)
     print(json.dumps(_report_to_json(report), sort_keys=True, allow_nan=False))
     return 1 if report.found else 0
 
@@ -211,22 +206,9 @@ def cmd_report_ea_not_eb(args) -> int:
     return 0
 
 
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-integer {SEED_ENV_VAR}={raw!r}",
-            file=sys.stderr,
-        )
-        return DEFAULT_SEED
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A new ``ealab`` parser on every call, for callers that extend it."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses, built by its first call, not at import."""
     parser = argparse.ArgumentParser(
         prog="ealab",
         description=(
@@ -257,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="path to a JSON channel description")
     p.add_argument("--k", type=int, default=2, help="tensor power (number of parties)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="Haar trials")
-    p.add_argument("--seed", type=int, default=None, help="search seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="search seed")
     p.add_argument("--tol", type=float, default=VERDICT_TOL, help="verdict tolerance")
     p.set_defaults(func=cmd_falsify)
 
@@ -268,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report_ea_not_eb)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser ``main`` reuses, built by its first call, not at import."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

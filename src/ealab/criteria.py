@@ -195,10 +195,19 @@ class ThresholdResult:
     degenerate_bracket: bool = False
 
 
+def _pt(rho: DensityOperator, part: Partition) -> np.ndarray:
+    """Partial transpose of ``rho`` over the second block of ``part``."""
+    if not isinstance(rho, DensityOperator):
+        raise ValueError(f"expected a DensityOperator, got {type(rho).__name__}")
+    if not isinstance(part, Partition):
+        raise ValueError(f"expected a Partition, got {type(part).__name__}")
+    part.validate_for(len(rho.dims))
+    return partial_transpose(rho.matrix, rho.dims, part.second)
+
+
 def ppt_min_eigenvalue(rho: DensityOperator, part: Partition) -> float:
     """Smallest eigenvalue of the partial transpose over the second block."""
-    part.validate_for(len(rho.dims))
-    return float(_lowest_eigenvalues(partial_transpose(rho.matrix, rho.dims, part.second)))
+    return float(_lowest_eigenvalues(_pt(rho, part)))
 
 
 def _entangled(low, tol: float):
@@ -224,9 +233,7 @@ def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
 
 def negativity(rho: DensityOperator, part: Partition) -> float:
     """Sum of absolute values of negative partial-transpose eigenvalues."""
-    part.validate_for(len(rho.dims))
-    g = partial_transpose(rho.matrix, rho.dims, part.second)
-    evals = hermitian_eigenvalues(g)
+    evals = hermitian_eigenvalues(_pt(rho, part))
     return float(-np.sum(evals[evals < 0.0]))
 
 
@@ -677,10 +684,10 @@ def bisect_threshold(
     if len(bracket) != 2:
         raise ValueError(f"bracket must be two endpoints (lo, hi), got {tuple(bracket)}")
     lo, hi = _real(bracket[0], "bracket endpoint"), _real(bracket[1], "bracket endpoint")
-    if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket endpoints must be finite, got ({lo}, {hi})")
+    if not lo < hi:
+        raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
     def value(x: float) -> float:
         f = float(criterion(x))

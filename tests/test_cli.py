@@ -20,7 +20,6 @@ from ealab.cli import (
     _CSV_ROW,
     CSV_HEADER,
     SWEEP_MAX_ROWS,
-    build_parser,
     fmt,
     main,
 )
@@ -282,15 +281,6 @@ class TestFalsify:
         assert code == 2
         assert "invalid channel description" in err
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EA_LAB_SEED", "77")
-        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.1, "d": 2})
-        code, out, _ = run_cli(
-            capsys, "falsify", "--spec", spec, "--k", "2", "--budget", "3"
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 77
-
     def test_flag_overrides_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EA_LAB_SEED", "77")
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.1, "d": 2})
@@ -436,32 +426,24 @@ class TestFalsify:
 
     @pytest.mark.parametrize("budget", ["0", "5"])
     @pytest.mark.parametrize("lam", [0.6, 0.3])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_negative_seed_exits_2(
-        self, source, lam, budget, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.parametrize("source", ["flag"])
+    def test_negative_seed_exits_2(self, source, lam, budget, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": lam})
-        argv = ["falsify", "--spec", spec, "--budget", budget]
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv("EA_LAB_SEED", "-1")
+        argv = ["falsify", "--spec", spec, "--budget", budget, "--seed", "-1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "error: seed must be nonnegative, got -1\n"
 
-    def test_non_integer_env_seed_warns_and_falls_back_to_zero(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.parametrize("value", ["77", "abc"])
+    def test_environment_does_not_set_the_seed(self, value, tmp_path, capsys, monkeypatch):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.3})
         argv = ["falsify", "--spec", spec, "--k", "3", "--budget", "6"]
-        _, explicit, _ = run_cli(capsys, *argv, "--seed", "0")
-        monkeypatch.setenv("EA_LAB_SEED", "abc")
+        explicit = run_cli(capsys, *argv, "--seed", "0")
+        monkeypatch.setenv("EA_LAB_SEED", value)
         code, out, err = run_cli(capsys, *argv)
-        assert code == 0
-        assert err == "warning: ignoring non-integer EA_LAB_SEED='abc'\n"
-        assert out == explicit and json.loads(out)["seed"] == 0
+        assert (code, out, err) == explicit
+        assert err == "" and json.loads(out)["seed"] == 0
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.6, "d": 2})
@@ -610,7 +592,7 @@ def test_real_formatting_is_twelve_significant_digits():
 
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["mystery"])
+        ealab.cli._parser().parse_args(["mystery"])
     assert exc.value.code == 2
 
 
@@ -618,8 +600,7 @@ class TestParserReuse:
     """``main`` parses every call with one parser, built by its first call."""
 
     @pytest.fixture(autouse=True)
-    def fresh_parser(self, monkeypatch):
-        monkeypatch.delenv("EA_LAB_SEED", raising=False)
+    def fresh_parser(self):
         ealab.cli._parser.cache_clear()
         yield
         ealab.cli._parser.cache_clear()
@@ -663,18 +644,10 @@ class TestParserReuse:
         csv = csv_path.read_bytes() if csv_path.exists() else None
         return code, captured.out, captured.err, csv
 
-    def test_parser_is_built_once(self, calls, capsys, csv_path, monkeypatch):
-        built = []
-
-        def counted():
-            built.append(None)
-            return build_parser()
-
-        monkeypatch.setattr(ealab.cli, "build_parser", counted)
+    def test_parser_is_built_once(self, calls, capsys, csv_path):
         for argv in calls:
             self.run(capsys, csv_path, argv)
-        assert len(built) == 1
-        assert build_parser() is not build_parser()
+        assert ealab.cli._parser.cache_info().misses == 1
 
     def test_interleaved_calls_match_fresh_parsers(self, calls, capsys, csv_path):
         interleaved = [self.run(capsys, csv_path, argv) for argv in calls]
@@ -684,14 +657,6 @@ class TestParserReuse:
             fresh.append(self.run(capsys, csv_path, argv))
         assert interleaved == fresh
         assert {code for code, *_ in interleaved} == {0, 1, 2}
-
-    def test_seed_variable_is_read_per_call(self, specs, capsys, monkeypatch):
-        argv = ["falsify", "--spec", specs["clean"], "--budget", "3"]
-        assert run_cli(capsys, *argv, "--seed", "5")[0] == 0
-        for seed in ("3", "9"):
-            monkeypatch.setenv("EA_LAB_SEED", seed)
-            code, out, _ = run_cli(capsys, *argv)
-            assert (code, json.loads(out)["seed"]) == (0, int(seed))
 
     def test_usage_error_leaves_the_parser_working(self, specs, capsys, csv_path):
         valid = [["thresholds"], ["falsify", "--spec", specs["clean"], "--budget", "5"]]

@@ -122,6 +122,16 @@ class TestPptMinEigenvalue:
         assert abs(ppt_min_eigenvalue(out, SPLIT_12)) < 1e-9
 
 
+@pytest.mark.parametrize("call", [ppt_min_eigenvalue, ppt_verdict, negativity])
+@pytest.mark.parametrize("rho, part, message", [
+    (np.eye(4) / 4, SPLIT_12, "expected a DensityOperator, got ndarray"),
+    (werner(0.5, 2), ((0,), (1,)), "expected a Partition, got tuple"),
+], ids=["ndarray-state", "tuple-partition"])
+def test_ppt_argument_of_the_wrong_type_is_named(call, rho, part, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(rho, part)
+
+
 class TestPptVerdict:
     def test_classically_correlated_certified(self):
         v = ppt_verdict(classically_correlated_pair(), SPLIT_12)
@@ -461,7 +471,7 @@ class TestBisection:
         ):
             bisect_threshold(lambda x: x - 0.55, bracket)
 
-    @pytest.mark.parametrize("bracket", [(-1.0, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize("bracket", [(-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
     def test_infinite_endpoint_rejected_before_any_call(self, bracket):
         def crit(x):
             raise AssertionError(f"criterion called at {x!r}")

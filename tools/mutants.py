@@ -104,9 +104,19 @@ MUTANTS = (
         "ppt-min-eigenvalue-unvalidated-partition",
         "src/ealab/criteria.py",
         "    part.validate_for(len(rho.dims))\n"
-        "    return float(_lowest_eigenvalues(",
-        "    return float(_lowest_eigenvalues(",
+        "    return partial_transpose(",
+        "    return partial_transpose(",
         ("tests/test_criteria.py::TestPartition",),
+    ),
+    Mutant(
+        "ppt-argument-type-unchecked",
+        "src/ealab/criteria.py",
+        "    if not isinstance(rho, DensityOperator):\n"
+        "        raise ValueError(f\"expected a DensityOperator, got {type(rho).__name__}\")\n"
+        "    if not isinstance(part, Partition):\n"
+        "        raise ValueError(f\"expected a Partition, got {type(part).__name__}\")\n",
+        "",
+        ("tests/test_criteria.py::test_ppt_argument_of_the_wrong_type_is_named",),
     ),
     Mutant(
         "ppt-status-unsorted-blocks",
@@ -375,6 +385,22 @@ MUTANTS = (
         "src/ealab/criteria.py",
         "    if not (math.isfinite(lo) and math.isfinite(hi)):\n",
         "    if False:\n",
+        (
+            "tests/test_criteria.py::TestBisection::"
+            "test_infinite_endpoint_rejected_before_any_call",
+        ),
+    ),
+    Mutant(
+        "bisect-nan-endpoint-blamed-on-order",
+        "src/ealab/criteria.py",
+        "    if not (math.isfinite(lo) and math.isfinite(hi)):\n"
+        "        raise ValueError(f\"bracket endpoints must be finite, got ({lo}, {hi})\")\n"
+        "    if not lo < hi:\n"
+        "        raise ValueError(f\"bracket must satisfy lo < hi, got ({lo}, {hi})\")\n",
+        "    if not lo < hi:\n"
+        "        raise ValueError(f\"bracket must satisfy lo < hi, got ({lo}, {hi})\")\n"
+        "    if not (math.isfinite(lo) and math.isfinite(hi)):\n"
+        "        raise ValueError(f\"bracket endpoints must be finite, got ({lo}, {hi})\")\n",
         (
             "tests/test_criteria.py::TestBisection::"
             "test_infinite_endpoint_rejected_before_any_call",
