@@ -99,6 +99,14 @@ class Channel:
         object.__setattr__(self, "out_dim", out_dim)
 
 
+def _channel(e) -> Channel:
+    """``e``, checked to be a ``Channel``: anything else raises ``ValueError``
+    naming its type, before any attribute of it is read."""
+    if not isinstance(e, Channel):
+        raise ValueError(f"expected a Channel, got {type(e).__name__}")
+    return e
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurePrepare:
     """POVM together with the states prepared for each outcome."""
@@ -272,6 +280,7 @@ def apply_local(single: Channel, state) -> DensityOperator:
     ``len(single.kraus) ** k`` Kraus operators of the tensor power: the
     channel acts on one factor at a time.
     """
+    single = _channel(single)
     rho, dims = _state_matrix(state)
     k = len(dims)
     if dims != (single.in_dim,) * k:
@@ -290,6 +299,7 @@ def compose(e: Channel, f: Channel) -> Channel:
     ``i * len(f.kraus) + j``.  A stack past ``TENSOR_POWER_MAX_BYTES`` is
     rejected before any allocation.
     """
+    e, f = _channel(e), _channel(f)
     n = len(e.kraus) * len(f.kraus)
     what = f"a composition with {n} Kraus operators of {e.out_dim}x{f.in_dim}"
     _bounded_bytes((n * e.out_dim * f.in_dim,), TENSOR_POWER_MAX_BYTES, what)

@@ -27,6 +27,7 @@ from .channels import (
     Channel,
     MeasurePrepare,
     _apply_sites,
+    _channel,
     apply,  # unused here; bench/tracing.py wraps criteria.apply
     apply_local,
     choi_of,
@@ -36,7 +37,6 @@ from .channels import (
 from .linalg import (
     _BLOCK_BYTES,
     _STACK_BYTES,
-    _adjoint,
     _bounded_bytes,
     _composite_dim,
     _factor_dims,
@@ -240,7 +240,9 @@ def negativity(rho: DensityOperator, part: Partition) -> float:
 def ppt_verdict(
     rho: DensityOperator, part: Partition, tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
-    """Three-valued Peres-Horodecki verdict across one partition."""
+    """Three-valued Peres-Horodecki verdict across one partition; a bad
+    ``tol`` is rejected before the eigensolve."""
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     low = ppt_min_eigenvalue(rho, part)
     return SeparabilityVerdict(ppt_status(low, part.block_dims(rho.dims), tol), low, part)
 
@@ -249,9 +251,11 @@ def is_eb(e: Channel, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
     """Entanglement-breaking test: PPT verdict on the Choi operator.
 
     Exact for qubit-to-qubit and qubit/qutrit channels; larger channels can
-    only be refuted (Entangled) or left Inconclusive.
+    only be refuted (Entangled) or left Inconclusive.  A bad ``tol`` is
+    rejected before the Choi operator is built.
     """
-    return ppt_verdict(choi_of(e), _PAIR_CUT, tol=tol)
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
+    return ppt_verdict(choi_of(_channel(e)), _PAIR_CUT, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +391,27 @@ def two_lea_verdict_depolarizing(
     return SeparabilityVerdict(ppt_status(low, (2, 2), tol), low, _PAIR_CUT)
 
 
+def _pair_pt_map(single: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The see-saw's linear map L(X) = [(E ox E)(X)]^Gamma on two-qubit
+    operators as a 16x16 matrix ``m``, and its adjoint ``m.conj().T``.
+
+    Row i of ``m`` is L of the i-th matrix unit, flattened row-major, so a
+    row-major flattened X times ``m`` is L(X) flattened; times the adjoint it
+    is L^dag(X) = (E ox E)^dag(X^Gamma), since the partial transpose is its
+    own adjoint.
+    """
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    m = partial_transpose(_apply_sites(single.kraus, units, 2), (2, 2), (1,)).reshape(16, 16)
+    return m, m.conj().T
+
+
+def _pair_map_rows(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A ``_pair_pt_map`` matrix applied to each operator of a stack
+    ``(B, 4, 4)``, as one product of B one-row matrices: unlike ``(B, 16) @
+    m``, each result's bits do not depend on B."""
+    return (stack.reshape(-1, 1, 16) @ m).reshape(-1, 4, 4)
+
+
 def two_lea_verdict_heuristic(
     single: Channel,
     restarts: int = 32,
@@ -400,10 +425,13 @@ def two_lea_verdict_heuristic(
     eigenvector of [(E ox E)(psi psi^dag)]^Gamma; given phi, psi is the
     lowest eigenvector of (E ox E)^dag(|phi><phi|^Gamma).  Neither step can
     raise the objective <phi|[(E ox E)(psi psi^dag)]^Gamma|phi>, and a start
-    stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  The
-    starts, run as one stack, are the falsifier's GHZ and W probe rows and
-    ``restarts`` Haar states, rows 0 to ``restarts - 1`` of one
-    ``default_rng(seed)`` stream drawn as one stack (start r is the
+    stops once it no longer falls, or after ``SEESAW_MAX_ITER`` rounds.  Both
+    half steps are one linear map, L(X) = [(E ox E)(X)]^Gamma, and its
+    adjoint, built once per call as the 16x16 matrix of ``_pair_pt_map``, so
+    a half step is one vector-matrix product per live start and one batched
+    eigensolve.  The starts, run as one stack, are the falsifier's GHZ and W
+    probe rows and ``restarts`` Haar states, rows 0 to ``restarts - 1`` of
+    one ``default_rng(seed)`` stream drawn as one stack (start r is the
     falsifier's ``haar:r`` at that seed), so ``seed`` must be nonnegative;
     Haar starts alone can stall at the product-state fixed point near the
     threshold.
@@ -417,28 +445,27 @@ def two_lea_verdict_heuristic(
     certificate.
     """
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
-    if single.in_dim != 2 or single.out_dim != 2:
+    if _channel(single).in_dim != 2 or single.out_dim != 2:
         raise ValueError("heuristic search expects a qubit-to-qubit channel")
     restarts, seed = _whole(restarts, "restarts", 0), _whole(seed, "seed", 0)
     what = f"restarts={restarts}, a stack of {restarts + 2} two-qubit density matrices,"
     _bounded_bytes((16 * (restarts + 2),), _STACK_BYTES, what)  # 4x4 entries per start
-    dims = (2, 2)
     haar = _haar_rows(np.random.default_rng(seed), restarts, 4)
+    m, m_adjoint = _pair_pt_map(single)
     # Per start: current input, input at its lowest value, that value, still falling.
     psi = np.vstack([_ghz_row(2), _w_row(2), haar])
     best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
     for _ in range(SEESAW_MAX_ITER):
-        out = _apply_sites(single.kraus, _projectors(psi[live]), 2)
-        evals, vecs = np.linalg.eigh(partial_transpose(out, dims, (1,)))
+        evals, vecs = np.linalg.eigh(_pair_map_rows(_projectors(psi[live]), m))
         falls = evals[:, 0] < value[live]
         live[live] = falls
         if not live.any():
             break
         value[live], best[live] = evals[falls, 0], psi[live]
-        flip = partial_transpose(_projectors(vecs[falls, :, 0]), dims, (1,))
-        psi[live] = np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))[1][:, :, 0]
+        back = _pair_map_rows(_projectors(vecs[falls, :, 0]), m_adjoint)
+        psi[live] = np.linalg.eigh(back)[1][:, :, 0]
     best_psi = best[np.argmin(value)]
-    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), _PAIR_CUT)
+    witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, (2, 2))), _PAIR_CUT)
     status = Verdict.ENTANGLED if _entangled(witness, tol) else Verdict.INCONCLUSIVE
     return SeparabilityVerdict(status, witness, _PAIR_CUT, heuristic=True)
 
@@ -622,7 +649,7 @@ def ea_falsify(
     """
     ds = _factor_dims(dims)
     total = math.prod(ds)
-    if e.in_dim != total:
+    if _channel(e).in_dim != total:
         raise ValueError(
             f"channel expects input dimension {e.in_dim}, dims {ds} give {total}"
         )
@@ -655,7 +682,7 @@ def k_lea_falsify(
     a few factors whatever k is, before any state is built.
     """
     k = _whole(k, "k", 2)
-    if single.in_dim != single.out_dim:
+    if _channel(single).in_dim != single.out_dim:
         raise ValueError("k-local analysis expects an endomorphic channel")
     _composite_dim(single.in_dim for _ in range(k))
     return _falsify(single, k, (single.in_dim,) * k, budget, seed, tol, include_probes)

@@ -156,45 +156,47 @@ def apply_sites_tensordot(kraus, stack, sites):
 def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
     """Start-by-start see-saw, as two_lea_verdict_heuristic ran before its
     starts were stacked: the reference its stacked search must match bit for
-    bit.  Returns the verdict and the input it checked.  Its starts include
-    the cut probe psi+:0|1, which equals GHZ on two qubits.
+    bit.  Each half step is one one-row product with the shared matrix of
+    ``criteria._pair_pt_map`` or its adjoint, whose own tests check it
+    against the materialized pair channel.  Returns the verdict and the input
+    it checked.  Its starts include the cut probe psi+:0|1, which equals GHZ
+    on two qubits.
     """
-    from ealab.channels import _apply_sites, apply_local
+    from ealab.channels import apply_local
     from ealab.criteria import (
         SEESAW_MAX_ITER,
         Partition,
         PureState,
         SeparabilityVerdict,
         Verdict,
+        _pair_pt_map,
         embedded_max_entangled,
-        partial_transpose,
         ppt_min_eigenvalue,
     )
     from ealab.states import ghz, w_state
 
     dims = (2, 2)
     part = Partition((0,), (1,))
-    adjoint = single.kraus.conj().transpose(0, 2, 1)
+    m, m_adjoint = _pair_pt_map(single)
     starts = [s.amplitudes for s in (ghz(2), w_state(2), embedded_max_entangled(dims, part))]
     starts += list(haar_stream_rows(int(seed), restarts, 4))
 
-    def lowest(m):
-        evals, vecs = np.linalg.eigh(m)
+    def lowest(v, mat):
+        """Lowest eigenpair of the map ``mat`` applied to |v><v|."""
+        evals, vecs = np.linalg.eigh((np.outer(v, v.conj()).reshape(1, 16) @ mat).reshape(4, 4))
         return float(evals[0]), vecs[:, 0]
 
     best, best_psi = np.inf, starts[0]
     for psi in starts:
         value = np.inf
         for _ in range(SEESAW_MAX_ITER):
-            out = _apply_sites(single.kraus, np.outer(psi, psi.conj())[None], 2)
-            low, phi = lowest(partial_transpose(out[0], dims, (1,)))
+            low, phi = lowest(psi, m)
             if not low < value:
                 break
             value = low
             if value < best:
                 best, best_psi = value, psi
-            flip = partial_transpose(np.outer(phi, phi.conj()), dims, (1,))
-            psi = lowest(_apply_sites(adjoint, flip[None], 2)[0])[1]
+            psi = lowest(phi, m_adjoint)[1]
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
     status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
     return SeparabilityVerdict(status, witness, part, heuristic=True), best_psi

@@ -13,6 +13,7 @@ from ealab import (
     PureState,
     Verdict,
     apply,
+    apply_local,
     bipartitions,
     bisect_threshold,
     channel_from_choi,
@@ -50,6 +51,8 @@ from ealab.criteria import (
     SEESAW_MAX_ITER,
     VERDICT_TOL,
     ThresholdResult,
+    _pair_map_rows,
+    _pair_pt_map,
     _sweep_columns,
     eb_min_eig_depolarizing,
     ppt_status,
@@ -130,6 +133,24 @@ class TestPptMinEigenvalue:
 def test_ppt_argument_of_the_wrong_type_is_named(call, rho, part, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(rho, part)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: two_lea_verdict_heuristic(x, restarts=0),
+    lambda x: k_lea_falsify(x, 2, budget=0),
+    lambda x: ea_falsify(x, (2, 2), budget=0),
+    is_eb,
+    lambda x: apply_local(x, ghz(2)),
+    lambda x: compose(x, depolarizing(0.5, 2)),
+    lambda x: compose(depolarizing(0.5, 2), x),
+], ids=[
+    "two_lea_verdict_heuristic", "k_lea_falsify", "ea_falsify", "is_eb", "apply_local",
+    "compose-outer", "compose-inner",
+])
+def test_channel_argument_of_the_wrong_type_is_named(call):
+    # an array where a Channel belongs once ended in a bare AttributeError
+    with pytest.raises(ValueError, match="^expected a Channel, got ndarray$"):
+        call(np.eye(2))
 
 
 class TestPptVerdict:
@@ -440,6 +461,69 @@ class TestSeesaw:
         assert np.linalg.eigvalsh(back)[0] > v.witness_min_eig - 1e-10
 
 
+def pair_maps():
+    """Depolarizing channels and seeded random channels of Kraus rank 1-4."""
+    singles = [depolarizing(lam, 2) for lam in (0.0, 0.3, 1 / math.sqrt(3), 1.0)]
+    singles += [random_channel(2, kraus_rank=1 + i % 4, seed=i) for i in range(12)]
+    return singles
+
+
+def random_operators(n, rng):
+    """``n`` random complex 4x4 matrices, neither Hermitian nor of unit trace."""
+    return rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+
+
+class TestPairPtMap:
+    """The see-saw's 16x16 map L(X) = [(E ox E)(X)]^Gamma and its adjoint."""
+
+    @pytest.mark.parametrize("single", pair_maps())
+    def test_matches_the_materialized_pair_channel(self, single):
+        m, _ = _pair_pt_map(single)
+        pair = tensor(single, single).kraus
+        for x in random_operators(8, np.random.default_rng(0)):
+            # apply's sum over the pair's Kraus operators, on a matrix apply
+            # would refuse as a state
+            out = (pair @ x @ pair.conj().transpose(0, 2, 1)).sum(axis=0)
+            expected = partial_transpose(out, (2, 2), (1,))
+            got = (x.reshape(1, 16) @ m).reshape(4, 4)
+            assert np.max(np.abs(got - expected)) < 1e-14
+
+    @pytest.mark.parametrize("single", pair_maps())
+    def test_adjoint_identity(self, single):
+        # <Y, L(X)> = <L^dag(Y), X> in the Hilbert-Schmidt inner product
+        m, m_adjoint = _pair_pt_map(single)
+        rng = np.random.default_rng(1)
+        for x, y in zip(random_operators(8, rng), random_operators(8, rng)):
+            forward = np.vdot(y, (x.reshape(1, 16) @ m).reshape(4, 4))
+            backward = np.vdot((y.reshape(1, 16) @ m_adjoint).reshape(4, 4), x)
+            assert abs(forward - backward) < 1e-13
+
+    @pytest.mark.parametrize("single", pair_maps()[::3])
+    def test_stacked_rows_are_the_one_row_products_byte_for_byte(self, single):
+        # a start's bits must not depend on how many starts are still live
+        rng = np.random.default_rng(2)
+        for mat in _pair_pt_map(single):
+            for size in range(1, 35):
+                stack = random_operators(size, rng)
+                rows = _pair_map_rows(stack, mat)
+                for x, row in zip(stack, rows):
+                    assert row.tobytes() == (x.reshape(1, 16) @ mat).reshape(4, 4).tobytes()
+
+    def test_one_map_per_call(self, monkeypatch):
+        # the map is built once, and the witness is the one other partial
+        # transpose: none per round
+        calls = []
+        original = ealab.criteria.partial_transpose
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ealab.criteria, "partial_transpose", counting)
+        two_lea_verdict_heuristic(random_channel(2, kraus_rank=2, seed=1), restarts=4)
+        assert len(calls) == 2
+
+
 class TestBisection:
     def test_werner_boundary(self):
         def crit(lam):
@@ -646,6 +730,27 @@ class TestToleranceValidation:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_zero_tolerance_accepted(self, name):
         self.CALLS[name](0.0)
+
+    @pytest.mark.parametrize("name", ["ppt_verdict", "is_eb"])
+    def test_tolerance_checked_before_any_work(self, name, monkeypatch):
+        # once, is_eb(depolarizing(0.5, 8), tol=None) built and eigensolved
+        # the 64x64 Choi operator before it raised
+        single = depolarizing(0.5, 8)
+        choi = choi_of(single)
+
+        def forbidden(label):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{label} ran before the tolerance check")
+            return call
+
+        monkeypatch.setattr(ealab.criteria, "_lowest_eigenvalues", forbidden("an eigensolve"))
+        monkeypatch.setattr(ealab.criteria, "choi_of", forbidden("choi_of"))
+        call = {
+            "ppt_verdict": lambda: ppt_verdict(choi, SPLIT_12, tol=None),
+            "is_eb": lambda: is_eb(single, tol=None),
+        }[name]
+        with pytest.raises(ValueError, match="^tolerance must be a real number"):
+            call()
 
     def test_nan_no_longer_certifies_the_identity(self):
         assert is_eb(identity_channel(2)).status is Verdict.ENTANGLED

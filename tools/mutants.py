@@ -80,11 +80,14 @@ MUTANTS = (
         ("tests/test_criteria.py::TestEbMinEig",),
     ),
     Mutant(
-        "seesaw-second-partial-transpose-dropped",
+        "seesaw-map-without-partial-transpose",
         "src/ealab/criteria.py",
-        "flip = partial_transpose(_projectors(vecs[falls, :, 0]), dims, (1,))",
-        "flip = _projectors(vecs[falls, :, 0])",
-        ("tests/test_criteria.py::TestSeesaw",),
+        "m = partial_transpose(_apply_sites(single.kraus, units, 2), (2, 2), (1,)).reshape(16, 16)",
+        "m = _apply_sites(single.kraus, units, 2).reshape(16, 16)",
+        (
+            "tests/test_criteria.py::TestSeesaw",
+            "tests/test_criteria.py::TestPairPtMap::test_matches_the_materialized_pair_channel",
+        ),
     ),
     Mutant(
         "projectors-without-conj",
@@ -201,11 +204,14 @@ MUTANTS = (
         ("tests/test_product_engine.py::TestSiteContraction",),
     ),
     Mutant(
-        "seesaw-adjoint-is-k",
+        "seesaw-adjoint-is-m",
         "src/ealab/criteria.py",
-        "np.linalg.eigh(_apply_sites(_adjoint(single.kraus), flip, 2))",
-        "np.linalg.eigh(_apply_sites(single.kraus, flip, 2))",
-        ("tests/test_criteria.py::TestSeesaw::test_best_input_is_a_fixed_point",),
+        "    return m, m.conj().T\n",
+        "    return m, m\n",
+        (
+            "tests/test_criteria.py::TestSeesaw::test_best_input_is_a_fixed_point",
+            "tests/test_criteria.py::TestPairPtMap::test_adjoint_identity",
+        ),
     ),
     Mutant(
         "falsify-ignores-failed-density-check",
@@ -370,8 +376,39 @@ MUTANTS = (
         tuple(
             "tests/test_criteria.py::TestToleranceValidation::"
             f"test_bad_tolerance_rejected[{name}-nan]"
-            for name in ("ppt_verdict", "is_eb", "two_lea_depolarizing", "sweep_columns")
+            for name in ("two_lea_depolarizing", "sweep_columns")
         ),
+    ),
+    Mutant(
+        "ppt-verdict-tolerance-after-eigensolve",
+        "src/ealab/criteria.py",
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n'
+        "    low = ppt_min_eigenvalue(rho, part)\n",
+        "    low = ppt_min_eigenvalue(rho, part)\n"
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n',
+        (
+            "tests/test_criteria.py::TestToleranceValidation::"
+            "test_tolerance_checked_before_any_work[ppt_verdict]",
+        ),
+    ),
+    Mutant(
+        "is-eb-tolerance-after-choi",
+        "src/ealab/criteria.py",
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n'
+        "    return ppt_verdict(choi_of(_channel(e)), _PAIR_CUT, tol=tol)\n",
+        "    return ppt_verdict(choi_of(_channel(e)), _PAIR_CUT, tol=tol)\n",
+        (
+            "tests/test_criteria.py::TestToleranceValidation::"
+            "test_tolerance_checked_before_any_work[is_eb]",
+        ),
+    ),
+    Mutant(
+        "channel-argument-type-unchecked",
+        "src/ealab/channels.py",
+        "    if not isinstance(e, Channel):\n"
+        "        raise ValueError(f\"expected a Channel, got {type(e).__name__}\")\n",
+        "",
+        ("tests/test_criteria.py::test_channel_argument_of_the_wrong_type_is_named",),
     ),
     Mutant(
         "ppt-status-nan-minimum-certifies",
