@@ -9,8 +9,6 @@ the second.
 Run:  python demos/annihilating_without_breaking.py
 """
 
-import numpy as np
-
 from ealab import (
     Partition,
     apply_local,
@@ -24,10 +22,14 @@ from ealab import (
     tensor_power,
     two_lea_verdict_depolarizing,
 )
+from ealab.criteria import TWO_LEA_EDGE
 
-lam = 1 / np.sqrt(3)
+# the largest float at which the exact worst case 1 - 3 lam^2 is nonnegative;
+# 1 / np.sqrt(3) lies one float above it, and there the verdict is
+# Inconclusive
+lam = TWO_LEA_EDGE
 print("=" * 72)
-print(f"1. The pair channel E ox E at lam = 1/sqrt(3) = {lam:.6f}")
+print(f"1. The pair channel E ox E at lam = 1/sqrt(3) = {lam:.6f} (rounded down)")
 print("=" * 72)
 print()
 

@@ -39,6 +39,7 @@ from .states import (
     DensityOperator,
     PureState,
     _freeze,
+    _instance,
     _seeded_rng,
     _werner_matrix,
 )
@@ -100,11 +101,8 @@ class Channel:
 
 
 def _channel(e) -> Channel:
-    """``e``, checked to be a ``Channel``: anything else raises ``ValueError``
-    naming its type, before any attribute of it is read."""
-    if not isinstance(e, Channel):
-        raise ValueError(f"expected a Channel, got {type(e).__name__}")
-    return e
+    """``e``, checked to be a ``Channel`` by ``states._instance``."""
+    return _instance(e, Channel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +114,7 @@ class MeasurePrepare:
 
     def __post_init__(self):
         effects = tuple(as_operator(f) for f in self.povm)
-        preps = tuple(self.prepares)
+        preps = tuple(_instance(p, DensityOperator) for p in self.prepares)
         if not effects or len(effects) != len(preps):
             raise ValueError("need matching nonempty POVM and prepare lists")
         d = effects[0].shape[0]
@@ -384,7 +382,7 @@ def channel_from_choi(omega: DensityOperator) -> Channel:
     result has the minimal Kraus set of ``kraus_from_choi``, which library
     constructors with a valid-by-construction Choi matrix call directly.
     """
-    if len(omega.dims) != 2:
+    if len(_instance(omega, DensityOperator).dims) != 2:
         raise ValueError(f"Choi operator needs dims (out, in), got {omega.dims}")
     out_dim, in_dim = omega.dims
     marginal = partial_trace(omega.matrix, omega.dims, keep=(1,))
@@ -415,6 +413,7 @@ def constant_channel(omega: DensityOperator, in_dim: int | None = None) -> Chann
 
     A Choi matrix past ``TENSOR_POWER_MAX_BYTES`` is rejected before any
     allocation."""
+    omega = _instance(omega, DensityOperator)
     d = omega.dim if in_dim is None else _whole(in_dim, "in_dim", 1)
     n = omega.dim * d
     _bounded_bytes((n, n), TENSOR_POWER_MAX_BYTES, f"a constant channel with a {n}x{n} Choi matrix")

@@ -25,6 +25,7 @@ from .channels import (
 )
 from .criteria import (
     BISECTION_TOL,
+    TWO_LEA_EDGE,
     VERDICT_TOL,
     Partition,
     _sweep_columns,
@@ -144,7 +145,7 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_report_ea_not_eb(args) -> int:
-    lam = 1.0 / math.sqrt(3.0)
+    lam = TWO_LEA_EDGE  # the largest float at or below 1/sqrt(3)
     pair_worst = two_lea_verdict_depolarizing(lam)
     ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     eig_1_23 = ppt_min_eigenvalue(ghz_out, Partition((0,), (1, 2)))

@@ -9,7 +9,8 @@ location by bisection.
 Verdict semantics: a negative partial-transpose eigenvalue below the verdict
 tolerance proves entanglement for any dimensions.  A nonnegative spectrum
 certifies separability only for 2x2 and 2x3 block splits, where PPT is known
-to be sufficient; everywhere else the verdict is Inconclusive.
+to be sufficient; everywhere else the verdict is Inconclusive.  Closed forms
+certify at or below an exact float edge; ``tol`` never widens a certificate.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .states import (
     _first_invalid_density,
     _ghz_row,
     _haar_rows,
+    _instance,
     _w_row,
     haar_pure,  # unused here; bench/tracing.py wraps criteria.haar_pure
 )
@@ -66,6 +68,11 @@ from .states import (
 # entanglement; looser than linalg.MATRIX_ATOL = 1e-10 on purpose, so
 # modeling noise at a boundary does not masquerade as genuine negativity.
 VERDICT_TOL = 1e-9
+
+# The largest floats lambda at which the exact closed forms are nonnegative:
+# 1 - 3 lambda^2 (pair) and 1 - 3 lambda (Werner); a test proves each in integers.
+TWO_LEA_EDGE = 0.5773502691896257  # 1/sqrt(3) rounded; 1 / math.sqrt(3) is one float up
+EB_EDGE = 0.3333333333333333  # 1/3 as a float
 
 BISECTION_TOL = 1e-9
 
@@ -197,10 +204,7 @@ class ThresholdResult:
 
 def _pt(rho: DensityOperator, part: Partition) -> np.ndarray:
     """Partial transpose of ``rho`` over the second block of ``part``."""
-    if not isinstance(rho, DensityOperator):
-        raise ValueError(f"expected a DensityOperator, got {type(rho).__name__}")
-    if not isinstance(part, Partition):
-        raise ValueError(f"expected a Partition, got {type(part).__name__}")
+    rho, part = _instance(rho, DensityOperator), _instance(part, Partition)
     part.validate_for(len(rho.dims))
     return partial_transpose(rho.matrix, rho.dims, part.second)
 
@@ -214,6 +218,14 @@ def _entangled(low, tol: float):
     """``ppt_status``'s test for Entangled, ``low < -tol``, elementwise on an
     array of minima."""
     return low < -tol
+
+
+def _closed_form_verdicts(lam, low, edge: float, tol: float) -> np.ndarray:
+    """Verdict values of closed-form minima ``low`` at ``lam``, elementwise:
+    Entangled where ``_entangled(low, tol)``, else SeparableCertified where
+    ``lam <= edge``, else Inconclusive; ``tol`` never widens a certificate."""
+    index = np.where(_entangled(low, tol), 0, np.where(lam <= edge, 1, 2))  # in Verdict order
+    return np.array([verdict.value for verdict in Verdict], dtype=object)[index]
 
 
 def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
@@ -358,23 +370,20 @@ def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
     column is one closed form above evaluated over the whole grid at once:
     ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``, the Werner
     minimum of ``eb_min_eig_depolarizing``, each bit for bit the value of
-    its scalar function.  Each verdict is ``ppt_status`` of the value its
-    row prints, so a verdict and its value always agree against ``-tol``.
+    its scalar function.  Each verdict is ``_closed_form_verdicts`` of the
+    value its row prints, so a verdict and its value agree against ``-tol``.
     """
     lams = [_real(lam, "depolarizing parameter", 0.0, 1.0) for lam in lams]
+    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     x = np.array(lams, dtype=float)
     mu2, eb = _two_lea_min(x), _eb_min(x)
     # each cube by Python's ** (libm pow), as ghz_three_lea_min_eig takes it
     mu3 = _ghz_min(x, np.array([lam**3 for lam in lams], dtype=float))
-    # The sweep's cuts: qubit | qubit (Werner state, the Choi operator of
-    # depolarizing(lambda, 2)) and the first qubit of the depolarized GHZ
-    # state against the other two, with block dimensions 2x2 and 2x4.
-    # ppt_status gives a column's two verdicts once, at plus and minus
-    # infinity, and each row picks one by _entangled, the test it applies.
-    verdicts = []
-    for lows, blocks in ((mu2, (2, 2)), (eb, (2, 2)), (mu3, (2, 4))):
-        pick = [ppt_status(low, blocks, tol).value for low in (math.inf, -math.inf)]
-        verdicts.append([pick[hit] for hit in _entangled(lows, tol).tolist()])
+    # the GHZ cut, first qubit | other two, has 2x4 blocks: PPT certifies nothing
+    verdicts = [
+        _closed_form_verdicts(x, lows, edge, tol).tolist()
+        for lows, edge in ((mu2, TWO_LEA_EDGE), (eb, EB_EDGE), (mu3, -math.inf))
+    ]
     return (lams, mu2.tolist(), mu3.tolist(), eb.tolist(), *verdicts)
 
 
@@ -385,10 +394,13 @@ def two_lea_verdict_depolarizing(
 
     Covariance under local unitaries reduces the input search to Schmidt
     states, so the closed-form worst case decides the property outright:
-    outputs are two-qubit states, where PPT is exact.
+    outputs are two-qubit states, where PPT is exact: it certifies at lambda
+    <= ``TWO_LEA_EDGE``, where the exact worst case is nonnegative.
     """
-    low = two_lea_min_eig_depolarizing(lam)
-    return SeparabilityVerdict(ppt_status(low, (2, 2), tol), low, _PAIR_CUT)
+    lam = _real(lam, "lambda", 0.0, 1.0)
+    low, tol = _two_lea_min(lam), _real(tol, "tolerance", 0.0, sys.float_info.max)
+    status = Verdict(_closed_form_verdicts(lam, low, TWO_LEA_EDGE, tol))
+    return SeparabilityVerdict(status, low, _PAIR_CUT)
 
 
 def _pair_pt_map(single: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -757,7 +769,7 @@ def separable_mixing_threshold(omega: DensityOperator) -> ThresholdResult:
     the exact threshold ``x = 1/(1 - 4*mu)``.  A separable input is reported
     as the degenerate full-bracket result x = 1 rather than an error.
     """
-    if omega.dims != (2, 2):
+    if _instance(omega, DensityOperator).dims != (2, 2):
         raise ValueError(
             f"mixing threshold is only supported for two-qubit states, "
             f"got dims {omega.dims}"
@@ -782,7 +794,7 @@ def ea_mixing_channel(effect: np.ndarray, omega: DensityOperator) -> Channel:
     ``MeasurePrepare`` first rejects an effect that is not positive semidefinite.
     """
     f = as_operator(effect)
-    if omega.dims != (2, 2):
+    if _instance(omega, DensityOperator).dims != (2, 2):
         raise ValueError("the prepared state must be a two-qubit state")
     kappa = separable_mixing_threshold(omega).critical_value
     mixture = DensityOperator(np.eye(4) / 4.0, (2, 2))

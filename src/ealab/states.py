@@ -74,7 +74,7 @@ class PureState:
         return DensityOperator(_projectors(self.amplitudes), self.dims)
 
     def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vdot(self.amplitudes, _instance(other, PureState).amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +102,13 @@ class DensityOperator:
         kept = _factor_subset(keep, len(self.dims), "keep")
         m = partial_trace(self.matrix, self.dims, kept)
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
+
+
+def _instance(x, cls: type):
+    """``x`` if it is a ``cls``, else a ``ValueError`` that names its type."""
+    if not isinstance(x, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def _first_invalid_density(stack: np.ndarray) -> tuple[int, str] | None:
@@ -270,7 +277,7 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     is the complement, both kept in original factor order.  Computed from
     the singular value decomposition of the reshaped amplitude matrix.
     """
-    n = len(psi.dims)
+    n = len(_instance(psi, PureState).dims)
     left_idx = _factor_subset(left, n, "left block")
     right_idx = tuple(i for i in range(n) if i not in left_idx)
     if not left_idx or not right_idx:
@@ -349,5 +356,6 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
 
 def tensor_pure(a: PureState, b: PureState) -> PureState:
     """Product state a ox b with concatenated factor dimensions."""
+    a, b = _instance(a, PureState), _instance(b, PureState)
     return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
 

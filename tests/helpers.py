@@ -1,5 +1,7 @@
 """Shared random generators for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from ealab import DensityOperator, MeasurePrepare, random_density
@@ -208,7 +210,9 @@ def reference_sweep_row(lam, tol=1e-9):
     order: the engine's reference for ``criteria._sweep_columns``.  Every
     column but ``werner_min_eig`` must match byte for byte.  That one is the
     engine's Werner eigenvalue here and the closed form (1 - 3 lambda)/4 in
-    the sweep, so the two agree only to rounding.
+    the sweep, so the two agree only to rounding.  ``is_eb`` certifies any
+    eigenvalue within ``tol`` of zero, so its certificate is demoted to
+    Inconclusive where the exact 1 - 3 lambda is negative.
     """
     from ealab.channels import apply_local, depolarizing
     from ealab.criteria import (
@@ -224,13 +228,16 @@ def reference_sweep_row(lam, tol=1e-9):
 
     ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
+    veb = is_eb(depolarizing(lam, 2), tol=tol).status.value
+    if veb == "SeparableCertified" and 1 - 3 * Fraction(lam) < 0:
+        veb = "Inconclusive"
     return (
         lam,
         two_lea_min_eig_depolarizing(lam),
         ghz_three_lea_min_eig(lam),
         ppt_min_eigenvalue(werner(lam, 2), Partition((0,), (1,))),
         two_lea_verdict_depolarizing(lam, tol=tol).status.value,
-        is_eb(depolarizing(lam, 2), tol=tol).status.value,
+        veb,
         v3.status.value,
     )
 

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them) and asserts the criterion at its stated tolerance.
 """
 
+import math
 import time
 
 import numpy as np
@@ -41,6 +42,7 @@ from ealab import (
     two_lea_verdict_depolarizing,
     werner,
 )
+from ealab.criteria import TWO_LEA_EDGE
 from helpers import random_measure_prepare, random_separable_two_qubit
 
 SPLIT_12 = Partition((0,), (1,))
@@ -162,12 +164,16 @@ def test_criterion_5_choi_identity():
 
 def test_criterion_6_set_relation_demo():
     start = time.perf_counter()
-    lam = 1 / np.sqrt(3)
+    # the largest float at which exact 1 - 3 lambda^2 is nonnegative;
+    # 1 / np.sqrt(3) lies one float above it, where the pair is not 2-LEA
+    lam = TWO_LEA_EDGE
 
     pair = two_lea_verdict_depolarizing(lam)
+    past = two_lea_verdict_depolarizing(math.nextafter(lam, 1))
     ok_a = (
         pair.status is Verdict.SEPARABLE_CERTIFIED
-        and pair.witness_min_eig >= -1e-9
+        and pair.witness_min_eig >= 0
+        and past.status is Verdict.INCONCLUSIVE
     )
 
     ghz_out = apply(tensor_power(depolarizing(lam, 2), 3), ghz(3))
@@ -181,7 +187,8 @@ def test_criterion_6_set_relation_demo():
     report(
         "criterion 6 (annihilating without breaking)",
         ok_a and ok_b and ok_c and elapsed < 1.0,
-        f"pair verdict={pair.status.value} (min={pair.witness_min_eig:.2e}), "
+        f"pair verdict={pair.status.value} (min={pair.witness_min_eig:.2e}, "
+        f"{past.status.value} one float above), "
         f"GHZ PT eig={ghz_eig:.6f}, single-qubit EB verdict={single.status.value}, "
         f"time={elapsed:.3f}s",
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from ealab.cli import (
     main,
 )
 from ealab.criteria import (
+    TWO_LEA_EDGE,
     VERDICT_TOL,
     _sweep_columns,
     eb_min_eig_depolarizing,
@@ -169,8 +171,14 @@ class TestSweep:
         assert out_path.is_dir() == (target == "directory")
 
     def test_row_at_pair_boundary(self):
-        *_, v2, veb, v3 = sweep_row(1 / np.sqrt(3))
+        *_, v2, veb, v3 = sweep_row(TWO_LEA_EDGE)
         assert v2 == "SeparableCertified"
+        assert v3 == "Entangled"
+        assert veb == "Entangled"
+        # one float above, exact 1 - 3 lambda^2 is negative, yet the printed
+        # minimum stays within the tolerance
+        *_, v2, veb, v3 = sweep_row(math.nextafter(TWO_LEA_EDGE, 1))
+        assert v2 == "Inconclusive"
         assert v3 == "Entangled"
         assert veb == "Entangled"
 
@@ -200,8 +208,10 @@ class TestSweep:
 
 class TestSweepColumns:
     """``_sweep_columns`` evaluates each column over the whole grid at once; every
-    cell is still its scalar closed form, and its verdict ``ppt_status`` of
-    that value, bit for bit."""
+    cell is still its scalar closed form, bit for bit.  A verdict is Entangled
+    where that value is below ``-tol``, else SeparableCertified where the exact
+    closed form at the row's lambda is nonnegative on a 2x2 cut, else
+    Inconclusive."""
 
     LAMS = [
         *np.random.default_rng(25).uniform(0.0, 1.0, 3000).tolist(),
@@ -214,10 +224,17 @@ class TestSweepColumns:
         mu2 = two_lea_min_eig_depolarizing(lam)
         mu3 = ghz_three_lea_min_eig(lam)
         eb = eb_min_eig_depolarizing(lam)
+        exact = Fraction(lam)
+
+        def verdict(low, exact_sign_ok):
+            if low < -tol:
+                return "Entangled"
+            return "SeparableCertified" if exact_sign_ok else "Inconclusive"
+
         return (
             *(x.hex() for x in (lam, mu2, mu3, eb)),
-            ppt_status(mu2, (2, 2), tol).value,
-            ppt_status(eb, (2, 2), tol).value,
+            verdict(mu2, 1 - 3 * exact**2 >= 0),
+            verdict(eb, 1 - 3 * exact >= 0),
             ppt_status(mu3, (2, 4), tol).value,
         )
 
@@ -528,7 +545,7 @@ GOLDEN_REPORT = (
     "depolarizing parameter lambda = 0.57735026919\n"
     "\n"
     "(1) pair channel annihilates two-qubit entanglement:\n"
-    "    worst-case PT eigenvalue over all pure inputs = -8.32667268469e-17 >= -1e-09\n"
+    "    worst-case PT eigenvalue over all pure inputs = 2.77555756156e-17 >= -1e-09\n"
     "    verdict SeparableCertified: every output of the pair channel is a separable two-qubit state (PPT is exact at 2x2).\n"
     "\n"
     "(2) yet the three-fold channel leaves the GHZ state entangled:\n"

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ealab.criteria
 from ealab import (
@@ -48,7 +50,9 @@ from ealab import (
 )
 from ealab.criteria import (
     BISECTION_TOL,
+    EB_EDGE,
     SEESAW_MAX_ITER,
+    TWO_LEA_EDGE,
     VERDICT_TOL,
     ThresholdResult,
     _pair_map_rows,
@@ -321,8 +325,12 @@ class TestTwoLeaVerdict:
         assert two_lea_verdict_depolarizing(0.6).status is Verdict.ENTANGLED
 
     def test_boundary_inclusive(self):
-        v = two_lea_verdict_depolarizing(1 / np.sqrt(3))
+        v = two_lea_verdict_depolarizing(TWO_LEA_EDGE)
         assert v.status is Verdict.SEPARABLE_CERTIFIED
+        # one float above, at 1 / np.sqrt(3), exact 1 - 3 lambda^2 < 0
+        past = math.nextafter(TWO_LEA_EDGE, 1)
+        assert past == 1 / np.sqrt(3)
+        assert two_lea_verdict_depolarizing(past).status is Verdict.INCONCLUSIVE
 
     def test_heuristic_finds_entanglement(self):
         v = two_lea_verdict_heuristic(depolarizing(0.8, 2), restarts=8, seed=0)
@@ -335,6 +343,78 @@ class TestTwoLeaVerdict:
     def test_heuristic_never_certifies(self):
         v = two_lea_verdict_heuristic(depolarizing(0.2, 2), restarts=4, seed=1)
         assert v.status is Verdict.INCONCLUSIVE
+
+
+def float_steps(x, n):
+    """The float ``n`` steps above ``x`` (below it for a negative ``n``)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# 1 - 3 lambda (Werner) and 1 - 3 lambda^2 (pair) at lambda = p/q, times q and q^2
+EXACT_SIGNS = {
+    "eb": (EB_EDGE, lambda p, q: q - 3 * p),
+    "two_lea": (TWO_LEA_EDGE, lambda p, q: q * q - 3 * p * p),
+}
+
+
+class TestExactEdges:
+    """Each closed-form verdict certifies at lambda <= its edge, the largest
+    float at which the exact closed form is nonnegative; proved here in
+    integers from ``float.as_integer_ratio``."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SIGNS))
+    def test_edge_is_the_largest_float_with_a_nonnegative_exact_sign(self, name):
+        edge, sign = EXACT_SIGNS[name]
+        assert sign(*edge.as_integer_ratio()) >= 0
+        assert sign(*math.nextafter(edge, 1).as_integer_ratio()) < 0
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.2])
+    def test_one_float_past_each_edge_is_inconclusive(self, tol):
+        # there the exact closed form is negative, its float within the
+        # tolerance; the floats are named without the edges' constants
+        third, root = 1 / 3, 1 / math.sqrt(3)
+        lams = [third, math.nextafter(third, 1), math.nextafter(root, 0), root]
+        _, mu2, _, eb, v2, veb, _ = _sweep_columns(lams, tol)
+        assert veb[:2] == ["SeparableCertified", "Inconclusive"]
+        assert v2[2:] == ["SeparableCertified", "Inconclusive"]
+        assert -tol <= eb[1] < 0 and -tol <= mu2[3] < 0
+
+    def test_edges_bound_the_float_thresholds(self):
+        assert EB_EDGE == 1 / 3
+        assert math.nextafter(TWO_LEA_EDGE, 1) == 1 / math.sqrt(3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.tuples(st.sampled_from([EB_EDGE, TWO_LEA_EDGE]), st.integers(-40, 40)).map(
+                lambda edge_n: float_steps(*edge_n)
+            ),
+        ),
+        st.floats(0.0, 1.0),
+    )
+    def test_a_certificate_implies_a_nonnegative_exact_sign(self, lam, tol):
+        exact = Fraction(lam)
+        pair_ok, werner_ok = 1 - 3 * exact**2 >= 0, 1 - 3 * exact >= 0
+        v = two_lea_verdict_depolarizing(lam, tol=tol)
+        certified = v.status is Verdict.SEPARABLE_CERTIFIED
+        assert certified == (pair_ok and v.witness_min_eig >= -tol)
+        _, mu2, _, eb, v2, veb, v3 = (column[0] for column in _sweep_columns([lam], tol))
+        assert (v2 == "SeparableCertified") == (pair_ok and mu2 >= -tol)
+        assert (veb == "SeparableCertified") == (werner_ok and eb >= -tol)
+        assert v3 != "SeparableCertified"
+
+    def test_tolerance_band_past_the_edge_is_inconclusive(self):
+        # exact 1 - 3 lambda^2 is negative here, though the minimum is within tol
+        v = two_lea_verdict_depolarizing(1 / math.sqrt(3) + 5e-10)
+        assert -VERDICT_TOL <= v.witness_min_eig < 0
+        assert v.status is Verdict.INCONCLUSIVE
+        lams = [0.5773502695, 0.5773502696, 0.5773502697]
+        _, mu2, _, _, v2, _, _ = _sweep_columns(lams, VERDICT_TOL)
+        assert all(-VERDICT_TOL <= low < 0 for low in mu2)
+        assert v2 == ["Inconclusive"] * 3
 
 
 class TestSeesaw:
@@ -730,6 +810,13 @@ class TestToleranceValidation:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_zero_tolerance_accepted(self, name):
         self.CALLS[name](0.0)
+
+    @pytest.mark.parametrize("grid", [[2.0], [0.5, 2.0]])
+    def test_lambda_checked_before_tolerance(self, grid):
+        with pytest.raises(ValueError, match="^lambda must lie in"):
+            two_lea_verdict_depolarizing(grid[-1], tol=math.nan)
+        with pytest.raises(ValueError, match="^depolarizing parameter must lie in"):
+            _sweep_columns(grid, math.nan)
 
     @pytest.mark.parametrize("name", ["ppt_verdict", "is_eb"])
     def test_tolerance_checked_before_any_work(self, name, monkeypatch):

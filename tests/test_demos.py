@@ -28,6 +28,15 @@ def test_demo_exits_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_annihilating_demo_certifies_its_pair_channel():
+    # at the float 1/sqrt(3) exact 1 - 3 lambda^2 is negative and the verdict
+    # is Inconclusive; the demo runs one float below, at TWO_LEA_EDGE
+    demo = next(d for d in DEMOS if d.name == "annihilating_without_breaking.py")
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+    assert "=> verdict SeparableCertified: the pair channel annihilates all" in proc.stdout
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, ealab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = run_python("-c", code)

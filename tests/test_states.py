@@ -20,7 +20,9 @@ from ealab import (
     PureState,
     SchmidtDecomposition,
     bipartitions,
+    channel_from_choi,
     classically_correlated_pair,
+    constant_channel,
     depolarizing,
     ea_falsify,
     ea_mixing_channel,
@@ -36,12 +38,36 @@ from ealab import (
     random_density,
     schmidt,
     schmidt_pure,
+    separable_mixing_threshold,
     tensor_pure,
     w_state,
     werner,
 )
 from ealab.states import NORM_ATOL, _first_invalid_density, _haar_rows
 from helpers import haar_amplitudes_two_draws, haar_stream_rows, random_density_two_draws
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda x: channel_from_choi(x), "DensityOperator"),
+    (lambda x: separable_mixing_threshold(x), "DensityOperator"),
+    (lambda x: ea_mixing_channel(np.eye(4) / 2, x), "DensityOperator"),
+    (lambda x: constant_channel(x), "DensityOperator"),
+    (lambda x: constant_channel(x, in_dim=2), "DensityOperator"),
+    (lambda x: MeasurePrepare((np.eye(4),), (x,)), "DensityOperator"),
+    (lambda x: schmidt(x, (0,)), "PureState"),
+    (lambda x: tensor_pure(x, ghz(2)), "PureState"),
+    (lambda x: tensor_pure(ghz(2), x), "PureState"),
+    (lambda x: ghz(2).overlap(x), "PureState"),
+], ids=[
+    "channel_from_choi", "separable_mixing_threshold", "ea_mixing_channel",
+    "constant_channel", "constant_channel-in_dim", "MeasurePrepare-prepares", "schmidt",
+    "tensor_pure-first", "tensor_pure-second", "overlap",
+])
+def test_state_argument_of_the_wrong_type_is_named(call, expected):
+    # an array where a state belongs once ended in a bare AttributeError
+    state = np.eye(4) / 4 if expected == "DensityOperator" else np.array([1, 0, 0, 0])
+    with pytest.raises(ValueError, match=f"^expected a {expected}, got ndarray$"):
+        call(state)
 
 
 @pytest.mark.parametrize(

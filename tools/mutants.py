@@ -114,10 +114,7 @@ MUTANTS = (
     Mutant(
         "ppt-argument-type-unchecked",
         "src/ealab/criteria.py",
-        "    if not isinstance(rho, DensityOperator):\n"
-        "        raise ValueError(f\"expected a DensityOperator, got {type(rho).__name__}\")\n"
-        "    if not isinstance(part, Partition):\n"
-        "        raise ValueError(f\"expected a Partition, got {type(part).__name__}\")\n",
+        "    rho, part = _instance(rho, DensityOperator), _instance(part, Partition)\n",
         "",
         ("tests/test_criteria.py::test_ppt_argument_of_the_wrong_type_is_named",),
     ),
@@ -131,9 +128,73 @@ MUTANTS = (
     Mutant(
         "sweep-ghz-blocks-two-by-two",
         "src/ealab/criteria.py",
-        "(mu3, (2, 4))",
-        "(mu3, (2, 2))",
+        "(mu3, -math.inf)",
+        "(mu3, TWO_LEA_EDGE)",
         ("tests/test_cli.py::TestGoldenOutputs::test_sweep",),
+    ),
+    # each edge one float up, where its exact closed form is negative
+    Mutant(
+        "two-lea-edge-one-float-up",
+        "src/ealab/criteria.py",
+        "TWO_LEA_EDGE = 0.5773502691896257",
+        "TWO_LEA_EDGE = 0.5773502691896258",
+        (
+            "tests/test_criteria.py::TestTwoLeaVerdict::test_boundary_inclusive",
+            "tests/test_cli.py::TestSweep::test_row_at_pair_boundary",
+        ),
+    ),
+    Mutant(
+        "eb-edge-one-float-up",
+        "src/ealab/criteria.py",
+        "EB_EDGE = 0.3333333333333333",
+        "EB_EDGE = 0.33333333333333337",
+        (
+            "tests/test_criteria.py::TestExactEdges::test_one_float_past_each_edge_is_inconclusive",
+            "tests/test_criteria.py::TestExactEdges::"
+            "test_edge_is_the_largest_float_with_a_nonnegative_exact_sign",
+        ),
+    ),
+    Mutant(
+        "closed-form-certificate-from-tolerance",
+        "src/ealab/criteria.py",
+        "np.where(lam <= edge, 1, 2)",
+        "np.where(low >= -tol, 1, 2)",
+        (
+            "tests/test_criteria.py::TestExactEdges::"
+            "test_tolerance_band_past_the_edge_is_inconclusive",
+        ),
+    ),
+    Mutant(
+        "two-lea-verdict-tolerance-unchecked",
+        "src/ealab/criteria.py",
+        '    low, tol = _two_lea_min(lam), _real(tol, "tolerance", 0.0, sys.float_info.max)\n',
+        "    low = _two_lea_min(lam)\n",
+        (
+            "tests/test_criteria.py::TestToleranceValidation::"
+            "test_bad_tolerance_rejected[two_lea_depolarizing-nan]",
+        ),
+    ),
+    Mutant(
+        "sweep-tolerance-unchecked",
+        "src/ealab/criteria.py",
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n'
+        "    x = np.array(lams, dtype=float)\n",
+        "    x = np.array(lams, dtype=float)\n",
+        (
+            "tests/test_criteria.py::TestToleranceValidation::"
+            "test_bad_tolerance_rejected[sweep_columns-nan]",
+            "tests/test_criteria.py::TestToleranceValidation::"
+            "test_bad_tolerance_rejected[sweep_columns_empty_grid-nan]",
+        ),
+    ),
+    Mutant(
+        "sweep-tolerance-before-lambdas",
+        "src/ealab/criteria.py",
+        '    lams = [_real(lam, "depolarizing parameter", 0.0, 1.0) for lam in lams]\n'
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n',
+        '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n'
+        '    lams = [_real(lam, "depolarizing parameter", 0.0, 1.0) for lam in lams]\n',
+        ("tests/test_criteria.py::TestToleranceValidation::test_lambda_checked_before_tolerance",),
     ),
     Mutant(
         "sweep-cube-through-numpy-power",
@@ -371,12 +432,10 @@ MUTANTS = (
         "src/ealab/criteria.py",
         '    tol = _real(tol, "tolerance", 0.0, sys.float_info.max)\n    if math.isnan(low):\n',
         "    if math.isnan(low):\n",
-        # callers that leave the tolerance check to ppt_status, each of which
-        # kills this mutant alone
-        tuple(
+        # every other caller checks the tolerance itself
+        (
             "tests/test_criteria.py::TestToleranceValidation::"
-            f"test_bad_tolerance_rejected[{name}-nan]"
-            for name in ("two_lea_depolarizing", "sweep_columns")
+            "test_bad_tolerance_rejected[ppt_status-nan]",
         ),
     ),
     Mutant(
@@ -405,10 +464,17 @@ MUTANTS = (
     Mutant(
         "channel-argument-type-unchecked",
         "src/ealab/channels.py",
-        "    if not isinstance(e, Channel):\n"
-        "        raise ValueError(f\"expected a Channel, got {type(e).__name__}\")\n",
-        "",
+        "    return _instance(e, Channel)\n",
+        "    return e\n",
         ("tests/test_criteria.py::test_channel_argument_of_the_wrong_type_is_named",),
+    ),
+    Mutant(
+        "state-argument-type-unchecked",
+        "src/ealab/states.py",
+        "    if not isinstance(x, cls):\n"
+        "        raise ValueError(f\"expected a {cls.__name__}, got {type(x).__name__}\")\n",
+        "",
+        ("tests/test_states.py::test_state_argument_of_the_wrong_type_is_named",),
     ),
     Mutant(
         "ppt-status-nan-minimum-certifies",
