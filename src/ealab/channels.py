@@ -192,7 +192,7 @@ def apply(e: Channel, state, out_dims=None) -> DensityOperator:
     Kraus stack.  The output keeps the input's factor structure when the
     dimensions still match; pass ``out_dims`` to override.
     """
-    rho, dims = _state_matrix(state)
+    e, (rho, dims) = _channel(e), _state_matrix(state)
     if rho.shape[0] != e.in_dim:
         raise ValueError(
             f"channel expects input dimension {e.in_dim}, state has {rho.shape[0]}"
@@ -312,6 +312,7 @@ def compose(e: Channel, f: Channel) -> Channel:
 def tensor(a: Channel, b: Channel) -> Channel:
     """Local channel a ox b acting independently on two subsystems; a Kraus
     stack past ``TENSOR_POWER_MAX_BYTES`` is rejected before any allocation."""
+    a, b = _channel(a), _channel(b)
     n, out_dim, in_dim = len(a.kraus) * len(b.kraus), a.out_dim * b.out_dim, a.in_dim * b.in_dim
     what = f"a tensor product with {n} Kraus operators of {out_dim}x{in_dim}"
     _bounded_bytes((a.kraus.size * b.kraus.size,), TENSOR_POWER_MAX_BYTES, what)
@@ -327,7 +328,7 @@ def tensor_power(e: Channel, k: int) -> Channel:
     A channel whose only Kraus operator is 1x1 (a phase) is returned as it
     is: every power of it is the same map.
     """
-    k = _whole(k, "tensor power", 1)
+    e, k = _channel(e), _whole(k, "tensor power", 1)
     if e.kraus.size == 1:
         return e
     what = f"tensor power {k} (apply_local acts site by site without it) or a lower power"
@@ -348,6 +349,7 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 def choi_of(e: Channel) -> DensityOperator:
     """Choi operator of a channel, a density operator on dims (out, in)."""
+    e = _channel(e)
     return DensityOperator(choi_from_kraus(e.kraus), (e.out_dim, e.in_dim))
 
 
@@ -403,7 +405,7 @@ def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
     minimal.  The validated parts make that operator a separable Choi
     operator, so it is not checked again and the result is entanglement-breaking.
     """
-    d_in = mp.povm[0].shape[0]
+    d_in = _instance(mp, MeasurePrepare).povm[0].shape[0]
     omega = sum(np.kron(prep.matrix, f.T) for f, prep in zip(mp.povm, mp.prepares))
     return Channel(kraus_from_choi(omega / d_in, d_in, mp.prepares[0].dim))
 

@@ -158,7 +158,8 @@ def cmd_report_ea_not_eb(args) -> int:
     print("(1) pair channel annihilates two-qubit entanglement:")
     print(
         f"    worst-case PT eigenvalue over all pure inputs = "
-        f"{fmt(pair_worst.witness_min_eig)} >= -{fmt(VERDICT_TOL)}"
+        f"{fmt(pair_worst.witness_min_eig)}, and lambda <= {TWO_LEA_EDGE!r}, "
+        f"where exact 1 - 3 lambda^2 >= 0"
     )
     print(
         f"    verdict {pair_worst.status.value}: every output of the pair "

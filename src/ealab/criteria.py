@@ -6,11 +6,11 @@ spectra of locally depolarized two-qubit and GHZ states, randomized
 falsification of the entanglement-annihilating property, and threshold
 location by bisection.
 
-Verdict semantics: a negative partial-transpose eigenvalue below the verdict
-tolerance proves entanglement for any dimensions.  A nonnegative spectrum
-certifies separability only for 2x2 and 2x3 block splits, where PPT is known
-to be sufficient; everywhere else the verdict is Inconclusive.  Closed forms
-certify at or below an exact float edge; ``tol`` never widens a certificate.
+Verdict semantics, one rule: a partial-transpose minimum below ``-tol``
+proves entanglement for any dimensions.  Separability is certified only on
+2x2 and 2x3 splits, where PPT is sufficient, and only where the exact minimum
+is proven nonnegative: a numeric one above ``linalg.CHOLESKY_MARGIN``, a
+closed form at or below its float edge.  ``tol`` never widens a certificate.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .channels import (
 from .linalg import (
     _BLOCK_BYTES,
     _STACK_BYTES,
+    CHOLESKY_MARGIN,
     _bounded_bytes,
     _composite_dim,
     _factor_dims,
@@ -220,27 +221,28 @@ def _entangled(low, tol: float):
     return low < -tol
 
 
-def _closed_form_verdicts(lam, low, edge: float, tol: float) -> np.ndarray:
-    """Verdict values of closed-form minima ``low`` at ``lam``, elementwise:
-    Entangled where ``_entangled(low, tol)``, else SeparableCertified where
-    ``lam <= edge``, else Inconclusive; ``tol`` never widens a certificate."""
-    index = np.where(_entangled(low, tol), 0, np.where(lam <= edge, 1, 2))  # in Verdict order
-    return np.array([verdict.value for verdict in Verdict], dtype=object)[index]
+# Indexed 0, 1, 2 by _verdicts: the values in Verdict order.
+_VERDICT_VALUES = np.array([verdict.value for verdict in Verdict], dtype=object)
+
+
+def _verdicts(low, proven, tol: float) -> np.ndarray:
+    """The one verdict rule, elementwise on minima ``low``: Entangled where
+    ``_entangled(low, tol)``, else SeparableCertified where the caller has
+    ``proven`` the exact minimum nonnegative, else Inconclusive."""
+    return _VERDICT_VALUES[np.where(_entangled(low, tol), 0, np.where(proven, 1, 2))]
 
 
 def ppt_status(low: float, blocks: tuple[int, int], tol: float) -> Verdict:
     """Peres-Horodecki status of a partial-transpose minimum ``low`` across a
     cut whose two blocks have dimensions ``blocks``: Entangled below ``-tol``,
-    else SeparableCertified where PPT is exact for those dimensions, else
-    Inconclusive.  A bad ``tol`` or a NaN ``low`` raises ``ValueError``."""
+    else SeparableCertified where PPT is exact for those dimensions and
+    ``low`` lies above ``CHOLESKY_MARGIN``, else Inconclusive.  A bad ``tol`` or
+    a NaN ``low`` raises ``ValueError``."""
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     if math.isnan(low):
         raise ValueError("partial-transpose minimum is NaN")
-    if _entangled(low, tol):
-        return Verdict.ENTANGLED
-    if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:
-        return Verdict.SEPARABLE_CERTIFIED
-    return Verdict.INCONCLUSIVE
+    proven = low > CHOLESKY_MARGIN and tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS
+    return Verdict(_verdicts(low, proven, tol))
 
 
 def negativity(rho: DensityOperator, part: Partition) -> float:
@@ -252,8 +254,8 @@ def negativity(rho: DensityOperator, part: Partition) -> float:
 def ppt_verdict(
     rho: DensityOperator, part: Partition, tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
-    """Three-valued Peres-Horodecki verdict across one partition; a bad
-    ``tol`` is rejected before the eigensolve."""
+    """Three-valued Peres-Horodecki verdict across one partition, by
+    ``ppt_status``; a bad ``tol`` is rejected before the eigensolve."""
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
     low = ppt_min_eigenvalue(rho, part)
     return SeparabilityVerdict(ppt_status(low, part.block_dims(rho.dims), tol), low, part)
@@ -263,7 +265,8 @@ def is_eb(e: Channel, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
     """Entanglement-breaking test: PPT verdict on the Choi operator.
 
     Exact for qubit-to-qubit and qubit/qutrit channels; larger channels can
-    only be refuted (Entangled) or left Inconclusive.  A bad ``tol`` is
+    only be refuted (Entangled) or left Inconclusive.  A certificate needs a
+    Choi minimum above ``linalg.CHOLESKY_MARGIN``.  A bad ``tol`` is
     rejected before the Choi operator is built.
     """
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
@@ -370,8 +373,8 @@ def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
     column is one closed form above evaluated over the whole grid at once:
     ``min_mu_2lea``, ``ghz_mu_3lea``, and ``werner_min_eig``, the Werner
     minimum of ``eb_min_eig_depolarizing``, each bit for bit the value of
-    its scalar function.  Each verdict is ``_closed_form_verdicts`` of the
-    value its row prints, so a verdict and its value agree against ``-tol``.
+    its scalar function.  Each verdict is ``_verdicts`` of the value its row
+    prints, certified at or below its edge, so the two agree against ``-tol``.
     """
     lams = [_real(lam, "depolarizing parameter", 0.0, 1.0) for lam in lams]
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
@@ -381,7 +384,7 @@ def _sweep_columns(lams, tol: float) -> tuple[list, ...]:
     mu3 = _ghz_min(x, np.array([lam**3 for lam in lams], dtype=float))
     # the GHZ cut, first qubit | other two, has 2x4 blocks: PPT certifies nothing
     verdicts = [
-        _closed_form_verdicts(x, lows, edge, tol).tolist()
+        _verdicts(lows, x <= edge, tol).tolist()
         for lows, edge in ((mu2, TWO_LEA_EDGE), (eb, EB_EDGE), (mu3, -math.inf))
     ]
     return (lams, mu2.tolist(), mu3.tolist(), eb.tolist(), *verdicts)
@@ -399,7 +402,7 @@ def two_lea_verdict_depolarizing(
     """
     lam = _real(lam, "lambda", 0.0, 1.0)
     low, tol = _two_lea_min(lam), _real(tol, "tolerance", 0.0, sys.float_info.max)
-    status = Verdict(_closed_form_verdicts(lam, low, TWO_LEA_EDGE, tol))
+    status = Verdict(_verdicts(low, lam <= TWO_LEA_EDGE, tol))
     return SeparabilityVerdict(status, low, _PAIR_CUT)
 
 
@@ -495,7 +498,7 @@ def embedded_max_entangled(dims: Sequence[int], part: Partition) -> PureState:
     amplitudes would pass ``_STACK_BYTES`` is rejected before any allocation.
     """
     ds = _factor_dims(dims)
-    part.validate_for(len(ds))
+    _instance(part, Partition).validate_for(len(ds))
     dim = math.prod(ds)
     _bounded_bytes((dim,), _STACK_BYTES, f"a maximally entangled state of dimension {dim}")
     return PureState(_bell_row(ds, part.first, part.second), ds)
@@ -766,20 +769,22 @@ def separable_mixing_threshold(omega: DensityOperator) -> ThresholdResult:
     Defined for two-qubit states, where PPT decides separability exactly.
     Partial transposition fixes the identity, so the lowest PT eigenvalue of
     the mixture is ``x*mu + (1-x)/4`` (``mu``: that of ``omega``), zero at
-    the exact threshold ``x = 1/(1 - 4*mu)``.  A separable input is reported
-    as the degenerate full-bracket result x = 1 rather than an error.
+    the exact threshold ``x = 1/(1 - 4*mu)``.  The computed mu less
+    ``linalg.CHOLESKY_MARGIN``, a proven lower bound on the exact mu, takes
+    its place; an input whose bound is positive is proven separable and
+    reported as the degenerate full-bracket result x = 1, not an error.
     """
     if _instance(omega, DensityOperator).dims != (2, 2):
         raise ValueError(
             f"mixing threshold is only supported for two-qubit states, "
             f"got dims {omega.dims}"
         )
-    mu = ppt_min_eigenvalue(omega, _PAIR_CUT)
-    if not _entangled(mu, VERDICT_TOL):
+    bound = ppt_min_eigenvalue(omega, _PAIR_CUT) - CHOLESKY_MARGIN
+    if bound > 0:
         return ThresholdResult(
             1.0, (0.0, 1.0), 0.0, "separable-mixing", degenerate_bracket=True
         )
-    x = 1.0 / (1.0 - 4.0 * mu)
+    x = 1.0 / (1.0 - 4.0 * bound)
     return ThresholdResult(x, (x, x), 0.0, "separable-mixing")
 
 
@@ -802,7 +807,7 @@ def ea_mixing_channel(effect: np.ndarray, omega: DensityOperator) -> Channel:
     top = float(_symmetrized_eigenvalues(mp.povm[0])[-1])
     if top >= kappa:
         raise ValueError(
-            f"largest effect eigenvalue {top:.6g} must stay below the "
-            f"separable mixing threshold {kappa:.6g}"
+            f"largest effect eigenvalue {top:.12g} must stay below the "
+            f"separable mixing threshold {kappa:.12g}"
         )
     return measure_prepare_channel(mp)

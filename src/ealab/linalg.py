@@ -30,6 +30,12 @@ MATRIX_ATOL = 1e-10
 # Algorithms, 2nd ed., section 10.1): a few times 1e-13 at most for the
 # unit-trace operators of dimension up to 1024 that the falsifier holds.  A
 # screen keeps this margin between the floor it tests and the bound it needs.
+# It bounds a symmetric eigensolve as well.  criteria.ppt_status certifies
+# only on 4x4 and 6x6 partial transposes with ||A||_F <= about 1, where the
+# backward-stable eigvalsh moves each eigenvalue (Weyl) by less than about
+# 1e-15; a Choi operator summed from Kraus operators adds error of that
+# size.  A minimum above the margin proves the exact one positive, with
+# three orders of magnitude to spare.
 CHOLESKY_MARGIN = 1e-12
 
 # Largest block of a stack that a check copies and works through at once:

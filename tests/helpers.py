@@ -210,9 +210,10 @@ def reference_sweep_row(lam, tol=1e-9):
     order: the engine's reference for ``criteria._sweep_columns``.  Every
     column but ``werner_min_eig`` must match byte for byte.  That one is the
     engine's Werner eigenvalue here and the closed form (1 - 3 lambda)/4 in
-    the sweep, so the two agree only to rounding.  ``is_eb`` certifies any
-    eigenvalue within ``tol`` of zero, so its certificate is demoted to
-    Inconclusive where the exact 1 - 3 lambda is negative.
+    the sweep, so the two agree only to rounding.  ``is_eb`` certifies only
+    a float minimum above ``CHOLESKY_MARGIN``, never where the exact
+    1 - 3 lambda is negative; inside the margin it is Inconclusive, and
+    there the closed form's exact sign, when nonnegative, is the certificate.
     """
     from ealab.channels import apply_local, depolarizing
     from ealab.criteria import (
@@ -229,8 +230,10 @@ def reference_sweep_row(lam, tol=1e-9):
     ghz_out = apply_local(depolarizing(lam, 2), ghz(3))
     v3 = ppt_verdict(ghz_out, Partition((0,), (1, 2)), tol=tol)
     veb = is_eb(depolarizing(lam, 2), tol=tol).status.value
-    if veb == "SeparableCertified" and 1 - 3 * Fraction(lam) < 0:
-        veb = "Inconclusive"
+    werner_ok = 1 - 3 * Fraction(lam) >= 0
+    assert werner_ok or veb != "SeparableCertified", lam
+    if veb == "Inconclusive" and werner_ok:
+        veb = "SeparableCertified"
     return (
         lam,
         two_lea_min_eig_depolarizing(lam),
@@ -256,3 +259,43 @@ def report_fields(report):
         report.seed,
         None if state is None else (state.dims, state.amplitudes.tobytes()),
     )
+
+
+def exact_parts(m):
+    """The real and imaginary parts of a float array as object arrays of
+    ``Fraction``: the floats are the exact values."""
+    m = np.asarray(m, dtype=complex)
+    parts = [[Fraction(float(x)) for x in part.ravel()] for part in (m.real, m.imag)]
+    return tuple(np.array(part, dtype=object).reshape(m.shape) for part in parts)
+
+
+def exact_choi_parts(kraus):
+    """The exact Choi operator ``V^T conj(V) / d_in`` of ``choi_from_kraus``,
+    summed in ``Fraction`` from the float Kraus entries, as (real, imaginary)
+    object arrays on dims (out, in)."""
+    re, im = exact_parts(np.asarray(kraus).reshape(len(kraus), -1))
+    d_in = np.asarray(kraus).shape[2]
+    return (re.T @ re + im.T @ im) / d_in, (im.T @ re - re.T @ im) / d_in
+
+
+def exact_pt_positive_definite(re, im, dims):
+    """Whether the Hermitian part of the partial transpose, over the second
+    factor of ``dims``, of the exact matrix ``re + i im`` is positive
+    definite: every pivot of the ``Fraction`` LDL^T factorization of its
+    real form [[H_re, -H_im], [H_im, H_re]] is positive."""
+    d0, d1 = dims
+
+    def flip(a):
+        return a.reshape(d0, d1, d0, d1).transpose(0, 3, 2, 1).reshape(d0 * d1, -1)
+
+    re, im = flip(re), flip(im)
+    re, im = (re + re.T) / 2, (im - im.T) / 2
+    a = np.concatenate([np.concatenate([re, -im], 1), np.concatenate([im, re], 1)]).tolist()
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
+    return True

@@ -545,7 +545,7 @@ GOLDEN_REPORT = (
     "depolarizing parameter lambda = 0.57735026919\n"
     "\n"
     "(1) pair channel annihilates two-qubit entanglement:\n"
-    "    worst-case PT eigenvalue over all pure inputs = 2.77555756156e-17 >= -1e-09\n"
+    "    worst-case PT eigenvalue over all pure inputs = 2.77555756156e-17, and lambda <= 0.5773502691896257, where exact 1 - 3 lambda^2 >= 0\n"
     "    verdict SeparableCertified: every output of the pair channel is a separable two-qubit state (PPT is exact at 2x2).\n"
     "\n"
     "(2) yet the three-fold channel leaves the GHZ state entangled:\n"

@@ -61,8 +61,12 @@ from ealab.criteria import (
     eb_min_eig_depolarizing,
     ppt_status,
 )
+from ealab.linalg import CHOLESKY_MARGIN
 from helpers import (
     apply_via_choi,
+    exact_choi_parts,
+    exact_parts,
+    exact_pt_positive_definite,
     random_measure_prepare,
     random_separable_two_qubit,
     serial_seesaw_verdict,
@@ -147,9 +151,15 @@ def test_ppt_argument_of_the_wrong_type_is_named(call, rho, part, message):
     lambda x: apply_local(x, ghz(2)),
     lambda x: compose(x, depolarizing(0.5, 2)),
     lambda x: compose(depolarizing(0.5, 2), x),
+    lambda x: apply(x, ghz(2)),
+    lambda x: tensor(x, depolarizing(0.5, 2)),
+    lambda x: tensor(depolarizing(0.5, 2), x),
+    lambda x: tensor_power(x, 2),
+    choi_of,
 ], ids=[
     "two_lea_verdict_heuristic", "k_lea_falsify", "ea_falsify", "is_eb", "apply_local",
-    "compose-outer", "compose-inner",
+    "compose-outer", "compose-inner", "apply", "tensor-first", "tensor-second",
+    "tensor_power", "choi_of",
 ])
 def test_channel_argument_of_the_wrong_type_is_named(call):
     # an array where a Channel belongs once ended in a bare AttributeError
@@ -158,9 +168,16 @@ def test_channel_argument_of_the_wrong_type_is_named(call):
 
 
 class TestPptVerdict:
-    def test_classically_correlated_certified(self):
+    def test_classically_correlated_is_inconclusive(self):
+        # the exact PT minimum is 0, and no float minimum proves a sign there
         v = ppt_verdict(classically_correlated_pair(), SPLIT_12)
-        assert v.status.value == "SeparableCertified"
+        assert v.witness_min_eig <= CHOLESKY_MARGIN
+        assert v.status is Verdict.INCONCLUSIVE
+        # a little white noise lifts the minimum to 2.5e-11, which certifies
+        noisy = 1e-10 * np.eye(4) / 4 + (1 - 1e-10) * classically_correlated_pair().matrix
+        v = ppt_verdict(DensityOperator(noisy, (2, 2)), SPLIT_12)
+        assert v.witness_min_eig > CHOLESKY_MARGIN
+        assert v.status is Verdict.SEPARABLE_CERTIFIED
 
     def test_depolarized_ghz_entangled_above_root(self):
         out = apply(tensor_power(depolarizing(0.6, 2), 3), ghz(3))
@@ -221,9 +238,14 @@ class TestNegativity:
 
 class TestIsEb:
     def test_boundary_certified(self):
+        # at the float 1/3 the exact 1 - 3 lambda is +5.6e-17, inside the
+        # margin, so no float minimum proves it; 3.3e-11 below, one does
         v = is_eb(depolarizing(1 / 3, 2))
+        assert 0 <= v.witness_min_eig <= CHOLESKY_MARGIN
+        assert v.status is Verdict.INCONCLUSIVE
+        v = is_eb(depolarizing(0.3333333333, 2))
+        assert v.witness_min_eig == pytest.approx(2.5e-11, rel=1e-4)
         assert v.status is Verdict.SEPARABLE_CERTIFIED
-        assert abs(v.witness_min_eig) < 1e-9
 
     def test_above_boundary_entangled(self):
         assert is_eb(depolarizing(0.5, 2)).status is Verdict.ENTANGLED
@@ -415,6 +437,87 @@ class TestExactEdges:
         _, mu2, _, _, v2, _, _ = _sweep_columns(lams, VERDICT_TOL)
         assert all(-VERDICT_TOL <= low < 0 for low in mu2)
         assert v2 == ["Inconclusive"] * 3
+
+
+@st.composite
+def boundary_states(draw):
+    """Real float density matrices at 2x2, 2x3 and 3x2 whose PT minimum lies
+    within about 1e-10 of zero, on either side: a real pure state mixed with
+    the maximally mixed state at the weight that puts the minimum there."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    d = dims[0] * dims[1]
+    amp = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    if np.linalg.norm(amp) < 0.1:
+        amp[0] = 1.0
+    p = np.outer(amp, amp) / (amp @ amp)
+    mu = np.linalg.eigvalsh(partial_transpose(p, dims, (1,)))[0]
+    offset = draw(st.floats(-2e-11, 1e-10))
+    x = min(1.0, (1 / d - offset) / (1 / d - mu))
+    return DensityOperator(x * p + (1 - x) * np.eye(d) / d, dims)
+
+
+class TestMarginCertificates:
+    """A float minimum certifies separability only above ``CHOLESKY_MARGIN``,
+    and ``tol`` decides only Entangled: each case below was certified, or
+    accepted, while the exact sign was negative."""
+
+    @pytest.mark.parametrize("tol", [0.0, VERDICT_TOL, 1.0])
+    @pytest.mark.parametrize("blocks", [(2, 2), (3, 2)])
+    def test_tolerance_never_widens_a_certificate(self, blocks, tol):
+        assert ppt_status(CHOLESKY_MARGIN, blocks, tol) is Verdict.INCONCLUSIVE
+        above = math.nextafter(CHOLESKY_MARGIN, 1.0)
+        assert ppt_status(above, blocks, tol) is Verdict.SEPARABLE_CERTIFIED
+
+    def test_is_eb_past_one_third_is_inconclusive(self):
+        # exact 1 - 3 lambda is negative; the minimum is within VERDICT_TOL
+        lam = 1 / 3 + 3e-10
+        assert 1 - 3 * Fraction(lam) < 0
+        v = is_eb(depolarizing(lam, 2))
+        assert -VERDICT_TOL < v.witness_min_eig < 0
+        assert v.status is Verdict.INCONCLUSIVE
+
+    def test_ppt_verdict_past_one_third_is_inconclusive(self):
+        v = ppt_verdict(werner(1 / 3 + 3e-10), SPLIT_12)
+        assert -VERDICT_TOL < v.witness_min_eig < 0
+        assert v.status is Verdict.INCONCLUSIVE
+
+    def test_mixing_threshold_in_the_band_is_not_degenerate(self):
+        # minimum -1.5e-10: the threshold is 1/(1 + 6e-10 + 4e-12), not 1
+        res = separable_mixing_threshold(werner(1 / 3 + 2e-10))
+        assert not res.degenerate_bracket
+        assert res.critical_value == pytest.approx(0.99999999940, abs=1e-11)
+        # at the float 1/3 the exact minimum, +1.4e-17, lies inside the margin
+        res = separable_mixing_threshold(werner(1 / 3))
+        assert not res.degenerate_bracket
+        assert 1 - 5e-12 < res.critical_value < 1
+
+    def test_mixing_channel_with_entangled_outputs_is_refused(self):
+        # its output for the maximally entangled input has PT minimum -1.25e-10
+        with pytest.raises(ValueError, match=(
+            r"^largest effect eigenvalue 0\.9999999999 must stay below the "
+            r"separable mixing threshold 0\.999999999396$"
+        )):
+            ea_mixing_channel((1 - 1e-10) * np.eye(4), werner(1 / 3 + 2e-10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_states(), st.sampled_from([0.0, VERDICT_TOL, 0.05]))
+    def test_a_ppt_certificate_implies_exact_positive_definiteness(self, rho, tol):
+        v = ppt_verdict(rho, SPLIT_12, tol=tol)
+        if v.status is Verdict.SEPARABLE_CERTIFIED:
+            assert exact_pt_positive_definite(*exact_parts(rho.matrix), rho.dims)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(1 / 3 - 1e-10, 1 / 3 + 1e-10),
+            st.integers(-64, 64).map(lambda n: float_steps(EB_EDGE, n)),
+        ),
+        st.sampled_from([0.0, VERDICT_TOL, 0.05]),
+    )
+    def test_an_eb_certificate_implies_exact_positive_definiteness(self, lam, tol):
+        single = depolarizing(lam, 2)
+        if is_eb(single, tol=tol).status is Verdict.SEPARABLE_CERTIFIED:
+            assert exact_pt_positive_definite(*exact_choi_parts(single.kraus), (2, 2))
 
 
 class TestSeesaw:
@@ -690,8 +793,12 @@ class TestBisection:
 
 class TestSeparableMixingThreshold:
     def test_max_entangled_gives_one_third(self):
-        res = separable_mixing_threshold(max_entangled(2).density())
-        assert abs(res.critical_value - 1 / 3) <= 1e-15
+        omega = max_entangled(2).density()
+        res = separable_mixing_threshold(omega)
+        # the computed minimum less the margin, a proven bound on the exact -1/2
+        bound = ppt_min_eigenvalue(omega, SPLIT_12) - CHOLESKY_MARGIN
+        assert res.critical_value == 1.0 / (1.0 - 4.0 * bound)
+        assert 0 < 1 / 3 - res.critical_value < 1e-12
         assert res.bracket == (res.critical_value, res.critical_value)
         assert res.tol == 0.0
         assert not res.degenerate_bracket

@@ -33,6 +33,7 @@ from ealab import (
     k_lea_falsify,
     max_entangled,
     max_entangled_projector,
+    measure_prepare_channel,
     min_eigenvalue,
     partial_transpose,
     random_density,
@@ -58,14 +59,18 @@ from helpers import haar_amplitudes_two_draws, haar_stream_rows, random_density_
     (lambda x: tensor_pure(x, ghz(2)), "PureState"),
     (lambda x: tensor_pure(ghz(2), x), "PureState"),
     (lambda x: ghz(2).overlap(x), "PureState"),
+    (lambda x: measure_prepare_channel(x), "MeasurePrepare"),
+    (lambda x: embedded_max_entangled((2, 2), x), "Partition"),
 ], ids=[
     "channel_from_choi", "separable_mixing_threshold", "ea_mixing_channel",
     "constant_channel", "constant_channel-in_dim", "MeasurePrepare-prepares", "schmidt",
-    "tensor_pure-first", "tensor_pure-second", "overlap",
+    "tensor_pure-first", "tensor_pure-second", "overlap", "measure_prepare_channel",
+    "embedded_max_entangled",
 ])
 def test_state_argument_of_the_wrong_type_is_named(call, expected):
-    # an array where a state belongs once ended in a bare AttributeError
-    state = np.eye(4) / 4 if expected == "DensityOperator" else np.array([1, 0, 0, 0])
+    # an array where a state, a measure-and-prepare or a partition belongs
+    # once ended in a bare AttributeError
+    state = np.array([1, 0, 0, 0]) if expected == "PureState" else np.eye(4) / 4
     with pytest.raises(ValueError, match=f"^expected a {expected}, got ndarray$"):
         call(state)
 

@@ -121,9 +121,46 @@ MUTANTS = (
     Mutant(
         "ppt-status-unsorted-blocks",
         "src/ealab/criteria.py",
-        "if tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS:",
-        "if tuple(blocks) in _PPT_EXACT_BLOCKS:",
+        "and tuple(sorted(blocks)) in _PPT_EXACT_BLOCKS",
+        "and tuple(blocks) in _PPT_EXACT_BLOCKS",
         ("tests/test_criteria.py::TestPptVerdict",),
+    ),
+    # a float minimum in [-tol, margin] certified again
+    Mutant(
+        "ppt-status-certifies-without-margin",
+        "src/ealab/criteria.py",
+        "proven = low > CHOLESKY_MARGIN and tuple(sorted(blocks))",
+        "proven = tuple(sorted(blocks))",
+        (
+            "tests/test_criteria.py::TestMarginCertificates::"
+            "test_tolerance_never_widens_a_certificate",
+            "tests/test_criteria.py::TestMarginCertificates::"
+            "test_is_eb_past_one_third_is_inconclusive",
+            "tests/test_criteria.py::TestPptVerdict::test_classically_correlated_is_inconclusive",
+        ),
+    ),
+    Mutant(
+        "mixing-threshold-without-margin",
+        "src/ealab/criteria.py",
+        "bound = ppt_min_eigenvalue(omega, _PAIR_CUT) - CHOLESKY_MARGIN",
+        "bound = ppt_min_eigenvalue(omega, _PAIR_CUT)",
+        (
+            "tests/test_criteria.py::TestSeparableMixingThreshold::"
+            "test_max_entangled_gives_one_third",
+            "tests/test_criteria.py::TestMarginCertificates::"
+            "test_mixing_threshold_in_the_band_is_not_degenerate",
+        ),
+    ),
+    Mutant(
+        "verdicts-ignore-proven",
+        "src/ealab/criteria.py",
+        "np.where(proven, 1, 2)",
+        "1",
+        (
+            "tests/test_criteria.py::TestPptVerdict::test_two_qutrit_positive_is_inconclusive",
+            "tests/test_criteria.py::TestExactEdges::"
+            "test_tolerance_band_past_the_edge_is_inconclusive",
+        ),
     ),
     Mutant(
         "sweep-ghz-blocks-two-by-two",
@@ -154,11 +191,22 @@ MUTANTS = (
             "test_edge_is_the_largest_float_with_a_nonnegative_exact_sign",
         ),
     ),
+    # each closed-form caller of _verdicts, its certificate taken from tol
     Mutant(
         "closed-form-certificate-from-tolerance",
         "src/ealab/criteria.py",
-        "np.where(lam <= edge, 1, 2)",
-        "np.where(low >= -tol, 1, 2)",
+        "_verdicts(low, lam <= TWO_LEA_EDGE, tol)",
+        "_verdicts(low, low >= -tol, tol)",
+        (
+            "tests/test_criteria.py::TestExactEdges::"
+            "test_tolerance_band_past_the_edge_is_inconclusive",
+        ),
+    ),
+    Mutant(
+        "sweep-certificate-from-tolerance",
+        "src/ealab/criteria.py",
+        "_verdicts(lows, x <= edge, tol)",
+        "_verdicts(lows, lows >= -tol, tol)",
         (
             "tests/test_criteria.py::TestExactEdges::"
             "test_tolerance_band_past_the_edge_is_inconclusive",
@@ -250,8 +298,8 @@ MUTANTS = (
     Mutant(
         "embedded-max-entangled-unchecked-dims",
         "src/ealab/criteria.py",
-        "    ds = _factor_dims(dims)\n    part.validate_for(len(ds))",
-        "    ds = tuple(dims)\n    part.validate_for(len(ds))",
+        "    ds = _factor_dims(dims)\n    _instance(part, Partition).validate_for",
+        "    ds = tuple(dims)\n    _instance(part, Partition).validate_for",
         (
             "tests/test_falsify.py::TestFalsifier::test_unfit_channel_or_system_is_named",
             "tests/test_states.py::test_range_and_index_messages",
@@ -467,6 +515,42 @@ MUTANTS = (
         "    return _instance(e, Channel)\n",
         "    return e\n",
         ("tests/test_criteria.py::test_channel_argument_of_the_wrong_type_is_named",),
+    ),
+    # each type check of a channel argument dropped on its own
+    *(
+        Mutant(f"{name}-channel-type-unchecked", "src/ealab/channels.py", old, new, (
+            f"tests/test_criteria.py::test_channel_argument_of_the_wrong_type_is_named[{name}]",
+        ))
+        for name, old, new in (
+            ("apply", "e, (rho, dims) = _channel(e), _state_matrix(state)",
+             "rho, dims = _state_matrix(state)"),
+            ("tensor-first", "a, b = _channel(a), _channel(b)", "b = _channel(b)"),
+            ("tensor-second", "a, b = _channel(a), _channel(b)", "a = _channel(a)"),
+            ("tensor_power", 'e, k = _channel(e), _whole(k, "tensor power", 1)',
+             'k = _whole(k, "tensor power", 1)'),
+            ("choi_of", "    e = _channel(e)\n    return DensityOperator(choi_from_kraus",
+             "    return DensityOperator(choi_from_kraus"),
+        )
+    ),
+    Mutant(
+        "measure-prepare-type-unchecked",
+        "src/ealab/channels.py",
+        "d_in = _instance(mp, MeasurePrepare).povm[0]",
+        "d_in = mp.povm[0]",
+        (
+            "tests/test_states.py::"
+            "test_state_argument_of_the_wrong_type_is_named[measure_prepare_channel]",
+        ),
+    ),
+    Mutant(
+        "embedded-max-entangled-partition-type-unchecked",
+        "src/ealab/criteria.py",
+        "    _instance(part, Partition).validate_for(len(ds))",
+        "    part.validate_for(len(ds))",
+        (
+            "tests/test_states.py::"
+            "test_state_argument_of_the_wrong_type_is_named[embedded_max_entangled]",
+        ),
     ),
     Mutant(
         "state-argument-type-unchecked",
