@@ -41,6 +41,7 @@ from .linalg import (
     CHOLESKY_MARGIN,
     _bounded_bytes,
     _composite_dim,
+    _eigh,
     _factor_dims,
     _lowest_eigenvalues,
     _partial_transposes,
@@ -444,12 +445,14 @@ def two_lea_verdict_heuristic(
     half steps are one linear map, L(X) = [(E ox E)(X)]^Gamma, and its
     adjoint, built once per call as the 16x16 matrix of ``_pair_pt_map``, so
     a half step is one vector-matrix product per live start and one batched
-    eigensolve.  The starts, run as one stack, are the falsifier's GHZ and W
-    probe rows and ``restarts`` Haar states, rows 0 to ``restarts - 1`` of
-    one ``default_rng(seed)`` stream drawn as one stack (start r is the
-    falsifier's ``haar:r`` at that seed), so ``seed`` must be nonnegative;
-    Haar starts alone can stall at the product-state fixed point near the
-    threshold.
+    ``linalg._eigh``.  Rounds run on the live starts only: a start leaves the
+    stack in the round its value stops falling, and a call of R rounds makes
+    2R - 1 eigensolves below the cap.  The starts, run as one stack, are the
+    falsifier's GHZ and W probe rows and ``restarts`` Haar states, rows 0 to
+    ``restarts - 1`` of one ``default_rng(seed)`` stream drawn as one stack
+    (start r is the falsifier's ``haar:r`` at that seed), so ``seed`` must be
+    nonnegative; Haar starts alone can stall at the product-state fixed point
+    near the threshold.
     ``restarts`` is rejected, before any start is drawn, when the stack of
     the starts' density matrices would pass ``_STACK_BYTES``.
 
@@ -467,18 +470,19 @@ def two_lea_verdict_heuristic(
     _bounded_bytes((16 * (restarts + 2),), _STACK_BYTES, what)  # 4x4 entries per start
     haar = _haar_rows(np.random.default_rng(seed), restarts, 4)
     m, m_adjoint = _pair_pt_map(single)
-    # Per start: current input, input at its lowest value, that value, still falling.
+    # Per start: input at its lowest value, and that value.  ``psi`` holds the
+    # current inputs of the live starts only, ``rows`` their rows of both.
     psi = np.vstack([_ghz_row(2), _w_row(2), haar])
-    best, value, live = psi.copy(), np.full(len(psi), math.inf), np.ones(len(psi), bool)
+    best, value, rows = psi.copy(), np.full(len(psi), math.inf), np.arange(len(psi))
     for _ in range(SEESAW_MAX_ITER):
-        evals, vecs = np.linalg.eigh(_pair_map_rows(_projectors(psi[live]), m))
-        falls = evals[:, 0] < value[live]
-        live[live] = falls
-        if not live.any():
+        evals, vecs = _eigh(_pair_map_rows(_projectors(psi), m))
+        low = evals[:, 0]
+        falls = low < value[rows]
+        if not falls.any():
             break
-        value[live], best[live] = evals[falls, 0], psi[live]
-        back = _pair_map_rows(_projectors(vecs[falls, :, 0]), m_adjoint)
-        psi[live] = np.linalg.eigh(back)[1][:, :, 0]
+        rows, psi, phi = rows[falls], psi[falls], vecs[falls, :, 0]
+        value[rows], best[rows] = low[falls], psi
+        psi = _eigh(_pair_map_rows(_projectors(phi), m_adjoint))[1][:, :, 0]
     best_psi = best[np.argmin(value)]
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, (2, 2))), _PAIR_CUT)
     status = Verdict.ENTANGLED if _entangled(witness, tol) else Verdict.INCONCLUSIVE

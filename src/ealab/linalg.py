@@ -323,6 +323,22 @@ def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2)
 
 
+def _eigh_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(
+    call=_eigh_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a complex stack ``(B, D, D)``, bit for bit,
+    without the wrapper's checks and casts: ascending eigenvalues and the
+    eigenvectors as columns, from the lower triangle.  Non-convergence raises
+    the same ``LinAlgError``.  For callers that run many small eigensolves
+    on stacks they built themselves."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD")
+
+
 def _screen_above(a: np.ndarray, floor: float) -> np.ndarray:
     """Per matrix of a stack, True when a Cholesky proves every eigenvalue of
     the symmetrized matrix ``(a + a^dagger)/2`` above ``floor``.

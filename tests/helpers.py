@@ -160,9 +160,10 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
     starts were stacked: the reference its stacked search must match bit for
     bit.  Each half step is one one-row product with the shared matrix of
     ``criteria._pair_pt_map`` or its adjoint, whose own tests check it
-    against the materialized pair channel.  Returns the verdict and the input
-    it checked.  Its starts include the cut probe psi+:0|1, which equals GHZ
-    on two qubits.
+    against the materialized pair channel.  Returns the verdict, the input it
+    checked and, per start, how many times the forward half step evaluated
+    it.  Its starts include the cut probe psi+:0|1, which equals GHZ on two
+    qubits.
     """
     from ealab.channels import apply_local
     from ealab.criteria import (
@@ -188,11 +189,13 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
         evals, vecs = np.linalg.eigh((np.outer(v, v.conj()).reshape(1, 16) @ mat).reshape(4, 4))
         return float(evals[0]), vecs[:, 0]
 
-    best, best_psi = np.inf, starts[0]
+    best, best_psi, evaluations = np.inf, starts[0], []
     for psi in starts:
         value = np.inf
+        evaluations.append(0)
         for _ in range(SEESAW_MAX_ITER):
             low, phi = lowest(psi, m)
+            evaluations[-1] += 1
             if not low < value:
                 break
             value = low
@@ -201,7 +204,7 @@ def serial_seesaw_verdict(single, restarts=32, seed=0, tol=1e-9):
             psi = lowest(phi, m_adjoint)[1]
     witness = ppt_min_eigenvalue(apply_local(single, PureState(best_psi, dims)), part)
     status = Verdict.ENTANGLED if witness < -tol else Verdict.INCONCLUSIVE
-    return SeparabilityVerdict(status, witness, part, heuristic=True), best_psi
+    return SeparabilityVerdict(status, witness, part, heuristic=True), best_psi, evaluations
 
 
 def reference_sweep_row(lam, tol=1e-9):

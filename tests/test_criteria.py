@@ -610,7 +610,7 @@ class TestSeesaw:
         cases += [(depolarizing(lam, 2), 0) for lam in np.linspace(0.0, 1.0, 41)]
         for single, seed in cases:
             v, psi = self.checked_input(single, monkeypatch, restarts=restarts, seed=seed)
-            ref, ref_psi = serial_seesaw_verdict(single, restarts, seed)
+            ref, ref_psi, _ = serial_seesaw_verdict(single, restarts, seed)
             assert v.status is ref.status
             assert v.witness_min_eig.hex() == ref.witness_min_eig.hex()
             assert psi.amplitudes.tobytes() == ref_psi.tobytes()
@@ -619,16 +619,44 @@ class TestSeesaw:
     def test_one_batched_eigensolve_per_half_step(self, restarts, monkeypatch):
         # Serially, one call at restarts=4 made 2800 eigensolves on this channel.
         single = random_channel(2, kraus_rank=2, seed=1)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        calls = self.eigensolves(monkeypatch)
         two_lea_verdict_heuristic(single, restarts=restarts, seed=0)
         assert 0 < len(calls) <= 2 * SEESAW_MAX_ITER
+
+    @staticmethod
+    def eigensolves(monkeypatch):
+        """The stack size of each ``_eigh`` call the see-saw makes, in order."""
+        calls = []
+        eigh = ealab.criteria._eigh
+
+        def counting(a):
+            calls.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(ealab.criteria, "_eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "single, seed",
+        [(depolarizing(lam, 2), 0) for lam in (0.0, 0.3, 1 / math.sqrt(3), 0.8)]
+        + [(random_channel(2, kraus_rank=1 + i % 4, seed=i), i) for i in (0, 2, 3, 5, 7, 11)],
+    )
+    def test_rounds_run_on_the_live_starts_only(self, single, seed, monkeypatch):
+        # A start evaluated n times fell n - 1 times, so it takes part in the
+        # forward half step of rounds 1..n and the adjoint one of rounds
+        # 1..n - 1; the last round has no adjoint half step.  The serial
+        # search's third start, the cut probe, repeats GHZ.
+        _, _, evaluations = serial_seesaw_verdict(single, 4, seed)
+        del evaluations[2]
+        rounds = max(evaluations)
+        assert rounds < SEESAW_MAX_ITER  # below the cap every start stops on its own
+        calls = self.eigensolves(monkeypatch)
+        two_lea_verdict_heuristic(single, restarts=4, seed=seed)
+        assert len(calls) == 2 * rounds - 1
+        for r in range(rounds):
+            assert calls[2 * r] == sum(n > r for n in evaluations)
+            if r + 1 < rounds:
+                assert calls[2 * r + 1] == sum(n > r + 1 for n in evaluations)
 
     @pytest.mark.parametrize("seed", [2, 3, 7])
     def test_best_input_is_a_fixed_point(self, seed, monkeypatch):

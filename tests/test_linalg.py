@@ -326,6 +326,30 @@ class TestHermitianEigenvalues:
         assert abs(np.sum(evals) - np.trace(m).real) < 1e-10
 
 
+class TestEigh:
+    """``linalg._eigh`` calls numpy's private ``eigh_lo`` gufunc directly."""
+
+    @pytest.mark.parametrize("batch", range(1, 9))
+    def test_matches_numpy_byte_for_byte(self, batch):
+        rng = np.random.default_rng(batch)
+        a = rng.standard_normal((batch, 4, 4)) + 1j * rng.standard_normal((batch, 4, 4))
+        for stack in (a, a + a.conj().swapaxes(1, 2)):  # both read the lower triangle
+            w, v = ealab.linalg._eigh(stack)
+            expected_w, expected_v = np.linalg.eigh(stack)
+            assert w.dtype == expected_w.dtype and v.dtype == expected_v.dtype
+            assert w.tobytes() == expected_w.tobytes()
+            assert v.tobytes() == expected_v.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonconvergence_raises_as_numpy_does(self, bad):
+        stack = np.stack([np.eye(4), np.full((4, 4), bad)]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            np.linalg.eigh(stack)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            ealab.linalg._eigh(stack)
+        assert str(got.value) == str(expected.value) == "Eigenvalues did not converge"
+
+
 def test_permute_factors_swaps_kron_order():
     rng = np.random.default_rng(13)
     a = random_hermitian(2, rng)

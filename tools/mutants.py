@@ -323,6 +323,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "seesaw-fall-test-not-strict",
+        "src/ealab/criteria.py",
+        "falls = low < value[rows]",
+        "falls = low <= value[rows]",
+        ("tests/test_criteria.py::TestSeesaw::test_rounds_run_on_the_live_starts_only",),
+    ),
+    Mutant(
+        "seesaw-best-from-the-uncompacted-stack",
+        "src/ealab/criteria.py",
+        "rows, psi, phi = rows[falls], psi[falls], vecs[falls, :, 0]",
+        "rows, phi = rows[falls], vecs[falls, :, 0]",
+        ("tests/test_criteria.py::TestSeesaw::test_rounds_run_on_the_live_starts_only",),
+    ),
+    Mutant(
+        "eigh-without-errstate",
+        "src/ealab/linalg.py",
+        "@np.errstate(\n"
+        "    call=_eigh_nonconvergence, invalid=\"call\", over=\"ignore\", divide=\"ignore\", "
+        "under=\"ignore\"\n"
+        ")\n",
+        "",
+        ("tests/test_linalg.py::TestEigh",),
+    ),
+    Mutant(
         "falsify-ignores-failed-density-check",
         "src/ealab/criteria.py",
         "failure = _first_invalid_density(out)",
