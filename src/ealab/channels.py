@@ -25,6 +25,7 @@ from .linalg import (
     _adjoint,
     _as_array,
     _bounded_bytes,
+    _items,
     _lowest_eigenvalues,
     _projectors,
     _real,
@@ -113,8 +114,8 @@ class MeasurePrepare:
     prepares: tuple[DensityOperator, ...]
 
     def __post_init__(self):
-        effects = tuple(as_operator(f) for f in self.povm)
-        preps = tuple(_instance(p, DensityOperator) for p in self.prepares)
+        effects = tuple(as_operator(f) for f in _items(self.povm, "povm"))
+        preps = tuple(_instance(p, DensityOperator) for p in _items(self.prepares, "prepares"))
         if not effects or len(effects) != len(preps):
             raise ValueError("need matching nonempty POVM and prepare lists")
         d = effects[0].shape[0]
@@ -458,7 +459,15 @@ def random_channel(
 # coerced.  "ops", "povm" and "prepares" must be JSON arrays: a string or an
 # object is refused, not read as its characters or keys.  Only a missing,
 # null or empty "prepare_dims" means one factor per prepared state; false, 0,
-# "" and {} are refused.
+# "" and {} are refused.  A field its kind does not list below, a misspelled
+# one such as "D" for "d" too, is refused, never ignored.
+
+_SPEC_FIELDS = {
+    "depolarizing": {"kind", "lambda", "d"},
+    "kraus": {"kind", "ops"},
+    "choi": {"kind", "out_dim", "in_dim", "matrix"},
+    "measure_prepare": {"kind", "povm", "prepares", "prepare_dims"},
+}
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -540,6 +549,12 @@ def channel_from_spec(spec: dict) -> Channel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("channel description must be an object with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    unknown = sorted(spec.keys() - _SPEC_FIELDS[kind], key=str)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"{kind} description has unknown field(s) {names}")
     if kind == "depolarizing":
         if "lambda" not in spec:
             raise ValueError("depolarizing description needs a 'lambda' field")
@@ -556,19 +571,15 @@ def channel_from_spec(spec: dict) -> Channel:
                 raise ValueError(f"choi description needs a '{key}' field")
         dims = tuple(_spec_field(spec, key, _json_int) for key in ("out_dim", "in_dim"))
         return channel_from_choi(DensityOperator(matrix_from_json(spec["matrix"]), dims))
-    if kind == "measure_prepare":
-        povm = _spec_field(spec, "povm", _json_list)
-        preps = _spec_field(spec, "prepares", _json_list)
-        if not povm or not preps:
-            raise ValueError(
-                "measure_prepare description needs 'povm' and 'prepares' lists"
-            )
-        prep_mats = [matrix_from_json(p) for p in preps]
-        pdims = _spec_field(spec, "prepare_dims", _json_dims, ())
-        prepares = tuple(DensityOperator(p, pdims or (p.shape[0],)) for p in prep_mats)
-        mp = MeasurePrepare(tuple(matrix_from_json(f) for f in povm), prepares)
-        return measure_prepare_channel(mp)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    povm = _spec_field(spec, "povm", _json_list)  # kind == "measure_prepare"
+    preps = _spec_field(spec, "prepares", _json_list)
+    if not povm or not preps:
+        raise ValueError("measure_prepare description needs 'povm' and 'prepares' lists")
+    prep_mats = [matrix_from_json(p) for p in preps]
+    pdims = _spec_field(spec, "prepare_dims", _json_dims, ())
+    prepares = tuple(DensityOperator(p, pdims or (p.shape[0],)) for p in prep_mats)
+    mp = MeasurePrepare(tuple(matrix_from_json(f) for f in povm), prepares)
+    return measure_prepare_channel(mp)
 
 
 def load_channel_spec(path) -> Channel:

@@ -43,6 +43,8 @@ from .linalg import (
     _composite_dim,
     _eigh,
     _factor_dims,
+    _factor_subset,
+    _items,
     _lowest_eigenvalues,
     _partial_transposes,
     _party_count,
@@ -111,8 +113,7 @@ class Partition:
     second: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted({_whole(i, "partition index", 0) for i in self.first}))
-        b = tuple(sorted({_whole(i, "partition index", 0) for i in self.second}))
+        a, b = _factor_subset(self.first, "partition"), _factor_subset(self.second, "partition")
         if not a or not b:
             raise ValueError("both partition blocks must be nonempty")
         if set(a) & set(b):
@@ -720,15 +721,18 @@ def bisect_threshold(
 ) -> ThresholdResult:
     """Locate a sign change of ``criterion`` by bisection.
 
-    The bracket is two finite endpoints ``lo < hi``, which must evaluate to
-    opposite signs; continuity and a single crossing inside the bracket are
-    the caller's responsibility.  A value that is not finite, at an endpoint
+    ``criterion`` must be callable.  The bracket is two finite endpoints
+    ``lo < hi``, which must evaluate to opposite signs; continuity and a
+    single crossing inside the bracket are the caller's responsibility.  A value that is not finite, at an endpoint
     or a midpoint, raises ``ValueError``.  Halving stops once the bracket is
     no wider than ``tol`` or its endpoints are adjacent floats.
     """
     tol = _real(tol, "tolerance", 0.0, sys.float_info.max)
+    if not callable(criterion):
+        raise ValueError(f"criterion must be callable, got {type(criterion).__name__}")
+    bracket = _items(bracket, "bracket")
     if len(bracket) != 2:
-        raise ValueError(f"bracket must be two endpoints (lo, hi), got {tuple(bracket)}")
+        raise ValueError(f"bracket must be two endpoints (lo, hi), got {bracket}")
     lo, hi = _real(bracket[0], "bracket endpoint"), _real(bracket[1], "bracket endpoint")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket endpoints must be finite, got ({lo}, {hi})")

@@ -200,9 +200,22 @@ def check_dims(m, dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, _factor_dims(dims, a.shape[0])
 
 
-def _factor_subset(indices: Iterable[int], n: int, name: str) -> tuple[int, ...]:
-    idx = tuple(sorted({_whole(i, f"{name} index") for i in indices}))
-    if any(i < 0 or i >= n for i in idx):
+def _items(x, name: str) -> tuple:
+    """``x`` as a tuple, the one reading of a caller's collection argument:
+    one that cannot be iterated (a number, ``None``) raises ``ValueError``
+    naming ``name``."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{name} must be a collection, got {type(x).__name__}") from None
+
+
+def _factor_subset(indices: Iterable[int], name: str, n: int | None = None) -> tuple[int, ...]:
+    """``indices`` as a sorted tuple of distinct factor indices, the one
+    reading of an index set: each a nonnegative integer named by ``name``,
+    and with ``n`` given, below it."""
+    idx = tuple(sorted({_whole(i, f"{name} index", 0) for i in _items(indices, name)}))
+    if n is not None and idx and idx[-1] >= n:
         raise ValueError(f"{name} {idx} out of range for {n} factors")
     return idx
 
@@ -221,6 +234,7 @@ def kron(a, b) -> np.ndarray:
 
 def kron_all(ops: Sequence) -> np.ndarray:
     """Left-folded ``kron`` of a nonempty sequence of matrices."""
+    ops = _items(ops, "ops")
     if not ops:
         raise ValueError("kron_all needs at least one operator")
     # [[1]] is the unit of kron, so one operator still comes back checked
@@ -235,7 +249,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """
     a, ds = check_dims(m, dims)
     n = len(ds)
-    kept = _factor_subset(keep, n, "keep")
+    kept = _factor_subset(keep, "keep", n)
     if not kept:
         raise ValueError("keep must list at least one factor")
     t = a.reshape(ds + ds)
@@ -251,7 +265,7 @@ def partial_transpose(m, dims: Sequence[int], transposed: Iterable[int]) -> np.n
     a = _as_stack(m)
     ds = _factor_dims(dims, a.shape[-1])
     n = len(ds)
-    flipped = _factor_subset(transposed, n, "transposed")
+    flipped = _factor_subset(transposed, "transposed", n)
     lead = a.shape[:-2]
     t = a.reshape(lead + ds + ds)
     return t.transpose(_transposed_axes(len(lead), n, flipped)).reshape(a.shape)
@@ -287,7 +301,7 @@ def permute_factors(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors so new factor ``k`` is old factor ``perm[k]``."""
     a, ds = check_dims(m, dims)
     n = len(ds)
-    p = tuple(_whole(i, "perm") for i in perm)
+    p = tuple(_whole(i, "perm") for i in _items(perm, "perm"))
     if sorted(p) != list(range(n)):
         raise ValueError(f"perm {p} is not a permutation of {n} factors")
     t = a.reshape(ds + ds)

@@ -17,6 +17,7 @@ from .linalg import (
     _STACK_BYTES,
     MATRIX_ATOL,
     TENSOR_POWER_MAX_BYTES,
+    _adjoint,
     _as_array,
     _bounded_bytes,
     _factor_dims,
@@ -99,7 +100,7 @@ class DensityOperator:
 
     def marginal(self, keep: Sequence[int]) -> "DensityOperator":
         """Reduced state on the kept factors."""
-        kept = _factor_subset(keep, len(self.dims), "keep")
+        kept = _factor_subset(keep, "keep", len(self.dims))
         m = partial_trace(self.matrix, self.dims, kept)
         return DensityOperator(m, tuple(self.dims[i] for i in kept))
 
@@ -141,7 +142,8 @@ class SchmidtDecomposition:
     ``coefficients`` are the descending nonnegative Schmidt coefficients
     (their squares sum to one); column ``j`` of ``left_basis`` and
     ``right_basis`` carries the j-th Schmidt vector of each block, so the
-    state is ``sum_j c_j kron(left_j, right_j)`` in block order.
+    state is ``sum_j c_j kron(left_j, right_j)`` in block order.  Each basis
+    has one column per coefficient, orthonormal within ``MATRIX_ATOL``.
     """
 
     coefficients: np.ndarray
@@ -157,9 +159,21 @@ class SchmidtDecomposition:
             raise ValueError("coefficients must be nonnegative and descending")
         if not abs(np.sum(c**2) - 1.0) <= MATRIX_ATOL:
             raise ValueError("squared coefficients must sum to one")
+        bases = _freeze(self.left_basis), _freeze(self.right_basis)
+        for b in bases:
+            if b.ndim != 2 or b.shape[1] != len(c):
+                raise ValueError(
+                    f"a Schmidt basis must be a matrix of one column per coefficient "
+                    f"({len(c)}), got shape {b.shape}"
+                )
+            defect = np.max(np.abs(_adjoint(b) @ b - np.eye(len(c))))
+            if not defect <= MATRIX_ATOL:
+                raise ValueError(
+                    f"Schmidt basis columns must be orthonormal (deviation {defect:.3e})"
+                )
         object.__setattr__(self, "coefficients", _freeze(c).real)
-        object.__setattr__(self, "left_basis", _freeze(self.left_basis))
-        object.__setattr__(self, "right_basis", _freeze(self.right_basis))
+        object.__setattr__(self, "left_basis", bases[0])
+        object.__setattr__(self, "right_basis", bases[1])
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude vector in (left block, right block) factor order."""
@@ -278,7 +292,7 @@ def schmidt(psi: PureState, left: Sequence[int]) -> SchmidtDecomposition:
     the singular value decomposition of the reshaped amplitude matrix.
     """
     n = len(_instance(psi, PureState).dims)
-    left_idx = _factor_subset(left, n, "left block")
+    left_idx = _factor_subset(left, "left block", n)
     right_idx = tuple(i for i in range(n) if i not in left_idx)
     if not left_idx or not right_idx:
         raise ValueError("partition must split the factors into two nonempty blocks")

@@ -852,6 +852,31 @@ class TestJsonSpecs:
                 "prepares": [matrix_to_json(np.eye(4) / 4)], **extra}
         assert channel_from_spec(spec).out_dim == 4
 
+    @pytest.mark.parametrize(
+        "spec, unknown",
+        [
+            ({"kind": "depolarizing", "lambda": 0.3, "D": 4}, "'D'"),
+            ({"kind": "depolarizing", "lambda": 0.3, "d": 2, "ops": [], "Lambda": 1},
+             "'Lambda', 'ops'"),
+            ({"kind": "kraus", "ops": [matrix_to_json(np.eye(2))], "d": 2}, "'d'"),
+            ({"kind": "choi", "out_dim": 2, "in_dim": 2,
+              "matrix": matrix_to_json(np.eye(4) / 4), "dims": [2, 2]}, "'dims'"),
+            ({"kind": "measure_prepare", "povm": [matrix_to_json(np.eye(2))],
+              "prepares": [matrix_to_json(np.eye(2) / 2)], "prepare_dim": [2]}, "'prepare_dim'"),
+        ],
+    )
+    def test_unknown_field_rejected_by_name(self, spec, unknown):
+        # a misspelled field is refused, not ignored for the kind's default
+        with pytest.raises(ValueError) as exc:
+            channel_from_spec(spec)
+        assert str(exc.value) == f"{spec['kind']} description has unknown field(s) {unknown}"
+
+    @pytest.mark.parametrize("kind", [["depolarizing"], {"a": 1}, None, 2])
+    def test_unhashable_or_non_string_kind_is_unknown(self, kind):
+        with pytest.raises(ValueError) as exc:
+            channel_from_spec({"kind": kind, "lambda": 0.5})
+        assert str(exc.value) == f"unknown channel kind {kind!r}"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
             channel_from_spec({"kind": "mystery"})

@@ -328,6 +328,16 @@ class TestFalsify:
             "depolarizing parameter must lie in [0, 1], got 2.0\n"
         )
 
+    def test_misspelled_field_exits_2(self, tmp_path, capsys):
+        # "D" for "d" once ran a qubit channel and exited 0
+        spec = self.write_spec(tmp_path, {"kind": "depolarizing", "lambda": 0.3, "D": 4})
+        code, out, err = run_cli(capsys, "falsify", "--spec", spec, "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: invalid channel description: "
+            "depolarizing description has unknown field(s) 'D'\n"
+        )
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare"])
     def test_non_finite_entry_is_an_invalid_description(self, kind, value, tmp_path, capsys):

@@ -776,6 +776,12 @@ class TestBisection:
         ):
             bisect_threshold(crit, bracket)
 
+    @pytest.mark.parametrize("criterion", [None, 0.5, "x - 0.5"])
+    def test_non_callable_criterion_rejected(self, criterion):
+        with pytest.raises(ValueError) as exc:
+            bisect_threshold(criterion, (0.0, 1.0))
+        assert str(exc.value) == f"criterion must be callable, got {type(criterion).__name__}"
+
     @pytest.mark.parametrize("bracket", [(0.0,), (0.0, 0.5, 1.0)])
     def test_bracket_of_other_than_two_endpoints_rejected(self, bracket):
         with pytest.raises(ValueError, match=r"^bracket must be two endpoints \(lo, hi\), got "):

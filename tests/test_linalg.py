@@ -400,6 +400,7 @@ def _whole_cases():
         "partial_transpose": ("transposed index", 0, 0,
                               lambda x: partial_transpose(m, (2, 2), (x,))),
         "permute_factors": ("perm", 1, None, lambda x: permute_factors(m, (2, 2), (x, 0))),
+        "schmidt": ("left block index", 0, 0, lambda x: ealab.schmidt(ghz(2), (x,))),
     }
     return [pytest.param(*case, id=key) for key, case in cases.items()]
 
@@ -408,7 +409,7 @@ def _whole_cases():
 # "need at least 2 qubits", a range, ...), pinned by other tests.
 _OWN_BOUND_MESSAGE = {
     "depolarizing", "kraus_rank", "bipartitions", "ghz", "random_density",
-    "haar_pure", "marginal", "partial_trace", "partial_transpose",
+    "haar_pure",
 }
 
 
@@ -440,3 +441,46 @@ def test_counts_below_their_bound_are_refused(name, least, call, own_message, be
     message = None if own_message else f"^{name} must be {bound}, got {least - below}$"
     with pytest.raises(ValueError, match=message):
         call(least - below)
+
+
+def _collection_cases():
+    """The entry points whose index set or collection argument is read by
+    ``linalg._items``: the argument's name and a call taking the value."""
+    m = np.eye(4) / 4
+    rho = ealab.max_entangled(2).density()
+    cases = {
+        "Partition": ("partition", lambda x: ealab.Partition(x, (1,))),
+        "partial_trace": ("keep", lambda x: partial_trace(m, (2, 2), x)),
+        "partial_transpose": ("transposed", lambda x: partial_transpose(m, (2, 2), x)),
+        "marginal": ("keep", lambda x: rho.marginal(x)),
+        "schmidt": ("left block", lambda x: ealab.schmidt(ghz(2), x)),
+        "permute_factors": ("perm", lambda x: permute_factors(m, (2, 2), x)),
+        "MeasurePrepare": ("povm", lambda x: ealab.MeasurePrepare(x, x)),
+        "kron_all": ("ops", kron_all),
+        "bisect_threshold": ("bracket", lambda x: ealab.bisect_threshold(lambda t: t - 0.5, x)),
+    }
+    return [pytest.param(*case, id=key) for key, case in cases.items()]
+
+
+@pytest.mark.parametrize("name, call", _collection_cases())
+@pytest.mark.parametrize("value", [None, 3], ids=["None", "int"])
+def test_non_collections_are_refused_by_name(name, call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be a collection, got {type(value).__name__}"
+
+
+def test_collections_are_read_once_whatever_their_type():
+    # any iterable is read, a one-shot iterator too, and read only once
+    m = random_state_matrix(4, np.random.default_rng(0))
+    kept = partial_trace(m, (2, 2), (1,)).tobytes()
+    assert partial_trace(m, (2, 2), iter([1])).tobytes() == kept
+    assert partial_trace(m, (2, 2), {1: None}).tobytes() == kept
+    assert partial_transpose(m, (2, 2), np.array([1])).tobytes() == partial_transpose(
+        m, (2, 2), (1,)
+    ).tobytes()
+    assert permute_factors(m, (2, 2), iter([1, 0])).tobytes() == permute_factors(
+        m, (2, 2), (1, 0)
+    ).tobytes()
+    assert kron_all(iter([np.eye(2), np.eye(2)])).tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert ealab.Partition(iter([1, 0]), range(2, 4)) == ealab.Partition((0, 1), (2, 3))

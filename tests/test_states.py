@@ -262,6 +262,49 @@ class TestInvariants:
             c = SchmidtDecomposition(coefficients, np.eye(2), np.eye(2)).coefficients
             assert c.dtype == np.float64 and c.tolist() == [0.8, 0.6]
 
+    @pytest.mark.parametrize(
+        "left, right, shape",
+        [
+            (np.eye(2), np.eye(2)[:, :1], "(2, 1)"),  # too few columns
+            (np.eye(3), np.eye(2), "(3, 3)"),  # too many columns
+            ([1, 0], [0, 1], "(2,)"),  # vectors, not matrices
+            (np.eye(2)[None], np.eye(2), "(1, 2, 2)"),
+        ],
+    )
+    def test_schmidt_bases_need_one_column_per_coefficient(self, left, right, shape):
+        with pytest.raises(ValueError) as exc:
+            SchmidtDecomposition([0.8, 0.6], left, right)
+        assert str(exc.value) == (
+            f"a Schmidt basis must be a matrix of one column per coefficient (2), got shape {shape}"
+        )
+
+    @pytest.mark.parametrize(
+        "basis",
+        [np.ones((2, 2)), 2 * np.eye(2), np.eye(2) + 1e-9, np.full((2, 2), np.nan)],
+        ids=["parallel", "long", "tilted", "nan"],
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_schmidt_bases_must_be_orthonormal(self, basis, side):
+        bases = (basis, np.eye(2)) if side == "left" else (np.eye(2), basis)
+        with pytest.raises(ValueError, match=r"^Schmidt basis columns must be orthonormal"):
+            SchmidtDecomposition([0.8, 0.6], *bases)
+
+    def test_schmidt_decomposition_reconstructs_a_unit_vector(self):
+        # the bases of the two former counterexamples, now refused, gave
+        # amplitudes of norm sqrt(2) and 0; an accepted decomposition has norm 1
+        rot = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 1e-12
+        amps = SchmidtDecomposition([0.8, 0.6], rot, np.eye(2, 3).T).reconstruct()
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
+    def test_schmidt_of_haar_states_passes_its_own_checks(self, dims):
+        n = len(dims)
+        for seed in range(5):
+            psi = haar_pure(dims, seed)
+            for part in bipartitions(n):
+                dec = schmidt(psi, part.first)
+                assert dec.left_basis.shape[1] == dec.right_basis.shape[1] == len(dec.coefficients)
+
     @pytest.mark.parametrize("coefficients", [[np.nan, 0.0], [1.0, np.nan]])
     def test_schmidt_decomposition_rejects_nan(self, coefficients):
         with pytest.raises(ValueError):

@@ -688,6 +688,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "items-returns-its-argument-unread",
+        "src/ealab/linalg.py",
+        "        return tuple(x)\n    except TypeError:\n",
+        "        return x\n    except TypeError:\n",
+        ("tests/test_linalg.py::test_non_collections_are_refused_by_name",),
+    ),
+    Mutant(
+        "spec-unknown-field-accepted",
+        "src/ealab/channels.py",
+        "    if unknown:\n",
+        "    if False:\n",
+        (
+            "tests/test_channels.py::TestJsonSpecs::test_unknown_field_rejected_by_name",
+            "tests/test_cli.py::TestFalsify::test_misspelled_field_exits_2",
+        ),
+    ),
+    Mutant(
+        "schmidt-basis-orthonormality-dropped",
+        "src/ealab/states.py",
+        "            if not defect <= MATRIX_ATOL:\n"
+        "                raise ValueError(\n"
+        "                    f\"Schmidt basis columns",
+        "            if False:\n"
+        "                raise ValueError(\n"
+        "                    f\"Schmidt basis columns",
+        (
+            "tests/test_states.py::TestInvariants::"
+            "test_schmidt_bases_must_be_orthonormal",
+        ),
+    ),
+    Mutant(
         "cmd-falsify-exit-0-on-counterexample",
         "src/ealab/cli.py",
         "return 1 if report.found else 0",
